@@ -31,7 +31,6 @@ from .branching import (
     gw_hitting_stats,
     gw_step,
     haldane_ref,
-    offspring_variance,
 )
 from .cannings import (
     AbsorptionRecord,
@@ -55,7 +54,6 @@ from .paintbox import (
     WeightVector,
     YLaw,
     estimate_weight_moment,
-    rho_squared,
     sample_y,
     spiked_weights,
     weights_from_y,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
 
+from .branching import haldane_ref
 from .cannings import CanningsConfig, ConfigurationError, run_to_absorption
 from .paintbox import SpikedSpec
 from .streams import TrialStreams
@@ -149,8 +150,12 @@ class FixationEstimate:
     max_tau: int
 
     def __post_init__(self):
-        assert 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0
-        assert self.fixations <= self.trials
+        if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
+            raise RuntimeError(
+                f"interval [{self.ci_low}, {self.ci_high}] does not hold p_hat {self.p_hat}"
+            )
+        if not self.fixations <= self.trials:
+            raise RuntimeError(f"{self.fixations} fixations in {self.trials} trials")
 
 
 def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
@@ -158,7 +163,6 @@ def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
     lo, hi = wilson_interval(tally.fixations, tally.trials, level)
     rv = reference_variance(config.paintbox, config.N)
     s = config.s
-    haldane = min(1.0, 2.0 * s / rv) if s > 0 else 0.0
     ratio = p_hat * rv / (2.0 * s) if s > 0 else None
     return FixationEstimate(
         trials=tally.trials,
@@ -170,7 +174,7 @@ def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
         level=level,
         s=s,
         ref_variance=rv,
-        haldane=haldane,
+        haldane=haldane_ref(s, rv),
         ratio=ratio,
         mean_tau=tally.tau_total / tally.trials,
         max_tau=tally.tau_max,

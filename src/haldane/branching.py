@@ -32,7 +32,8 @@ class GWModel(abc.ABC):
     def mean(self) -> float: ...
 
     @abc.abstractmethod
-    def variance(self) -> float: ...
+    def variance(self) -> float:
+        """Exact offspring variance."""
 
     @abc.abstractmethod
     def pgf(self, q: float) -> float:
@@ -268,11 +269,6 @@ def haldane_ref(s: float, sigma2: float) -> float:
     if not sigma2 > 0:
         raise ValueError(f"variance must be > 0, got {sigma2}")
     return min(1.0, max(0.0, 2.0 * s / sigma2))
-
-
-def offspring_variance(model: GWModel) -> float:
-    """Exact offspring variance (closed-form-moment variants only)."""
-    return model.variance()
 
 
 def conditioned_pmf(

@@ -9,29 +9,25 @@ where k is the current number of beneficial individuals (exchangeability
 lets them occupy the first k slots).  The next beneficial count is an
 exact binomial draw; 0 and N absorb.
 
-The one-generation kernel consumes only the beneficial/wildtype weight
-sums, which `paintbox.block_weight_sums` draws exactly without building
-the N-vector, so absorption runs stay cheap at N = 10^4 and beyond.
+A transition consumes only the beneficial/wildtype weight sums, which
+each paintbox source's `split_sums` draws exactly without building the
+N-vector, so absorption runs stay cheap at N = 10^4 and beyond.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .paintbox import (
     Deterministic,
-    Gamma,
     PaintboxSource,
     SpikedSpec,
-    TwoPoint,
     UnsupportedLawError,
     WeightVector,
-    YLaw,
     block_weight_sums,
 )
 
@@ -125,7 +121,7 @@ class AbsorptionRecord:
 
 
 # ---------------------------------------------------------------------------
-# One-generation kernels
+# One-generation transitions
 # ---------------------------------------------------------------------------
 
 
@@ -143,88 +139,14 @@ def success_probability(weights: WeightVector, k: int, s: float) -> float:
     return head / (head + (1.0 - s) * tail)
 
 
-def _kernel_deterministic(N: int, s: float) -> Callable:
-    one_minus_s = 1.0 - s
-
-    def kern(k, rng):
-        return int(rng.binomial(N, k / (k + one_minus_s * (N - k))))
-
-    return kern
-
-
-def _kernel_gamma(N: int, s: float, kappa: float) -> Callable:
-    one_minus_s = 1.0 - s
-
-    def kern(k, rng):
-        sg = rng.standard_gamma
-        head = sg(k * kappa)
-        tail = sg((N - k) * kappa)
-        return int(rng.binomial(N, head / (head + one_minus_s * tail)))
-
-    return kern
-
-
-def _kernel_two_point(N: int, s: float, law: TwoPoint) -> Callable:
-    a, b = law._ab
-    p, one_minus_s = law.p, 1.0 - s
-
-    def kern(k, rng):
-        j = rng.binomial(k, p)
-        head = j * a + (k - j) * b
-        jr = rng.binomial(N - k, p)
-        tail = jr * a + (N - k - jr) * b
-        return int(rng.binomial(N, head / (head + one_minus_s * tail)))
-
-    return kern
-
-
-def _kernel_generic(N: int, s: float, law: YLaw) -> Callable:
-    one_minus_s = 1.0 - s
-
-    def kern(k, rng):
-        head = float(law.sample(k, rng).sum())
-        tail = float(law.sample(N - k, rng).sum())
-        return int(rng.binomial(N, head / (head + one_minus_s * tail)))
-
-    return kern
-
-
-def _kernel_spiked(N: int, s: float, spec: SpikedSpec) -> Callable:
-    ws = spec.spike_weight(N)
-    wo = spec.other_weight(N)
-    one_minus_s = 1.0 - s
-
-    def kern(k, rng):
-        if rng.integers(N) < k:
-            head = ws + (k - 1) * wo
-        else:
-            head = k * wo
-        return int(rng.binomial(N, head / (head + one_minus_s * (1.0 - head))))
-
-    return kern
-
-
-@lru_cache(maxsize=128)
-def _step_kernel(paintbox: PaintboxSource, N: int, s: float) -> Callable:
-    """Family-specialized transition kernel for interior states 0 < k < N."""
-    if isinstance(paintbox, Deterministic):
-        return _kernel_deterministic(N, s)
-    if isinstance(paintbox, Gamma):
-        return _kernel_gamma(N, s, paintbox.kappa)
-    if isinstance(paintbox, TwoPoint):
-        return _kernel_two_point(N, s, paintbox)
-    if isinstance(paintbox, SpikedSpec):
-        return _kernel_spiked(N, s, paintbox)
-    return _kernel_generic(N, s, paintbox)
-
-
 def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:
     """One generation: fresh paintbox, then an exact binomial of N children."""
     if not 0 <= k <= config.N:
         raise ValueError(f"beneficial count {k} outside [0, {config.N}]")
     if k == 0 or k == config.N:
         return k
-    return _step_kernel(config.paintbox, config.N, config.s)(k, rng)
+    head, tail = config.paintbox.split_sums(k, config.N, rng)
+    return int(rng.binomial(config.N, head / (head + (1.0 - config.s) * tail)))
 
 
 def run_to_absorption(
@@ -244,7 +166,8 @@ def run_to_absorption(
         raise ValueError("an explicit random stream is required")
     N = config.N
     k = config.initial_count
-    kern = _step_kernel(config.paintbox, N, config.s)
+    split = config.paintbox.split_sums
+    one_minus_s = 1.0 - config.s
     first_passage = {t: 0 for t in thresholds if k >= t}
     pending = sorted(t for t in thresholds if t > k)
     g = 0
@@ -252,7 +175,8 @@ def run_to_absorption(
     while 0 < k < N:
         if cap is not None and g >= cap:
             return AbsorptionRecord("truncated", g, k, max_count, first_passage)
-        k = kern(k, rng)
+        head, tail = split(k, N, rng)
+        k = int(rng.binomial(N, head / (head + one_minus_s * tail)))
         g += 1
         if k > max_count:
             max_count = k

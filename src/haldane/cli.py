@@ -39,7 +39,6 @@ CSV_COLUMNS = [
     "naive_prediction", "neutral_floor", "violation",
     "duality_fixation", "n_samples",
     "moment_value", "moment_stderr",
-    "q_n", "q_n_stderr",
     "moderately_strong", "paintbox_conforming",
     "wall_clock_seconds",
 ]
@@ -252,7 +251,7 @@ def _cmd_gw_survival(args) -> list[dict]:
     model = _gw_model(args)
     res = branching.extinction_q(model, tol=args.tol)
     mean = model.mean()
-    var = branching.offspring_variance(model)
+    var = model.variance()
     rec = _base_record("gw-survival", args)
     rec.update({
         "model": model.tag(),

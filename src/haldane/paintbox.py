@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,7 +74,12 @@ class YLaw(abc.ABC):
         """E[exp(t Y)] for the mean-1 law; UnsupportedLawError if not closed form."""
 
     def rho_squared(self) -> float:
+        """Asymptotic neutral offspring variance E[Y^2]/E[Y]^2."""
         return self.raw_moment(2)
+
+    def split_sums(self, k: int, N: int, rng: np.random.Generator):
+        """Unnormalized weight mass of the first k and of the other N-k indices."""
+        return self.sample_sum(k, rng), self.sample_sum(N - k, rng)
 
     @abc.abstractmethod
     def tag(self) -> str:
@@ -132,7 +138,7 @@ class Gamma(YLaw):
     def sample_sum(self, n, rng, size=None):
         # Gamma additivity: sum of n iid Gamma(kappa, 1/kappa) is Gamma(n*kappa, 1/kappa).
         if size is None:
-            return float(rng.standard_gamma(n * self.kappa)) / self.kappa
+            return rng.standard_gamma(n * self.kappa) / self.kappa
         return rng.standard_gamma(n * self.kappa, size=size) / self.kappa
 
     def raw_moment(self, r):
@@ -168,7 +174,7 @@ class TwoPoint(YLaw):
     def scale(self) -> float:
         return self.p * self.a + (1 - self.p) * self.b
 
-    @property
+    @cached_property
     def _ab(self) -> tuple[float, float]:
         m = self.scale
         return self.a / m, self.b / m
@@ -288,6 +294,15 @@ class SpikedSpec:
         wo = self.other_weight(N)
         return ws**2 / N + (1.0 - 1.0 / N) * wo**2
 
+    def split_sums(self, k: int, N: int, rng: np.random.Generator):
+        """Weight mass of the first k and of the other N-k indices, spike placed uniformly."""
+        wo = self.other_weight(N)
+        if rng.integers(N) < k:
+            head = self.spike_weight(N) + (k - 1) * wo
+        else:
+            head = k * wo
+        return head, 1.0 - head
+
     def tag(self) -> str:
         return f"spiked:{self.gamma:g}"
 
@@ -324,11 +339,6 @@ def spiked_weights(N: int, spec: SpikedSpec, rng: np.random.Generator) -> Weight
     w = np.full(N, spec.other_weight(N))
     w[rng.integers(N)] = spec.spike_weight(N)
     return WeightVector(w)
-
-
-def rho_squared(law: YLaw) -> float:
-    """Asymptotic neutral offspring variance E[Y^2]/E[Y]^2."""
-    return law.rho_squared()
 
 
 def block_weight_sums(

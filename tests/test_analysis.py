@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haldane.analysis import (
+    FixationEstimate,
     counterexample_check,
     duality_fixation,
     estimate_fixation,
@@ -102,6 +103,18 @@ def test_estimate_spiked_uses_finite_n_variance():
         200 * 199 * spec.single_weight_second_moment(200)
     )
     assert reference_variance(Gamma(1.0), 123) == 2.0
+
+
+def test_fixation_estimate_invariants_raise():
+    # exceptions, not asserts, so that `python -O` keeps the checks
+    fields = dict(trials=10, fixations=3, truncated=0, p_hat=0.3, ci_low=0.1,
+                  ci_high=0.6, level=0.99, s=0.1, ref_variance=2.0, haldane=0.1,
+                  ratio=3.0, mean_tau=2.0, max_tau=5)
+    FixationEstimate(**fields)
+    with pytest.raises(RuntimeError):
+        FixationEstimate(**{**fields, "ci_low": 0.4})
+    with pytest.raises(RuntimeError):
+        FixationEstimate(**{**fields, "fixations": 11})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from haldane.branching import (
     gw_hitting_stats,
     gw_step,
     haldane_ref,
-    offspring_variance,
 )
 from haldane.paintbox import Deterministic, Gamma, LogNormal, TwoPoint, UnsupportedLawError
 from haldane.streams import make_rng
@@ -190,7 +189,7 @@ def test_extinction_lognormal_unsupported():
 
 
 # ---------------------------------------------------------------------------
-# haldane_ref / offspring_variance
+# haldane_ref / offspring variance
 # ---------------------------------------------------------------------------
 
 
@@ -206,10 +205,10 @@ def test_haldane_ref_values():
 
 
 def test_offspring_variance_closed_forms():
-    assert offspring_variance(PlainPoisson(1.7)) == pytest.approx(1.7)
-    assert offspring_variance(MixedPoisson(Gamma(1.0), 1.1)) == pytest.approx(2.31)
-    assert offspring_variance(TwoPointImmortal(0.1)) == pytest.approx(0.09)
-    assert offspring_variance(Binary(0.6)) == pytest.approx(4 * 0.6 * 0.4)
+    assert PlainPoisson(1.7).variance() == pytest.approx(1.7)
+    assert MixedPoisson(Gamma(1.0), 1.1).variance() == pytest.approx(2.31)
+    assert TwoPointImmortal(0.1).variance() == pytest.approx(0.09)
+    assert Binary(0.6).variance() == pytest.approx(4 * 0.6 * 0.4)
 
 
 def test_offspring_variance_mixed_binomial_vs_simulation():
@@ -217,7 +216,7 @@ def test_offspring_variance_mixed_binomial_vs_simulation():
     rng = make_rng(5)
     draws = np.array([gw_step(model, 1, rng) for _ in range(10**5)])
     assert abs(draws.mean() - model.mean()) <= 4 * draws.std() / math.sqrt(draws.size)
-    var = offspring_variance(model)
+    var = model.variance()
     # sampling error of the sample variance via the empirical fourth moment
     m4 = ((draws - draws.mean()) ** 4).mean()
     se_var = math.sqrt(max(m4 - draws.var() ** 2, 0.0) / draws.size)

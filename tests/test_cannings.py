@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from haldane.cannings import (
     CanningsConfig,
@@ -20,6 +21,7 @@ from haldane.paintbox import (
     LogNormal,
     SpikedSpec,
     TwoPoint,
+    spiked_weights,
     weights_from_y,
 )
 from haldane.streams import make_rng, trial_rng
@@ -147,6 +149,30 @@ def test_step_lognormal_and_spiked_paths():
     assert 0 <= step(5, cfg, rng) <= 40
     cfg = CanningsConfig.from_s(40, 0.1, SpikedSpec(0.3), 5)
     assert 0 <= step(5, cfg, rng) <= 40
+
+
+@pytest.mark.parametrize(
+    "source",
+    [Deterministic(), Gamma(1.0), Gamma(2.5), TwoPoint(0.5, 1.5, 0.5),
+     LogNormal(0.5), SpikedSpec(0.2)],
+    ids=lambda source: source.tag(),
+)
+def test_step_matches_explicit_paintbox(source):
+    # split_sums transition vs Bin(N, success_probability(W, k, s)) with W
+    # built weight by weight; two-sample KS at alpha = 0.001
+    N, k, s, n = 12, 3, 0.2, 10**5
+    cfg = CanningsConfig.from_s(N, s, source, k)
+    rng = make_rng(30)
+    fast = np.array([step(k, cfg, rng) for _ in range(n)])
+    rng = make_rng(31)
+    explicit = np.empty(n, dtype=int)
+    for i in range(n):
+        if isinstance(source, SpikedSpec):
+            w = spiked_weights(N, source, rng)
+        else:
+            w = weights_from_y(source.sample(N, rng))
+        explicit[i] = rng.binomial(N, success_probability(w, k, s))
+    assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
 
 
 # ---------------------------------------------------------------------------

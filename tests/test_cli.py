@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from haldane.cli import run_command
+from haldane.cli import CSV_COLUMNS, run_command
 
 
 def run_jsonl(capsys, argv):
@@ -109,6 +109,29 @@ def test_record_config_round_trip(capsys):
         assert rec2[key] == rec[key], key
 
 
+GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
+               "--trials", "3000", "--seed", "5", "--paintbox"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (GOLDEN_ARGV + ["deterministic"], (2408, 57162, 46)),
+    (GOLDEN_ARGV + ["gamma:1"], (1624, 38241, 47)),
+    (GOLDEN_ARGV + ["gamma:2.5"], (2016, 47657, 46)),
+    (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2139, 49823, 44)),
+    (GOLDEN_ARGV + ["lognormal:0.7"], (1968, 46290, 49)),
+    (GOLDEN_ARGV + ["spiked:0.2"], (373, 18630, 51)),
+    (["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
+      "--trials", "30000", "--seed", "7"], (37, 54619, 36)),
+], ids=["deterministic", "gamma:1", "gamma:2.5", "two-point", "lognormal:0.7",
+        "spiked:0.2", "counterexample"])
+def test_golden_records(capsys, argv, expected):
+    # (fixations, total generations, longest trial) pinned at fixed seeds
+    code, (rec,) = run_jsonl(capsys, argv)
+    assert code == 0
+    assert (rec["fixations"], round(rec["mean_tau"] * rec["trials"]),
+            rec["max_tau"]) == expected
+
+
 # ---------------------------------------------------------------------------
 # other subcommands
 # ---------------------------------------------------------------------------
@@ -185,6 +208,28 @@ def test_csv_output(capsys, tmp_path):
     assert rows[0]["N"] == "50"
     assert rows[0]["p_hat"] != ""
     assert rows[0]["phi"] == ""  # inapplicable column left empty
+
+
+def test_every_csv_column_is_filled(capsys, tmp_path):
+    samples = tmp_path / "aeq.txt"
+    samples.write_text("1\n2\n")
+    mc = ["--trials", "200", "--seed", "1"]
+    runs = [
+        ["fixation", "--N", "50", "--b", "0.3", *mc],
+        ["phases", "--N", "1000", "--b", "0.2", "--delta", "0.15", "--eps", "0.1", *mc],
+        ["gw-survival", "--model", "mixed-binomial", "--m", "1.1", "--M", "90", "--N", "100"],
+        ["gw-survival", "--model", "two-point-immortal", "--beta-s", "0.1"],
+        ["gw-survival", "--model", "binary", "--p", "0.6"],
+        ["duality", "--N", "10", "--k", "2", "--samples", str(samples)],
+        ["counterexample", "--N", "200", "--gamma", "0.1", "--b", "0.45", *mc],
+        ["moments", "--N", "100", *mc],
+    ]
+    filled = set()
+    for argv in runs:
+        code, records = run_jsonl(capsys, argv)
+        assert code == 0, argv
+        filled.update(k for rec in records for k, v in rec.items() if v is not None)
+    assert set(CSV_COLUMNS) <= filled, set(CSV_COLUMNS) - filled
 
 
 def test_jsonl_out_appends(capsys, tmp_path):

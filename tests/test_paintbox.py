@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from haldane.paintbox import (
     Deterministic,
@@ -16,7 +17,6 @@ from haldane.paintbox import (
     block_weight_sums,
     estimate_weight_moment,
     parse_source,
-    rho_squared,
     sample_y,
     spiked_weights,
     weights_from_y,
@@ -188,11 +188,11 @@ def test_spiked_second_moment_closed_form():
 
 
 def test_rho_squared_closed_forms():
-    assert rho_squared(Deterministic(3.7)) == 1.0
-    assert rho_squared(Gamma(1.0)) == pytest.approx(2.0)
-    assert rho_squared(Gamma(2.0)) == pytest.approx(1.5)
-    assert rho_squared(TwoPoint(0.5, 1.5, 0.5)) == pytest.approx(1.25)
-    assert rho_squared(LogNormal(0.5)) == pytest.approx(math.exp(0.25))
+    assert Deterministic(3.7).rho_squared() == 1.0
+    assert Gamma(1.0).rho_squared() == pytest.approx(2.0)
+    assert Gamma(2.0).rho_squared() == pytest.approx(1.5)
+    assert TwoPoint(0.5, 1.5, 0.5).rho_squared() == pytest.approx(1.25)
+    assert LogNormal(0.5).rho_squared() == pytest.approx(math.exp(0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,15 @@ def test_block_weight_sums_match_explicit_paintbox():
     assert math.fsum(sums.tolist()) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         block_weight_sums(Gamma(1.0), 100, (10, 10), rng)
+    # the head block against the head sum of explicitly built weights;
+    # two-sample KS at alpha = 0.001
+    n, law = 20000, Gamma(2.5)
+    fast = [block_weight_sums(law, 12, (3, 4, 5), rng)[0] for _ in range(n)]
+    explicit = [weights_from_y(law.sample(12, rng)).head_sum(3) for _ in range(n)]
+    assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
+    fast = [block_weight_sums(spec, 12, (3, 9), rng)[0] for _ in range(n)]
+    explicit = [spiked_weights(12, spec, rng).head_sum(3) for _ in range(n)]
+    assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
 
 
 # ---------------------------------------------------------------------------
