@@ -14,7 +14,6 @@ from .analysis import (
     estimate_fixation,
     phase_diagnostics,
     read_aeq_samples,
-    reference_variance,
     wilson_interval,
 )
 from .branching import (

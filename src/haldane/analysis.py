@@ -47,17 +47,6 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
     return lo, hi
 
 
-def reference_variance(paintbox, N: int) -> float:
-    """Offspring-variance denominator for the 2s/variance reference.
-
-    Dirichlet-type sources use the asymptotic E[Y^2]/E[Y]^2; the spiked
-    source has no N-free limit, so its exact N(N-1)E[W_1^2] is used.
-    """
-    if isinstance(paintbox, SpikedSpec):
-        return N * (N - 1) * paintbox.single_weight_second_moment(N)
-    return paintbox.rho_squared()
-
-
 # ---------------------------------------------------------------------------
 # Trial farming
 # ---------------------------------------------------------------------------
@@ -161,7 +150,7 @@ class FixationEstimate:
 def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
     p_hat = tally.fixations / tally.trials
     lo, hi = wilson_interval(tally.fixations, tally.trials, level)
-    rv = reference_variance(config.paintbox, config.N)
+    rv = config.paintbox.rho_squared(config.N)
     s = config.s
     ratio = p_hat * rv / (2.0 * s) if s > 0 else None
     return FixationEstimate(
@@ -364,7 +353,7 @@ def counterexample_check(
     spec = SpikedSpec(gamma)
     config = CanningsConfig.from_exponent(N, b, spec, initial_count=1)
     est = estimate_fixation(config, trials, seed, parallelism, level)
-    naive = 2.0 * config.s / (N * (N - 1) * spec.single_weight_second_moment(N))
+    naive = 2.0 * config.s / spec.rho_squared(N)
     violation = est.ci_low > max(2.0 * naive, 0.0)
     return CounterexampleReport(
         p_hat=est.p_hat,

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
 
-from .paintbox import Deterministic, Gamma, TwoPoint, UnsupportedLawError, YLaw
-
-_QUAD_NODES = 160
+from .paintbox import YLaw
 
 
 class GWModel(abc.ABC):
@@ -45,22 +42,6 @@ class GWModel(abc.ABC):
 
     @abc.abstractmethod
     def tag(self) -> str: ...
-
-
-def _mixing_atoms(law: YLaw) -> tuple[np.ndarray, np.ndarray]:
-    """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
-    if isinstance(law, Deterministic):
-        return np.array([1.0]), np.array([1.0])
-    if isinstance(law, TwoPoint):
-        a, b = law._ab
-        return np.array([a, b]), np.array([law.p, 1.0 - law.p])
-    if isinstance(law, Gamma):
-        # generalized Gauss-Laguerre for the Gamma(kappa, 1/kappa) density
-        x, w = roots_genlaguerre(_QUAD_NODES, law.kappa - 1.0)
-        return x / law.kappa, w / math.exp(gammaln(law.kappa))
-    raise UnsupportedLawError(
-        f"no closed-form mixing representation for {law.tag()}"
-    )
 
 
 @dataclass(frozen=True)
@@ -113,7 +94,7 @@ class MixedBinomial(GWModel):
         return self.M * r - self.M * r**2 * ey2 + self.M**2 * r**2 * (ey2 - 1.0)
 
     def pgf(self, q):
-        vals, wts = _mixing_atoms(self.law)
+        vals, wts = self.law.mixing_atoms()
         p = np.minimum(vals * self.m / self.N, 1.0)
         with np.errstate(divide="ignore"):
             log_terms = self.M * np.log1p(-p * (1.0 - q))

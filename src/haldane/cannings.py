@@ -102,12 +102,6 @@ class CanningsConfig:
         b = self.exponent
         return b is not None and 0.0 < b < 0.5
 
-    @property
-    def paintbox_conforming(self) -> bool:
-        if isinstance(self.paintbox, SpikedSpec):
-            return False
-        return self.paintbox.conforming
-
 
 @dataclass
 class AbsorptionRecord:

@@ -4,8 +4,9 @@ Each subcommand runs one experiment family and appends one record per
 experiment to the output (JSON lines by default, CSV on request), with
 a one-line summary on stderr.  Records embed the fully resolved
 configuration, the seed, all estimates with intervals, the 2s/variance
-reference and ratio, wall-clock seconds and the artifact version, so a
-results file is self-describing and re-runnable.
+reference and ratio, the wall-clock seconds of that experiment alone and
+the artifact version, so a results file is self-describing and
+re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 The HALDANE_PARALLELISM environment variable sets the default worker
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -44,6 +46,16 @@ CSV_COLUMNS = [
 ]
 
 
+# each Galton-Watson model with the flags its constructor takes, in order
+_GW_MODELS = {
+    "mixed-poisson": (branching.MixedPoisson, ("y", "m")),
+    "mixed-binomial": (branching.MixedBinomial, ("y", "M", "m", "N")),
+    "two-point-immortal": (branching.TwoPointImmortal, ("beta_s",)),
+    "binary": (branching.Binary, ("p",)),
+    "plain-poisson": (branching.PlainPoisson, ("m",)),
+}
+
+
 def _default_parallelism() -> int:
     raw = os.environ.get("HALDANE_PARALLELISM", "1")
     try:
@@ -57,16 +69,28 @@ def _add_output_args(sp):
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
 
-def _add_selection_args(sp):
+def _add_population_args(sp, paintbox: str):
+    sp.add_argument("--N", type=int, required=True)
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--s", type=float, help="selection strength in [0,1)")
     grp.add_argument("--b", type=float, help="selection exponent, s = N**-b")
+    sp.add_argument("--paintbox", default=paintbox)
+    sp.add_argument("--x0", type=int, default=1)
 
 
-def _add_mc_args(sp):
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {value}")
+    return value
+
+
+def _add_mc_args(sp, parallel: bool = True):
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--parallelism", type=int, default=_default_parallelism())
+    if parallel:
+        sp.add_argument("--parallelism", type=_worker_count,
+                        default=_default_parallelism())
     sp.add_argument("--level", type=float, default=analysis.DEFAULT_LEVEL,
                     help="confidence level for Wilson intervals")
 
@@ -80,27 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixation", help="Monte Carlo fixation probability")
-    p.add_argument("--N", type=int, required=True)
-    _add_selection_args(p)
-    p.add_argument("--paintbox", default="deterministic")
-    p.add_argument("--x0", type=int, default=1)
+    _add_population_args(p, paintbox="deterministic")
     _add_mc_args(p)
-    _add_output_args(p)
 
     p = sub.add_parser("phases", help="three-phase fixation diagnostics")
-    p.add_argument("--N", type=int, required=True)
-    _add_selection_args(p)
-    p.add_argument("--paintbox", default="gamma:1")
-    p.add_argument("--x0", type=int, default=1)
+    _add_population_args(p, paintbox="gamma:1")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     _add_mc_args(p)
-    _add_output_args(p)
 
     p = sub.add_parser("gw-survival", help="exact branching survival probability")
-    p.add_argument("--model", required=True, choices=(
-        "mixed-poisson", "mixed-binomial", "two-point-immortal", "binary",
-        "plain-poisson"))
+    p.add_argument("--model", required=True, choices=tuple(_GW_MODELS))
     p.add_argument("--y", default="gamma:1", help="mixing law, name:params")
     p.add_argument("--m", type=float, default=None, help="mean factor")
     p.add_argument("--M", type=int, default=None, help="binomial trial count")
@@ -108,27 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_output_args(p)
 
     p = sub.add_parser("duality", help="fixation from ancestral-line sample file")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", required=True, help="file, one count per line")
-    _add_output_args(p)
 
     p = sub.add_parser("counterexample", help="spiked-paintbox violation check")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     _add_mc_args(p)
-    _add_output_args(p)
 
     p = sub.add_parser("moments", help="Monte Carlo weight-moment table")
     p.add_argument("--paintbox", default="gamma:1")
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--p", type=int, nargs="+", default=[2], choices=(2, 3))
-    _add_mc_args(p)
-    _add_output_args(p)
+    _add_mc_args(p, parallel=False)
 
     p = sub.add_parser("sweep", help="fixation across an N list at fixed exponent")
     p.add_argument("--N", type=int, nargs="+", required=True)
@@ -136,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paintbox", default="gamma:1")
     p.add_argument("--x0", type=int, default=1)
     _add_mc_args(p)
-    _add_output_args(p)
 
+    for p in sub.choices.values():
+        _add_output_args(p)
     return parser
 
 
@@ -146,197 +157,116 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _base_record(command: str, args) -> dict:
-    return {
-        "command": command,
+def _record(args, config: CanningsConfig | None = None,
+            estimate: analysis.FixationEstimate | None = None, **fields) -> dict:
+    """One output record: run settings, config, every estimate field, extra fields."""
+    rec = {
+        "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "trials": getattr(args, "trials", None),
         "parallelism": getattr(args, "parallelism", None),
         "level": getattr(args, "level", None),
     }
+    if config is not None:
+        rec.update({
+            "N": config.N,
+            "s": config.s,
+            "b": config.exponent,
+            "paintbox": config.paintbox.tag(),
+            "x0": config.initial_count,
+            "moderately_strong": config.moderately_strong,
+            "paintbox_conforming": config.paintbox.conforming,
+        })
+    if estimate is not None:
+        rec.update(dataclasses.asdict(estimate))
+    rec.update(fields)
+    return rec
 
 
-def _config_fields(config: CanningsConfig) -> dict:
-    tag = config.paintbox.tag()
-    return {
-        "N": config.N,
-        "s": config.s,
-        "b": config.exponent,
-        "paintbox": tag,
-        "x0": config.initial_count,
-        "moderately_strong": config.moderately_strong,
-        "paintbox_conforming": config.paintbox_conforming,
-    }
-
-
-def _estimate_fields(est: analysis.FixationEstimate) -> dict:
-    return {
-        "p_hat": est.p_hat,
-        "fixations": est.fixations,
-        "truncated": est.truncated,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "ref_variance": est.ref_variance,
-        "haldane": est.haldane,
-        "ratio": est.ratio,
-        "mean_tau": est.mean_tau,
-        "max_tau": est.max_tau,
-    }
-
-
-def _make_config(args) -> CanningsConfig:
+def _make_config(args, N: int) -> CanningsConfig:
     source = parse_source(args.paintbox)
     if args.b is not None:
-        return CanningsConfig.from_exponent(args.N, args.b, source, args.x0)
-    return CanningsConfig.from_s(args.N, args.s, source, args.x0)
+        return CanningsConfig.from_exponent(N, args.b, source, args.x0)
+    return CanningsConfig.from_s(N, args.s, source, args.x0)
 
 
-def _cmd_fixation(args) -> list[dict]:
-    config = _make_config(args)
-    est = analysis.estimate_fixation(
-        config, args.trials, args.seed, args.parallelism, args.level)
-    rec = _base_record("fixation", args)
-    rec.update(_config_fields(config))
-    rec.update(_estimate_fields(est))
-    return [rec]
+def _cmd_fixation(args):
+    # a sweep is one fixation estimate per N at a fixed exponent
+    for N in args.N if args.command == "sweep" else [args.N]:
+        config = _make_config(args, N)
+        est = analysis.estimate_fixation(
+            config, args.trials, args.seed, args.parallelism, args.level)
+        yield _record(args, config, est)
 
 
-def _cmd_phases(args) -> list[dict]:
-    config = _make_config(args)
+def _cmd_phases(args):
+    config = _make_config(args, args.N)
     rep = analysis.phase_diagnostics(
         config, args.delta, args.eps, args.trials, args.seed,
         args.parallelism, args.level)
-    rec = _base_record("phases", args)
-    rec.update(_config_fields(config))
-    rec.update(_estimate_fields(rep.estimate))
-    rec.update({
-        "delta": args.delta,
-        "eps": args.eps,
-        "threshold_1": rep.threshold_1,
-        "threshold_2": rep.threshold_2,
-        "p1": rep.p1,
-        "p2": rep.p2,
-        "p3": rep.p3,
-    })
-    return [rec]
+    yield _record(
+        args, config, rep.estimate, delta=args.delta, eps=args.eps,
+        threshold_1=rep.threshold_1, threshold_2=rep.threshold_2,
+        p1=rep.p1, p2=rep.p2, p3=rep.p3)
 
 
 def _gw_model(args) -> branching.GWModel:
-    if args.model == "plain-poisson":
-        if args.m is None:
-            raise ConfigurationError("plain-poisson needs --m")
-        return branching.PlainPoisson(args.m)
-    if args.model == "binary":
-        if args.p is None:
-            raise ConfigurationError("binary needs --p")
-        return branching.Binary(args.p)
-    if args.model == "two-point-immortal":
-        if args.beta_s is None:
-            raise ConfigurationError("two-point-immortal needs --beta-s")
-        return branching.TwoPointImmortal(args.beta_s)
-    law = parse_source(args.y)
-    if not isinstance(law, YLaw):
-        raise ConfigurationError(f"mixing law must be a Y law, got {args.y!r}")
-    if args.m is None:
-        raise ConfigurationError(f"{args.model} needs --m")
-    if args.model == "mixed-poisson":
-        return branching.MixedPoisson(law, args.m)
-    if args.M is None or args.N is None:
-        raise ConfigurationError("mixed-binomial needs --M and --N")
-    return branching.MixedBinomial(law, args.M, args.m, args.N)
+    model, flags = _GW_MODELS[args.model]
+    missing = [f"--{flag.replace('_', '-')}" for flag in flags
+               if getattr(args, flag) is None]
+    if missing:
+        raise ConfigurationError(f"{args.model} needs {' and '.join(missing)}")
+    values = [getattr(args, flag) for flag in flags]
+    if flags[0] == "y":
+        values[0] = parse_source(args.y)
+        if not isinstance(values[0], YLaw):
+            raise ConfigurationError(f"mixing law must be a Y law, got {args.y!r}")
+    return model(*values)
 
 
-def _cmd_gw_survival(args) -> list[dict]:
+def _cmd_gw_survival(args):
     model = _gw_model(args)
     res = branching.extinction_q(model, tol=args.tol)
     mean = model.mean()
     var = model.variance()
-    rec = _base_record("gw-survival", args)
-    rec.update({
-        "model": model.tag(),
-        "y": args.y if args.model.startswith("mixed") else None,
-        "m": args.m,
-        "M": args.M,
-        "N": args.N,
-        "beta_s": args.beta_s,
-        "p": args.p,
-        "tol": args.tol,
-        "phi": res.phi,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "offspring_mean": mean,
-        "offspring_variance": var,
-        "haldane": branching.haldane_ref(max(mean - 1.0, 0.0), var),
-    })
-    return [rec]
+    yield _record(
+        args, model=model.tag(),
+        y=args.y if args.model.startswith("mixed") else None,
+        m=args.m, M=args.M, N=args.N, beta_s=args.beta_s, p=args.p, tol=args.tol,
+        phi=res.phi, iterations=res.iterations, residual=res.residual,
+        offspring_mean=mean, offspring_variance=var,
+        haldane=branching.haldane_ref(max(mean - 1.0, 0.0), var))
 
 
-def _cmd_duality(args) -> list[dict]:
+def _cmd_duality(args):
     samples = analysis.read_aeq_samples(args.samples)
     value = analysis.duality_fixation(args.N, args.k, samples)
-    rec = _base_record("duality", args)
-    rec.update({
-        "N": args.N,
-        "k": args.k,
-        "samples_file": args.samples,
-        "n_samples": len(samples),
-        "duality_fixation": value,
-    })
-    return [rec]
+    yield _record(args, N=args.N, k=args.k, samples_file=args.samples,
+                  n_samples=len(samples), duality_fixation=value)
 
 
-def _cmd_counterexample(args) -> list[dict]:
+def _cmd_counterexample(args):
     rep = analysis.counterexample_check(
         args.N, args.gamma, args.b, args.trials, args.seed,
         args.parallelism, args.level)
-    rec = _base_record("counterexample", args)
-    rec.update(_config_fields(CanningsConfig.from_exponent(
-        args.N, args.b, SpikedSpec(args.gamma), 1)))
-    rec.update(_estimate_fields(rep.estimate))
-    rec.update({
-        "gamma": args.gamma,
-        "naive_prediction": rep.naive_prediction,
-        "neutral_floor": rep.neutral_floor,
-        "violation": rep.violation,
-    })
-    return [rec]
+    config = CanningsConfig.from_exponent(args.N, args.b, SpikedSpec(args.gamma), 1)
+    yield _record(
+        args, config, rep.estimate, gamma=args.gamma,
+        naive_prediction=rep.naive_prediction, neutral_floor=rep.neutral_floor,
+        violation=rep.violation)
 
 
-def _cmd_moments(args) -> list[dict]:
+def _cmd_moments(args):
     law = parse_source(args.paintbox)
     if not isinstance(law, YLaw):
         raise ConfigurationError("moments needs a Dirichlet-type paintbox")
-    records = []
     for N in args.N:
         for p in args.p:
-            est = estimate_weight_moment(
-                law, N, p, args.trials, make_rng(args.seed))
-            rec = _base_record("moments", args)
-            rec.update({
-                "N": N,
-                "paintbox": law.tag(),
-                "moment_p": p,
-                "moment_value": est.value,
-                "moment_stderr": est.stderr,
-                "ref_variance": law.rho_squared(),
-            })
-            records.append(rec)
-    return records
-
-
-def _cmd_sweep(args) -> list[dict]:
-    source = parse_source(args.paintbox)
-    records = []
-    for N in args.N:
-        config = CanningsConfig.from_exponent(N, args.b, source, args.x0)
-        est = analysis.estimate_fixation(
-            config, args.trials, args.seed, args.parallelism, args.level)
-        rec = _base_record("sweep", args)
-        rec.update(_config_fields(config))
-        rec.update(_estimate_fields(est))
-        records.append(rec)
-    return records
+            est = estimate_weight_moment(law, N, p, args.trials, make_rng(args.seed))
+            yield _record(args, N=N, paintbox=law.tag(), moment_p=p,
+                          moment_value=est.value, moment_stderr=est.stderr,
+                          ref_variance=law.rho_squared(N))
 
 
 _HANDLERS = {
@@ -346,7 +276,7 @@ _HANDLERS = {
     "duality": _cmd_duality,
     "counterexample": _cmd_counterexample,
     "moments": _cmd_moments,
-    "sweep": _cmd_sweep,
+    "sweep": _cmd_fixation,
 }
 
 
@@ -390,18 +320,20 @@ def run_command(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    started = time.perf_counter()
+    records = []
     try:
-        records = _HANDLERS[args.command](args)
+        last = time.perf_counter()
+        for rec in _HANDLERS[args.command](args):
+            now = time.perf_counter()
+            rec["wall_clock_seconds"] = round(now - last, 6)
+            last = now
+            records.append(rec)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - started
-    for rec in records:
-        rec["wall_clock_seconds"] = round(elapsed / len(records), 6)
     try:
         _emit(records, args.format, args.out)
     except OSError as exc:

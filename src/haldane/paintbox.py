@@ -27,10 +27,14 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln, roots_genlaguerre
 
 
 class UnsupportedLawError(ValueError):
     """Raised when an operation needs closed-form transforms the law lacks."""
+
+
+_QUAD_NODES = 160
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +77,13 @@ class YLaw(abc.ABC):
     def mgf(self, t: float) -> float:
         """E[exp(t Y)] for the mean-1 law; UnsupportedLawError if not closed form."""
 
-    def rho_squared(self) -> float:
-        """Asymptotic neutral offspring variance E[Y^2]/E[Y]^2."""
+    def rho_squared(self, N: int) -> float:
+        """Offspring variance of the 2s/rho^2 reference: the N-free limit E[Y^2]/E[Y]^2."""
         return self.raw_moment(2)
+
+    def mixing_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
+        raise UnsupportedLawError(f"no closed-form mixing representation for {self.tag()}")
 
     def split_sums(self, k: int, N: int, rng: np.random.Generator):
         """Unnormalized weight mass of the first k and of the other N-k indices."""
@@ -114,6 +122,9 @@ class Deterministic(YLaw):
     def mgf(self, t):
         return math.exp(t)
 
+    def mixing_atoms(self):
+        return np.array([1.0]), np.array([1.0])
+
     def tag(self):
         return f"deterministic:{self.value:g}"
 
@@ -151,6 +162,11 @@ class Gamma(YLaw):
         if t >= self.kappa:
             raise ValueError(f"Gamma MGF diverges at t={t} >= kappa={self.kappa}")
         return (1.0 - t / self.kappa) ** (-self.kappa)
+
+    def mixing_atoms(self):
+        # generalized Gauss-Laguerre for the Gamma(kappa, 1/kappa) density
+        x, w = roots_genlaguerre(_QUAD_NODES, self.kappa - 1.0)
+        return x / self.kappa, w / math.exp(gammaln(self.kappa))
 
     def tag(self):
         return f"gamma:{self.kappa:g}"
@@ -195,6 +211,9 @@ class TwoPoint(YLaw):
     def mgf(self, t):
         a, b = self._ab
         return self.p * math.exp(t * a) + (1 - self.p) * math.exp(t * b)
+
+    def mixing_atoms(self):
+        return np.array(self._ab), np.array([self.p, 1.0 - self.p])
 
     def tag(self):
         return f"two-point:{self.a:g},{self.b:g},{self.p:g}"
@@ -278,6 +297,8 @@ class SpikedSpec:
 
     gamma: float
 
+    conforming = False
+
     def __post_init__(self):
         if not 0 < self.gamma < 0.5:
             raise ValueError(f"spike exponent must be in (0, 1/2), got {self.gamma}")
@@ -288,11 +309,14 @@ class SpikedSpec:
     def other_weight(self, N: int) -> float:
         return (1.0 - self.spike_weight(N)) / (N - 1)
 
-    def single_weight_second_moment(self, N: int) -> float:
-        """Exact E[W_1^2]: the spike lands on a given index with probability 1/N."""
+    def rho_squared(self, N: int) -> float:
+        """Exact neutral offspring variance N(N-1)E[W_1^2]; there is no N-free limit.
+
+        The spike lands on a given index with probability 1/N.
+        """
         ws = self.spike_weight(N)
         wo = self.other_weight(N)
-        return ws**2 / N + (1.0 - 1.0 / N) * wo**2
+        return N * (N - 1) * (ws**2 / N + (1.0 - 1.0 / N) * wo**2)
 
     def split_sums(self, k: int, N: int, rng: np.random.Generator):
         """Weight mass of the first k and of the other N-k indices, spike placed uniformly."""

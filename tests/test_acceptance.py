@@ -41,7 +41,7 @@ from haldane.branching import (
     gw_step,
 )
 from haldane.cannings import CanningsConfig, step
-from haldane.cli import _config_fields, _estimate_fields
+from haldane.cli import _record, build_parser
 from haldane.paintbox import Deterministic, Gamma, estimate_weight_moment
 from haldane.streams import make_rng
 
@@ -237,10 +237,11 @@ def test_criterion_10_parallel_determinism(n2_estimate):
     cfg = CanningsConfig.from_s(2, 0.5, Deterministic(), 1)
 
     def record(est, parallelism):
-        rec = {"command": "fixation", "seed": 4, "trials": est.trials,
-               "parallelism": parallelism}
-        rec.update(_config_fields(cfg))
-        rec.update(_estimate_fields(est))
+        args = build_parser().parse_args([
+            "fixation", "--N", "2", "--s", "0.5", "--paintbox", "deterministic",
+            "--x0", "1", "--trials", str(10**6), "--seed", "4",
+            "--parallelism", str(parallelism)])
+        rec = _record(args, cfg, est)
         rec.pop("parallelism")  # the worker count is allowed to differ
         return json.dumps(rec, sort_keys=True).encode()
 

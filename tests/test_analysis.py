@@ -11,7 +11,6 @@ from haldane.analysis import (
     estimate_fixation,
     phase_diagnostics,
     read_aeq_samples,
-    reference_variance,
     wilson_interval,
 )
 from haldane.cannings import CanningsConfig, ConfigurationError
@@ -99,10 +98,8 @@ def test_estimate_spiked_uses_finite_n_variance():
     spec = SpikedSpec(0.1)
     cfg = CanningsConfig.from_exponent(200, 0.45, spec, 1)
     est = estimate_fixation(cfg, 2000, seed=25)
-    assert est.ref_variance == pytest.approx(
-        200 * 199 * spec.single_weight_second_moment(200)
-    )
-    assert reference_variance(Gamma(1.0), 123) == 2.0
+    assert est.ref_variance == spec.rho_squared(200)
+    assert Gamma(1.0).rho_squared(123) == 2.0
 
 
 def test_fixation_estimate_invariants_raise():
@@ -225,6 +222,6 @@ def test_counterexample_small_run_fields():
     assert 0.0 <= rep.ci_low <= rep.p_hat <= rep.ci_high <= 1.0
     spec = SpikedSpec(0.1)
     s = 200.0**-0.45
-    expected_naive = 2 * s / (200 * 199 * spec.single_weight_second_moment(200))
+    expected_naive = 2 * s / spec.rho_squared(200)
     assert rep.naive_prediction == pytest.approx(expected_naive, rel=1e-12)
     assert rep.violation == (rep.ci_low > 2 * rep.naive_prediction)

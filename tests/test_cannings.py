@@ -58,9 +58,9 @@ def test_exponent_round_trip():
 
 
 def test_conformance_flags():
-    assert CanningsConfig.from_s(10, 0.1, Gamma(1.0), 1).paintbox_conforming
-    assert not CanningsConfig.from_s(10, 0.1, LogNormal(0.5), 1).paintbox_conforming
-    assert not CanningsConfig.from_s(10, 0.1, SpikedSpec(0.2), 1).paintbox_conforming
+    assert Gamma(1.0).conforming
+    assert not LogNormal(0.5).conforming
+    assert not SpikedSpec(0.2).conforming
 
 
 # ---------------------------------------------------------------------------

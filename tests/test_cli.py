@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from haldane import cli
 from haldane.cli import CSV_COLUMNS, run_command
 
 
@@ -49,6 +50,13 @@ def test_bad_domain_value_exits_2(capsys):
 def test_phases_precondition_exits_2(capsys):
     assert run_command(["phases", "--N", "10000", "--b", "0.25", "--delta", "0.3",
                         "--eps", "0.1", "--trials", "10", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_parallelism_below_one_exits_2(capsys, workers):
+    assert run_command(["fixation", "--N", "20", "--s", "0.1", "--trials", "10",
+                        "--seed", "1", "--parallelism", workers]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_samples_file_exits_2(capsys):
@@ -186,6 +194,14 @@ def test_moments_table(capsys):
         assert rec["moment_value"] > 0 and rec["moment_stderr"] > 0
 
 
+def test_moments_runs_serially(capsys):
+    argv = ["moments", "--N", "100", "--trials", "500", "--seed", "2"]
+    assert run_command(argv + ["--parallelism", "2"]) == 2
+    code, (rec,) = run_jsonl(capsys, argv)
+    assert code == 0
+    assert rec["parallelism"] is None
+
+
 def test_sweep_streams_records(capsys):
     code, records = run_jsonl(capsys, [
         "sweep", "--N", "50", "100", "--b", "0.3", "--paintbox", "gamma:1",
@@ -194,6 +210,17 @@ def test_sweep_streams_records(capsys):
     assert [rec["N"] for rec in records] == [50, 100]
     for rec in records:
         assert rec["s"] == pytest.approx(rec["N"] ** -0.3, rel=1e-12)
+
+
+def test_each_record_carries_its_own_wall_clock(capsys, monkeypatch):
+    # one clock reading before the first experiment and one after each
+    readings = iter([10.0, 10.25, 11.0, 12.5])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(readings))
+    code, records = run_jsonl(capsys, [
+        "sweep", "--N", "20", "30", "40", "--b", "0.3", "--trials", "20",
+        "--seed", "1"])
+    assert code == 0
+    assert [rec["wall_clock_seconds"] for rec in records] == [0.25, 0.75, 1.5]
 
 
 def test_csv_output(capsys, tmp_path):

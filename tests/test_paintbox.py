@@ -179,7 +179,7 @@ def test_spiked_second_moment_closed_form():
     spec = SpikedSpec(0.1)
     N = 1000
     expected = (N**-0.2) / N + (1 - 1 / N) * ((1 - N**-0.1) / (N - 1)) ** 2
-    assert spec.single_weight_second_moment(N) == pytest.approx(expected, rel=1e-14)
+    assert spec.rho_squared(N) == pytest.approx(N * (N - 1) * expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,34 @@ def test_spiked_second_moment_closed_form():
 
 
 def test_rho_squared_closed_forms():
-    assert Deterministic(3.7).rho_squared() == 1.0
-    assert Gamma(1.0).rho_squared() == pytest.approx(2.0)
-    assert Gamma(2.0).rho_squared() == pytest.approx(1.5)
-    assert TwoPoint(0.5, 1.5, 0.5).rho_squared() == pytest.approx(1.25)
-    assert LogNormal(0.5).rho_squared() == pytest.approx(math.exp(0.25))
+    # Y laws give the N-free limit E[Y^2]/E[Y]^2 at every N
+    for N in (10, 10**6):
+        assert Deterministic(3.7).rho_squared(N) == 1.0
+        assert Gamma(1.0).rho_squared(N) == pytest.approx(2.0)
+        assert Gamma(2.0).rho_squared(N) == pytest.approx(1.5)
+        assert TwoPoint(0.5, 1.5, 0.5).rho_squared(N) == pytest.approx(1.25)
+        assert LogNormal(0.5).rho_squared(N) == pytest.approx(math.exp(0.25))
+
+
+# ---------------------------------------------------------------------------
+# mixing_atoms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("law", [
+    Deterministic(), TwoPoint(), TwoPoint(0.2, 3, 0.7), Gamma(0.5), Gamma(1.0), Gamma(2.5),
+], ids=lambda law: law.tag())
+def test_mixing_atoms_match_moments(law):
+    # E[1] = 1, E[Y] = 1 (mean-1 parameterization) and E[Y^2] = raw_moment(2)
+    vals, wts = law.mixing_atoms()
+    assert math.fsum(wts) == pytest.approx(1.0, rel=1e-10)
+    assert math.fsum(wts * vals) == pytest.approx(1.0, rel=1e-10)
+    assert math.fsum(wts * vals**2) == pytest.approx(law.raw_moment(2), rel=1e-10)
+
+
+def test_mixing_atoms_unsupported_for_lognormal():
+    with pytest.raises(UnsupportedLawError):
+        LogNormal(0.5).mixing_atoms()
 
 
 # ---------------------------------------------------------------------------
