@@ -35,8 +35,10 @@ from .cannings import (
     AbsorptionRecord,
     CanningsConfig,
     ConfigurationError,
+    Ensemble,
     QnEstimate,
     growth_factor_qn,
+    run_ensemble,
     run_to_absorption,
     step,
     step_tilde,

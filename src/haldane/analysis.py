@@ -5,9 +5,11 @@ three-phase trajectory diagnostics, the sampling-duality evaluation of
 fixation from ancestral-line counts, and the spiked-paintbox violation
 check.
 
-Trials are farmed over per-trial Philox streams keyed by (seed, trial
-index) and merged with integer counters only, so results are
-bit-identical for every worker count.
+Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
+Philox stream keyed by (seed, b), blocks are farmed over workers and
+their outcomes merged with integer counters only, so results are
+bit-identical for every worker count and any trial can be replayed by
+re-running its block.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
 
+import numpy as np
+
 from .branching import haldane_ref
-from .cannings import CanningsConfig, ConfigurationError, run_to_absorption
+from .cannings import CanningsConfig, ConfigurationError, Ensemble, run_ensemble
 from .paintbox import SpikedSpec
 from .streams import TrialStreams
 
 DEFAULT_LEVEL = 0.99
+BLOCK_TRIALS = 16384
+"""Trials per lockstep block, and so per random stream; fixed, whatever the worker count."""
+STREAM_LAYOUT = f"philox(seed, block={BLOCK_TRIALS})"
 
 
 def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
@@ -79,38 +86,38 @@ class _Tally:
         )
 
 
-def _run_chunk(config, thresholds, seed, start, stop, cap):
+def _ensemble_tally(ens: Ensemble) -> _Tally:
+    fixations, losses, truncated = ens.outcome_counts()
+    return _Tally(
+        ens.tau.size, fixations, losses, truncated, int(ens.tau.sum()), int(ens.tau.max()),
+        {t: int(np.count_nonzero(fp >= 0)) for t, fp in ens.first_passage.items()},
+    )
+
+
+def _run_chunk(config, thresholds, seed, trials, first_block, stop_block, cap):
+    """Tally of blocks first_block..stop_block-1 of a `trials`-trial run."""
     tally = _Tally(threshold_hits={t: 0 for t in thresholds})
     streams = TrialStreams(seed)
-    for i in range(start, stop):
-        rec = run_to_absorption(config, thresholds, streams.stream(i), cap=cap)
-        tally.trials += 1
-        if rec.outcome == "fixation":
-            tally.fixations += 1
-        elif rec.outcome == "loss":
-            tally.losses += 1
-        else:
-            tally.truncated += 1
-        tally.tau_total += rec.tau
-        if rec.tau > tally.tau_max:
-            tally.tau_max = rec.tau
-        for t in rec.first_passage:
-            tally.threshold_hits[t] += 1
+    for b in range(first_block, stop_block):
+        size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
+        ens = run_ensemble(config, size, streams.stream(b), thresholds, cap)
+        tally = tally.merge(_ensemble_tally(ens))
     return tally
 
 
 def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> _Tally:
     thresholds = tuple(sorted(set(thresholds)))
-    if parallelism <= 1:
-        return _run_chunk(config, thresholds, seed, 0, trials, cap)
-    n_chunks = min(trials, 4 * parallelism)
-    bounds = [round(i * trials / n_chunks) for i in range(n_chunks + 1)]
+    blocks = -(-trials // BLOCK_TRIALS)
+    workers = min(parallelism, blocks)
+    if workers <= 1:
+        return _run_chunk(config, thresholds, seed, trials, 0, blocks, cap)
+    n_chunks = min(blocks, 4 * workers)
+    bounds = [round(i * blocks / n_chunks) for i in range(n_chunks + 1)]
     tally = _Tally(threshold_hits={t: 0 for t in thresholds})
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_chunk, config, thresholds, seed, lo, hi, cap)
+            pool.submit(_run_chunk, config, thresholds, seed, trials, lo, hi, cap)
             for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
         ]
         for fut in futures:
             tally = tally.merge(fut.result())
@@ -180,8 +187,8 @@ def estimate_fixation(
 ) -> FixationEstimate:
     """Fixation frequency over independent absorption runs.
 
-    Trial i draws from the stream keyed by (seed, i); the aggregate is
-    identical for any `parallelism`.
+    Block b of BLOCK_TRIALS trials draws from the stream keyed by
+    (seed, b); the aggregate is identical for any `parallelism`.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")

@@ -11,7 +11,11 @@ exact binomial draw; 0 and N absorb.
 
 A transition consumes only the beneficial/wildtype weight sums, which
 each paintbox source's `split_sums` draws exactly without building the
-N-vector, so absorption runs stay cheap at N = 10^4 and beyond.
+N-vector, for one count or for an array of counts at once.  Absorption
+runs advance a whole ensemble of independent trials in lockstep
+(`run_ensemble`), one `split_sums` call and one binomial draw per
+generation, so they stay cheap at N = 10^4 and beyond; a single
+trajectory (`run_to_absorption`) is the one-trial ensemble.
 """
 
 from __future__ import annotations
@@ -114,6 +118,35 @@ class AbsorptionRecord:
     first_passage: dict[int, int] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """Outcomes of trials run together, one array entry per trial.
+
+    `final_state` is 0 (loss), N (fixation) or, for a trial stopped by the
+    generation cap, the count it stopped at.  `first_passage[t]` holds the
+    generation at which the count first reached t, or -1 if it never did.
+    """
+
+    N: int
+    tau: np.ndarray
+    final_state: np.ndarray
+    max_count: np.ndarray
+    first_passage: dict[int, np.ndarray]
+
+    def outcome_counts(self) -> tuple[int, int, int]:
+        """(fixations, losses, truncated)."""
+        fixations = int(np.count_nonzero(self.final_state == self.N))
+        losses = int(np.count_nonzero(self.final_state == 0))
+        return fixations, losses, self.tau.size - fixations - losses
+
+    def record(self, i: int) -> AbsorptionRecord:
+        """Trial i's outcome as a single-trajectory record."""
+        k = int(self.final_state[i])
+        outcome = "fixation" if k == self.N else "loss" if k == 0 else "truncated"
+        passage = {t: int(fp[i]) for t, fp in self.first_passage.items() if fp[i] >= 0}
+        return AbsorptionRecord(outcome, int(self.tau[i]), k, int(self.max_count[i]), passage)
+
+
 # ---------------------------------------------------------------------------
 # One-generation transitions
 # ---------------------------------------------------------------------------
@@ -143,41 +176,66 @@ def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:
     return int(rng.binomial(config.N, head / (head + (1.0 - config.s) * tail)))
 
 
+def run_ensemble(
+    config: CanningsConfig,
+    trials: int,
+    rng: np.random.Generator,
+    thresholds: Sequence[int] = (),
+    cap: int | None = None,
+) -> Ensemble:
+    """Run `trials` independent copies of the chain in lockstep until each absorbs.
+
+    Every generation draws one paintbox split per live trial with a single
+    `split_sums` call and the next counts with a single binomial draw, then
+    drops the trials that hit 0 or N.  `thresholds` are levels whose first
+    crossing generation is recorded (crossing = count >= level).
+    Absorption is a.s. finite, so there is no cap by default; when one is
+    given, the trials still running after `cap` generations come back
+    truncated rather than being silently misclassified.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    N, k0 = config.N, config.initial_count
+    split = config.paintbox.split_sums
+    one_minus_s = 1.0 - config.s
+    tau = np.zeros(trials, dtype=np.int64)
+    final = np.full(trials, k0, dtype=np.int64)
+    max_count = np.full(trials, k0, dtype=np.int64)
+    first_passage = {t: np.full(trials, 0 if k0 >= t else -1, dtype=np.int64)
+                     for t in thresholds}
+    pending = [(t, first_passage[t]) for t in sorted(first_passage) if t > k0]
+    live = np.arange(trials if 0 < k0 < N else 0)
+    k = np.full(live.size, k0, dtype=np.int64)
+    peak = k.copy()
+    g = 0
+    while live.size and (cap is None or g < cap):
+        head, tail = split(k, N, rng)
+        k = rng.binomial(N, head / (head + one_minus_s * tail))
+        g += 1
+        np.maximum(peak, k, out=peak)
+        for t, passage in pending:
+            reached = live[k >= t]
+            passage[reached[passage[reached] < 0]] = g
+        done = (k == 0) | (k == N)
+        if np.count_nonzero(done):
+            gone = live[done]
+            tau[gone], final[gone], max_count[gone] = g, k[done], peak[done]
+            keep = ~done
+            live, k, peak = live[keep], k[keep], peak[keep]
+    tau[live], final[live], max_count[live] = g, k, peak
+    return Ensemble(N, tau, final, max_count, first_passage)
+
+
 def run_to_absorption(
     config: CanningsConfig,
     thresholds: Sequence[int] = (),
     rng: np.random.Generator | None = None,
     cap: int | None = None,
 ) -> AbsorptionRecord:
-    """Iterate `step` until the count hits 0 or N.
-
-    `thresholds` are levels whose first crossing generation is recorded
-    (crossing = count >= level).  Absorption is a.s. finite, so there is
-    no cap by default; when one is given and hit, the record comes back
-    with outcome 'truncated' rather than being silently misclassified.
-    """
+    """One trajectory: the one-trial case of `run_ensemble`."""
     if rng is None:
         raise ValueError("an explicit random stream is required")
-    N = config.N
-    k = config.initial_count
-    split = config.paintbox.split_sums
-    one_minus_s = 1.0 - config.s
-    first_passage = {t: 0 for t in thresholds if k >= t}
-    pending = sorted(t for t in thresholds if t > k)
-    g = 0
-    max_count = k
-    while 0 < k < N:
-        if cap is not None and g >= cap:
-            return AbsorptionRecord("truncated", g, k, max_count, first_passage)
-        head, tail = split(k, N, rng)
-        k = int(rng.binomial(N, head / (head + one_minus_s * tail)))
-        g += 1
-        if k > max_count:
-            max_count = k
-        while pending and k >= pending[0]:
-            first_passage[pending.pop(0)] = g
-    outcome = "fixation" if k == N else "loss"
-    return AbsorptionRecord(outcome, g, k, max_count, first_passage)
+    return run_ensemble(config, 1, rng, thresholds, cap).record(0)
 
 
 # ---------------------------------------------------------------------------

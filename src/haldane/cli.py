@@ -4,9 +4,10 @@ Each subcommand runs one experiment family and appends one record per
 experiment to the output (JSON lines by default, CSV on request), with
 a one-line summary on stderr.  Records embed the fully resolved
 configuration, the seed, all estimates with intervals, the 2s/variance
-reference and ratio, the wall-clock seconds of that experiment alone and
-the artifact version, so a results file is self-describing and
-re-runnable.
+reference and ratio, the wall-clock seconds of that experiment alone,
+the artifact and numpy versions and the layout of the random streams
+(NEP 19 lets numpy change `Generator` streams between versions), so a
+results file is self-describing and re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 The HALDANE_PARALLELISM environment variable sets the default worker
@@ -19,18 +20,21 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, analysis, branching
 from .cannings import CanningsConfig, ConfigurationError
 from .paintbox import SpikedSpec, YLaw, estimate_weight_moment, parse_source
-from .streams import make_rng
+from .streams import trial_rng
 
 CSV_COLUMNS = [
-    "command", "version", "seed", "trials", "parallelism",
+    "command", "version", "numpy_version", "stream_layout", "seed", "trials", "parallelism",
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
     "model", "y", "m", "M", "beta_s", "p", "tol", "k", "samples_file",
     "moment_p", "level",
@@ -163,6 +167,10 @@ def _record(args, config: CanningsConfig | None = None,
     rec = {
         "command": args.command,
         "version": __version__,
+        "numpy_version": np.__version__,
+        # fixation estimates come from the block farm; other records that
+        # draw say how, and records that draw nothing have no layout
+        "stream_layout": analysis.STREAM_LAYOUT if estimate is not None else None,
         "seed": getattr(args, "seed", None),
         "trials": getattr(args, "trials", None),
         "parallelism": getattr(args, "parallelism", None),
@@ -261,12 +269,11 @@ def _cmd_moments(args):
     law = parse_source(args.paintbox)
     if not isinstance(law, YLaw):
         raise ConfigurationError("moments needs a Dirichlet-type paintbox")
-    for N in args.N:
-        for p in args.p:
-            est = estimate_weight_moment(law, N, p, args.trials, make_rng(args.seed))
-            yield _record(args, N=N, paintbox=law.tag(), moment_p=p,
-                          moment_value=est.value, moment_stderr=est.stderr,
-                          ref_variance=law.rho_squared(N))
+    for i, (N, p) in enumerate(itertools.product(args.N, args.p)):
+        est = estimate_weight_moment(law, N, p, args.trials, trial_rng(args.seed, i))
+        yield _record(args, N=N, paintbox=law.tag(), moment_p=p,
+                      moment_value=est.value, moment_stderr=est.stderr,
+                      ref_variance=law.rho_squared(N), stream_layout="philox(seed, cell)")
 
 
 _HANDLERS = {

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
 
 
 class UnsupportedLawError(ValueError):
@@ -35,6 +34,8 @@ class UnsupportedLawError(ValueError):
 
 
 _QUAD_NODES = 160
+MAX_DRAW = 1 << 20
+"""Most variates one call draws when a law sums its potentials one by one."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +64,11 @@ class YLaw(abc.ABC):
         """n i.i.d. mean-1 draws, all strictly positive."""
 
     @abc.abstractmethod
-    def sample_sum(self, n: int, rng: np.random.Generator, size: int | None = None):
+    def sample_sum(self, n, rng: np.random.Generator, size: int | None = None):
         """Sum of n i.i.d. mean-1 draws; closed-form block law where one exists.
 
-        With ``size`` given, returns an array of independent such sums.
+        ``n`` is a count or an integer array of counts (one independent sum
+        each); with ``size`` given, returns that many independent sums of n.
         """
 
     @abc.abstractmethod
@@ -85,8 +87,12 @@ class YLaw(abc.ABC):
         """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
         raise UnsupportedLawError(f"no closed-form mixing representation for {self.tag()}")
 
-    def split_sums(self, k: int, N: int, rng: np.random.Generator):
-        """Unnormalized weight mass of the first k and of the other N-k indices."""
+    def split_sums(self, k, N: int, rng: np.random.Generator):
+        """Unnormalized weight mass of the first k and of the other N-k indices.
+
+        ``k`` is a count or an integer array of counts; both masses come
+        back in its shape, one independent paintbox per entry.
+        """
         return self.sample_sum(k, rng), self.sample_sum(N - k, rng)
 
     @abc.abstractmethod
@@ -113,7 +119,7 @@ class Deterministic(YLaw):
 
     def sample_sum(self, n, rng, size=None):
         if size is None:
-            return float(n)
+            return n * 1.0
         return np.full(size, float(n))
 
     def raw_moment(self, r):
@@ -148,8 +154,6 @@ class Gamma(YLaw):
 
     def sample_sum(self, n, rng, size=None):
         # Gamma additivity: sum of n iid Gamma(kappa, 1/kappa) is Gamma(n*kappa, 1/kappa).
-        if size is None:
-            return rng.standard_gamma(n * self.kappa) / self.kappa
         return rng.standard_gamma(n * self.kappa, size=size) / self.kappa
 
     def raw_moment(self, r):
@@ -163,10 +167,18 @@ class Gamma(YLaw):
             raise ValueError(f"Gamma MGF diverges at t={t} >= kappa={self.kappa}")
         return (1.0 - t / self.kappa) ** (-self.kappa)
 
-    def mixing_atoms(self):
-        # generalized Gauss-Laguerre for the Gamma(kappa, 1/kappa) density
+    @cached_property
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        # generalized Gauss-Laguerre for the Gamma(kappa, 1/kappa) density;
+        # scipy.special is imported here, its only use, because loading it
+        # costs Monte Carlo runs ~24 MB of memory and part of their start-up
+        from scipy.special import gammaln, roots_genlaguerre
+
         x, w = roots_genlaguerre(_QUAD_NODES, self.kappa - 1.0)
         return x / self.kappa, w / math.exp(gammaln(self.kappa))
+
+    def mixing_atoms(self):
+        return self._atoms
 
     def tag(self):
         return f"gamma:{self.kappa:g}"
@@ -245,9 +257,12 @@ class LogNormal(YLaw):
         return rng.lognormal(self._mu, self.sigma, size=n)
 
     def sample_sum(self, n, rng, size=None):
-        if size is None:
-            return float(rng.lognormal(self._mu, self.sigma, size=n).sum())
-        return rng.lognormal(self._mu, self.sigma, size=(size, n)).sum(axis=1)
+        # no closed-form block law: sum the draws, MAX_DRAW at a time
+        shape = np.shape(n) if size is None else size
+        counts = np.broadcast_to(n, shape).ravel()
+        sums = _segment_sums(
+            counts, lambda m: rng.lognormal(self._mu, self.sigma, size=m)).reshape(shape)
+        return float(sums) if sums.ndim == 0 else sums
 
     def raw_moment(self, r):
         return math.exp(0.5 * (r * r - r) * self.sigma**2)
@@ -257,6 +272,28 @@ class LogNormal(YLaw):
 
     def tag(self):
         return f"lognormal:{self.sigma:g}"
+
+
+def _segment_sums(counts: np.ndarray, draw) -> np.ndarray:
+    """Sums of consecutive segments, `counts` long each, of one flat stream.
+
+    `draw(m)` returns the next m variates of the stream; it is called on
+    pieces of at most MAX_DRAW variates, so memory stays bounded however
+    large the counts are.
+    """
+    sums = np.zeros(counts.size)
+    nonzero = np.flatnonzero(counts)
+    ends = np.cumsum(counts[nonzero])
+    starts = ends - counts[nonzero]
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, MAX_DRAW):
+        hi = min(lo + MAX_DRAW, total)
+        # segments overlapping [lo, hi), each summed from its first draw in it
+        first = np.searchsorted(ends, lo, side="right")
+        last = np.searchsorted(starts, hi, side="left")
+        offsets = np.maximum(starts[first:last], lo) - lo
+        sums[nonzero[first:last]] += np.add.reduceat(draw(hi - lo), offsets)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +355,14 @@ class SpikedSpec:
         wo = self.other_weight(N)
         return N * (N - 1) * (ws**2 / N + (1.0 - 1.0 / N) * wo**2)
 
-    def split_sums(self, k: int, N: int, rng: np.random.Generator):
-        """Weight mass of the first k and of the other N-k indices, spike placed uniformly."""
+    def split_sums(self, k, N: int, rng: np.random.Generator):
+        """Weight mass of the first k and of the other N-k indices, spike placed uniformly.
+
+        ``k`` is a count or an integer array of counts, as for Y laws.
+        """
         wo = self.other_weight(N)
-        if rng.integers(N) < k:
-            head = self.spike_weight(N) + (k - 1) * wo
-        else:
-            head = k * wo
+        spiked = rng.integers(N, size=np.shape(k)) < k
+        head = k * wo + spiked * (self.spike_weight(N) - wo)
         return head, 1.0 - head
 
     def tag(self) -> str:

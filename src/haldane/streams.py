@@ -1,10 +1,10 @@
 """Deterministic random streams for reproducible (and parallel) Monte Carlo.
 
-Every stream is a Philox counter-based generator whose 128-bit key is
-assembled from a user seed and a stream index.  Stream (seed, i) is the
-same no matter which worker draws from it, in which order, or how the
-trial range was chunked, so parallel aggregates are bit-identical to
-serial ones.
+Every stream is a Philox counter-based generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) whose 128-bit key
+is assembled from a user seed and a stream index.  Stream (seed, i) is
+the same no matter which worker draws from it or in which order, so
+parallel aggregates are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for trial `index` of an experiment keyed by `seed`.
+    """Generator for stream `index` (a block of trials, a table cell) of `seed`.
 
-    The Philox key packs the seed in the high 64 bits and the trial
+    The Philox key packs the seed in the high 64 bits and the stream
     index in the low 64 bits; distinct (seed, index) pairs never share
     a key.
     """
@@ -31,30 +31,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class TrialStreams:
-    """Reusable source of the same streams `trial_rng` hands out.
+    """The streams of one experiment: `stream(i)` is `trial_rng(seed, i)`.
 
-    Constructing a Philox generator per trial costs ~16us; re-keying one
-    bit generator to the fresh (seed, index) state costs ~2us and yields
-    bit-identical draws.  `stream(i)` invalidates the generator returned
-    by any earlier call, so consume streams one at a time.
+    Monte Carlo runs key stream i to their i-th block of trials, so a
+    block draws the same numbers whichever worker runs it.
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._counter = self._state["state"]["counter"]
-        self._key = self._state["state"]["key"]
-        self._buffer = self._state["buffer"]
+        self.seed = seed
 
     def stream(self, index: int) -> np.random.Generator:
-        self._counter[:] = 0
-        self._key[0] = index & _MASK64
-        self._key[1] = self._seed
-        self._buffer[:] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
-        self._bitgen.state = self._state
-        return self._gen
+        return trial_rng(self.seed, index)

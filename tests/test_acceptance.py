@@ -23,7 +23,8 @@ N >~ 3.5e9 for 0.95); the exact bound reaches 0.95 once the threshold is
 >= 29, i.e. delta > 0.112 at N=1e4.  The fixture pins delta=0.15
 (b+delta=0.40 < 1/2), where 1-0.9^40 = 0.985 puts the 0.95 floor in
 force at every seed.  Thresholds are bookkeeping only and streams are
-keyed by (seed, trial), so criterion 05 sees the same trajectories.
+keyed by (seed, block of trials), so criterion 05 sees the same
+trajectories.
 """
 
 import json

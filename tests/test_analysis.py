@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haldane.analysis import (
+    BLOCK_TRIALS,
     FixationEstimate,
+    _ensemble_tally,
+    _farm,
+    _run_chunk,
     counterexample_check,
     duality_fixation,
     estimate_fixation,
@@ -13,8 +17,9 @@ from haldane.analysis import (
     read_aeq_samples,
     wilson_interval,
 )
-from haldane.cannings import CanningsConfig, ConfigurationError
+from haldane.cannings import CanningsConfig, ConfigurationError, run_ensemble
 from haldane.paintbox import Deterministic, Gamma, SpikedSpec
+from haldane.streams import TrialStreams
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +85,39 @@ def test_estimate_deterministic_across_parallelism():
     serial = estimate_fixation(cfg, 20000, seed=23, parallelism=1)
     par = estimate_fixation(cfg, 20000, seed=23, parallelism=4)
     assert serial == par
+
+
+@pytest.mark.parametrize("N, x0", [(10**2, 3), (10**4, 1), (10**6, 1)])
+def test_estimate_matches_gamma1_closed_form(N, x0):
+    # (1-s)^K is a martingale of the Dirichlet(1) chain, so the fixation
+    # probability from x0 is exactly (1-(1-s)^x0) / (1-(1-s)^N)
+    cfg = CanningsConfig.from_exponent(N, 0.25, Gamma(1.0), x0)
+    s = cfg.s
+    exact = (1 - (1 - s) ** x0) / (1 - (1 - s) ** N)
+    est = estimate_fixation(cfg, 40000, seed=31)
+    sigma = math.sqrt(exact * (1 - exact) / est.trials)
+    assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
+    assert est.truncated == 0
+
+
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                                    2 * BLOCK_TRIALS + 3])
+def test_tally_identical_across_worker_counts(trials):
+    cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
+    tallies = [_farm(cfg, (5, 15), trials, 32, parallelism) for parallelism in (1, 2, 3)]
+    assert tallies[0] == tallies[1] == tallies[2]
+    assert tallies[0].trials == trials
+
+
+def test_block_replays_alone():
+    # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
+    cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
+    trials = 2 * BLOCK_TRIALS + 3
+    alone = [_run_chunk(cfg, (5,), 33, trials, b, b + 1, None) for b in range(3)]
+    for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
+        ens = run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
+        assert alone[b] == _ensemble_tally(ens)
+    assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
 
 
 def test_estimate_monotone_in_selection():

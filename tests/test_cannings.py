@@ -10,12 +10,14 @@ from haldane.cannings import (
     CanningsConfig,
     ConfigurationError,
     growth_factor_qn,
+    run_ensemble,
     run_to_absorption,
     step,
     step_tilde,
     success_probability,
 )
 from haldane.paintbox import (
+    MAX_DRAW,
     Deterministic,
     Gamma,
     LogNormal,
@@ -158,12 +160,15 @@ def test_step_lognormal_and_spiked_paths():
     ids=lambda source: source.tag(),
 )
 def test_step_matches_explicit_paintbox(source):
-    # split_sums transition vs Bin(N, success_probability(W, k, s)) with W
-    # built weight by weight; two-sample KS at alpha = 0.001
+    # split_sums transition, one count at a time and for an array of n
+    # counts at once, vs Bin(N, success_probability(W, k, s)) with W built
+    # weight by weight; two-sample KS at alpha = 0.001
     N, k, s, n = 12, 3, 0.2, 10**5
     cfg = CanningsConfig.from_s(N, s, source, k)
     rng = make_rng(30)
     fast = np.array([step(k, cfg, rng) for _ in range(n)])
+    head, tail = source.split_sums(np.full(n, k), N, rng)
+    lockstep = rng.binomial(N, head / (head + (1.0 - s) * tail))
     rng = make_rng(31)
     explicit = np.empty(n, dtype=int)
     for i in range(n):
@@ -173,6 +178,7 @@ def test_step_matches_explicit_paintbox(source):
             w = weights_from_y(source.sample(N, rng))
         explicit[i] = rng.binomial(N, success_probability(w, k, s))
     assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
+    assert ks_2samp(lockstep, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +198,8 @@ def test_two_state_chain_oracle():
     # N=2, s=0.5: absorbing chain gives fixation probability
     # h = p^2/(1 - 2p(1-p)) with p = 2/3, i.e. 0.8
     cfg = wf(2, 0.5, 1)
-    fixed = 0
     trials = 2 * 10**5
-    for i in range(trials):
-        fixed += run_to_absorption(cfg, rng=trial_rng(42, i)).outcome == "fixation"
+    fixed, _, _ = run_ensemble(cfg, trials, trial_rng(42, 0)).outcome_counts()
     band = 3 * math.sqrt(0.8 * 0.2 / trials)
     assert abs(fixed / trials - 0.8) <= band
 
@@ -229,14 +233,95 @@ def test_neutral_martingale_fixation_frequency():
     # with s=0, fixation probability from k is exactly k/N; 3 sigma Wilson band
     cfg = CanningsConfig.from_s(20, 0.0, Gamma(1.0), 4)
     trials = 10**5
-    fixed = 0
-    for i in range(trials):
-        fixed += run_to_absorption(cfg, rng=trial_rng(1234, i)).outcome == "fixation"
+    fixed, _, _ = run_ensemble(cfg, trials, trial_rng(1234, 0)).outcome_counts()
     from haldane.analysis import wilson_interval
 
     level = math.erf(3 / math.sqrt(2))  # 3 sigma two-sided
     lo, hi = wilson_interval(fixed, trials, level)
     assert lo <= 4 / 20 <= hi, (fixed / trials, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# run_ensemble (trials in lockstep)
+# ---------------------------------------------------------------------------
+
+
+def test_single_trajectory_follows_step_on_the_same_stream():
+    # a one-trial ensemble draws what repeated `step` calls draw, so the
+    # record must match a trajectory built step by step
+    cfg = CanningsConfig.from_s(100, 0.2, Gamma(1.0), 3)
+    thresholds = (2, 10, 50)
+    for i in range(50):
+        rec = run_to_absorption(cfg, thresholds, trial_rng(9, i))
+        rng = trial_rng(9, i)
+        path = [3]
+        while 0 < path[-1] < 100:
+            path.append(step(path[-1], cfg, rng))
+        passage = {t: next(g for g, k in enumerate(path) if k >= t)
+                   for t in thresholds if max(path) >= t}
+        assert (rec.tau, rec.final_state, rec.max_count) == (len(path) - 1, path[-1], max(path))
+        assert rec.first_passage == passage
+
+
+def test_ensemble_arrays_are_consistent():
+    cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
+    ens = run_ensemble(cfg, 3000, make_rng(6), thresholds=(2, 10, 50, 100))
+    fixed = ens.final_state == 100
+    assert np.all(fixed | (ens.final_state == 0))
+    assert ens.outcome_counts() == (fixed.sum(), (~fixed).sum(), 0)
+    assert np.all(ens.first_passage[2] == 0)  # crossed at start
+    assert np.array_equal(ens.first_passage[100] >= 0, fixed)
+    assert np.array_equal(ens.first_passage[100][fixed], ens.tau[fixed])
+    levels = (10, 50, 100)
+    for lo, hi in zip(levels, levels[1:]):
+        hit = ens.first_passage[hi] >= 0
+        assert np.all(ens.first_passage[lo][hit] >= 0)
+        assert np.all(ens.first_passage[lo][hit] <= ens.first_passage[hi][hit])
+        assert np.array_equal(hit, ens.max_count >= hi)
+    assert np.all(ens.max_count >= 3)
+
+
+def test_cap_truncates_the_same_trials_in_lockstep_as_per_trial():
+    # up to the cap a capped run draws exactly what an uncapped one does,
+    # so the truncated trials are those whose uncapped tau exceeds the cap
+    cfg = CanningsConfig.from_s(50, 0.05, Gamma(1.0), 5)
+    cap = 20
+    free = run_ensemble(cfg, 4000, make_rng(8))
+    capped = run_ensemble(cfg, 4000, make_rng(8), cap=cap)
+    late = free.tau > cap
+    assert 0 < late.sum() < 4000
+    assert capped.outcome_counts()[2] == late.sum()
+    assert np.all(capped.tau[late] == cap)
+    assert np.array_equal(capped.tau[~late], free.tau[~late])
+    assert np.array_equal(capped.final_state[~late], free.final_state[~late])
+    per_trial = [run_to_absorption(cfg, rng=trial_rng(8, i), cap=cap) for i in range(300)]
+    per_trial_free = [run_to_absorption(cfg, rng=trial_rng(8, i)) for i in range(300)]
+    assert (sum(r.outcome == "truncated" for r in per_trial)
+            == sum(r.tau > cap for r in per_trial_free) > 0)
+
+
+class _DrawLog:
+    """Random stream that records the size of every lognormal call."""
+
+    def __init__(self, rng):
+        self._rng, self.sizes = rng, []
+
+    def lognormal(self, mean, sigma, size):
+        self.sizes.append(int(np.prod(size)))
+        return self._rng.lognormal(mean, sigma, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_lognormal_ensemble_draws_in_bounded_slices():
+    # 300 trials at N = 1e4 need 3e6 potentials in their first generation
+    cfg = CanningsConfig.from_exponent(10**4, 0.25, LogNormal(0.7), 1)
+    log = _DrawLog(make_rng(12))
+    ens = run_ensemble(cfg, 300, log, cap=5)
+    assert max(log.sizes) <= MAX_DRAW
+    assert sum(log.sizes[:3]) >= MAX_DRAW  # the first generation took several slices
+    assert np.all((ens.final_state >= 0) & (ens.final_state <= 10**4))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from haldane import cli
+from haldane.analysis import BLOCK_TRIALS
 from haldane.cli import CSV_COLUMNS, run_command
 
 
@@ -122,14 +124,14 @@ GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (GOLDEN_ARGV + ["deterministic"], (2408, 57162, 46)),
-    (GOLDEN_ARGV + ["gamma:1"], (1624, 38241, 47)),
-    (GOLDEN_ARGV + ["gamma:2.5"], (2016, 47657, 46)),
-    (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2139, 49823, 44)),
-    (GOLDEN_ARGV + ["lognormal:0.7"], (1968, 46290, 49)),
-    (GOLDEN_ARGV + ["spiked:0.2"], (373, 18630, 51)),
+    (GOLDEN_ARGV + ["deterministic"], (2397, 56387, 52)),
+    (GOLDEN_ARGV + ["gamma:1"], (1581, 37324, 45)),
+    (GOLDEN_ARGV + ["gamma:2.5"], (1989, 46737, 48)),
+    (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2131, 50172, 44)),
+    (GOLDEN_ARGV + ["lognormal:0.7"], (1908, 44761, 48)),
+    (GOLDEN_ARGV + ["spiked:0.2"], (332, 18060, 53)),
     (["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
-      "--trials", "30000", "--seed", "7"], (37, 54619, 36)),
+      "--trials", "30000", "--seed", "7"], (30, 54643, 23)),
 ], ids=["deterministic", "gamma:1", "gamma:2.5", "two-point", "lognormal:0.7",
         "spiked:0.2", "counterexample"])
 def test_golden_records(capsys, argv, expected):
@@ -192,6 +194,24 @@ def test_moments_table(capsys):
     assert {rec["N"] for rec in records} == {100, 1000}
     for rec in records:
         assert rec["moment_value"] > 0 and rec["moment_stderr"] > 0
+
+
+def test_moments_cells_draw_from_their_own_streams(capsys):
+    code, records = run_jsonl(capsys, [
+        "moments", "--N", "100", "100", "--p", "2", "--trials", "500", "--seed", "2"])
+    assert code == 0
+    assert records[0]["moment_value"] != records[1]["moment_value"]
+    assert {rec["stream_layout"] for rec in records} == {"philox(seed, cell)"}
+
+
+def test_records_name_numpy_and_stream_layout(capsys):
+    _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0.1",
+                                   "--trials", "50", "--seed", "1"])
+    assert rec["numpy_version"] == np.__version__
+    assert rec["stream_layout"] == f"philox(seed, block={BLOCK_TRIALS})"
+    _, (rec,) = run_jsonl(capsys, ["gw-survival", "--model", "binary", "--p", "0.6"])
+    assert rec["numpy_version"] == np.__version__
+    assert rec["stream_layout"] is None  # draws nothing
 
 
 def test_moments_runs_serially(capsys):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, roots_genlaguerre
 from scipy.stats import ks_2samp
 
+from haldane import paintbox
 from haldane.paintbox import (
     Deterministic,
     Gamma,
@@ -216,6 +218,52 @@ def test_mixing_atoms_match_moments(law):
 def test_mixing_atoms_unsupported_for_lognormal():
     with pytest.raises(UnsupportedLawError):
         LogNormal(0.5).mixing_atoms()
+
+
+def test_gamma_mixing_atoms_computed_once_per_law():
+    law = Gamma(2.5)
+    vals, wts = law.mixing_atoms()
+    again = law.mixing_atoms()
+    assert again[0] is vals and again[1] is wts
+    x, w = roots_genlaguerre(160, 1.5)
+    assert np.array_equal(vals, x / 2.5)
+    assert np.array_equal(wts, w / math.exp(gammaln(2.5)))
+
+
+# ---------------------------------------------------------------------------
+# split_sums over arrays of counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", [
+    Deterministic(), Gamma(1.0), Gamma(2.5), TwoPoint(), LogNormal(0.5), SpikedSpec(0.2),
+], ids=lambda source: source.tag())
+def test_split_sums_take_the_shape_of_the_counts(source):
+    N = 40
+    k = np.array([[1, 5, 39], [20, 2, 7]])
+    head, tail = source.split_sums(k, N, make_rng(40))
+    assert head.shape == tail.shape == k.shape
+    assert np.all(head > 0) and np.all(tail > 0)
+    if isinstance(source, Deterministic):
+        assert head.tolist() == k.tolist() and tail.tolist() == (N - k).tolist()
+    if isinstance(source, SpikedSpec):
+        assert np.allclose(head + tail, 1.0, rtol=0, atol=1e-15)
+    # a single count gives a single pair
+    one = source.split_sums(5, N, make_rng(40))
+    assert np.ndim(one[0]) == np.ndim(one[1]) == 0
+
+
+def test_lognormal_sums_are_sliced_out_of_one_stream(monkeypatch):
+    # sums drawn MAX_DRAW at a time equal the segment sums of one flat draw
+    law = LogNormal(0.9)
+    counts = np.array([0, 3, 10, 1, 0, 20, 7])
+    flat = make_rng(41).lognormal(law._mu, law.sigma, size=counts.sum())
+    starts = np.cumsum(counts) - counts
+    expected = [flat[a:a + n].sum() for a, n in zip(starts, counts)]
+    monkeypatch.setattr(paintbox, "MAX_DRAW", 4)
+    sliced = law.sample_sum(counts, make_rng(41))
+    assert sliced.shape == counts.shape
+    assert sliced == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
