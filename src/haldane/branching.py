@@ -4,16 +4,19 @@ probabilities, survival-conditioned transforms and hitting statistics.
 The offspring laws mirror the two bounds used to sandwich the frequency
 process while the beneficial count is small -- mixed Poisson above,
 mixed binomial below -- plus the immortal two-point law, a binary law
-and a plain Poisson for calibration.  Survival probabilities come from
-the smallest fixed point of the offspring PGF, found by monotone
-iteration from 0; a bisection route exists in the tests as the
-independent oracle.
+and a plain Poisson for calibration.  Survival probabilities are the
+largest root of the survival map S(phi) = 1 - f(1 - phi), f the
+offspring PGF.  Each law writes S without cancellation near phi = 0, so
+Newton's method from phi = 1 brackets the root to an absolute width
+even at offspring means of 1 + 1e-4; bisection routes on the PGF exist
+in the tests as the independent oracle.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -35,6 +38,10 @@ class GWModel(abc.ABC):
     @abc.abstractmethod
     def pgf(self, q: float) -> float:
         """E[q^offspring]; UnsupportedLawError when no closed/quadrature form."""
+
+    @abc.abstractmethod
+    def survival_map(self, phi: float) -> tuple[float, float]:
+        """(S(phi), S'(phi)) for S(phi) = 1 - pgf(1 - phi), so S' = pgf'(1 - phi)."""
 
     @abc.abstractmethod
     def sample_total(self, z: int, rng: np.random.Generator) -> int:
@@ -60,6 +67,12 @@ class MixedPoisson(GWModel):
 
     def pgf(self, q):
         return float(self.law.mgf(self.m * (q - 1.0)))
+
+    def survival_map(self, phi):
+        vals, wts = self.law.mixing_atoms()
+        rate = self.m * vals
+        return (float(-np.dot(wts, np.expm1(-rate * phi))),
+                float(np.dot(wts, rate * np.exp(-rate * phi))))
 
     def sample_total(self, z, rng):
         if z == 0:
@@ -100,6 +113,15 @@ class MixedBinomial(GWModel):
             log_terms = self.M * np.log1p(-p * (1.0 - q))
         return float(np.dot(wts, np.exp(log_terms)))
 
+    def survival_map(self, phi):
+        vals, wts = self.law.mixing_atoms()
+        p = np.minimum(vals * self.m / self.N, 1.0)
+        with np.errstate(divide="ignore"):
+            miss = np.expm1(self.M * np.log1p(-p * phi))
+        # numpy's 0**0 is 1, which M = 1 needs at p * phi = 1
+        slope = self.M * p * np.power(1.0 - p * phi, self.M - 1)
+        return float(-np.dot(wts, miss)), float(np.dot(wts, slope))
+
     def sample_total(self, z, rng):
         if z == 0:
             return 0
@@ -133,6 +155,11 @@ class TwoPointImmortal(GWModel):
     def pgf(self, q):
         return (1.0 - self.beta_s) * q + self.beta_s * q * q
 
+    def survival_map(self, phi):
+        # exactly 1 at phi = 1, since the law has no mass at 0 offspring
+        b = self.beta_s
+        return phi + b * phi * (1.0 - phi), 1.0 + b - 2.0 * b * phi
+
     def sample_total(self, z, rng):
         if z == 0:
             return 0
@@ -161,6 +188,9 @@ class Binary(GWModel):
     def pgf(self, q):
         return (1.0 - self.p) + self.p * q * q
 
+    def survival_map(self, phi):
+        return self.p * phi * (2.0 - phi), 2.0 * self.p * (1.0 - phi)
+
     def sample_total(self, z, rng):
         if z == 0:
             return 0
@@ -185,6 +215,9 @@ class PlainPoisson(GWModel):
     def pgf(self, q):
         return math.exp(self.m * (q - 1.0))
 
+    def survival_map(self, phi):
+        return -math.expm1(-self.m * phi), self.m * math.exp(-self.m * phi)
+
     def sample_total(self, z, rng):
         if z == 0:
             return 0
@@ -206,41 +239,82 @@ def gw_step(model: GWModel, z: int, rng: np.random.Generator) -> int:
     return model.sample_total(z, rng)
 
 
+MAX_NEWTON = 100
+"""Default budget of survival-map evaluations for `extinction_q`.
+
+Newton's method from phi = 1 roughly halves phi until it nears the root
+and then converges quadratically, so a root at 1e-8 takes about 30.
+"""
+
+_SIGN_MARGIN = 8.0 * sys.float_info.epsilon
+"""Relative rounding error allowed for S(phi) - phi before its sign counts."""
+
+
 @dataclass(frozen=True)
 class SurvivalResult:
+    """Survival probability `phi`, whose root lies in [phi - bound, phi].
+
+    `iterations` counts evaluations of the survival map.
+    """
+
     phi: float
     iterations: int
-    residual: float
+    bound: float
 
 
 def extinction_q(
     model: GWModel,
     tol: float = 1e-12,
-    max_iter: int = 10**6,
+    max_iter: int = MAX_NEWTON,
 ) -> SurvivalResult:
     """Survival probability 1 - q, q the smallest root of q = f(q) in [0,1].
 
-    Monotone fixed-point iteration from 0 converges to the smallest root;
-    when the offspring mean is <= 1 that root is exactly 1 (so phi = 0 is
-    returned outright, sidestepping the critical case's O(1/n) crawl).
-    Non-convergence within `max_iter` shows up as residual > tol.
+    1 - q is the largest root of the survival map S(phi) = 1 - f(1 - phi),
+    which is concave with S(0) = 0 and S'(0) = the offspring mean.  So
+    Newton's method from phi = 1 falls monotonically onto it, and every
+    Newton point is an upper end of a bracket: S(phi) < phi.  Once the
+    steps are small, a probe two steps (plus a rounding margin) below
+    the upper end looks for a lower end, where S(phi) > phi; until one
+    is found the lower end is 0, below the root since the mean exceeds
+    1.  A sign that contradicts what a step expected widens the rounding
+    margin those steps keep from the root.  The solver stops when the
+    bracket is at most `tol` wide, so `tol` is absolute in phi; it
+    returns the upper end as `phi` and the width as `bound`.  If
+    `max_iter` evaluations run out first, `bound > tol` says so.
+
+    An offspring mean <= 1 gives phi = 0 outright (sidestepping the
+    critical case), and S(1) = 1 (no mass at 0 offspring) gives phi = 1;
+    both come with bound 0.
     """
     probe = model.pgf(1.0)  # raises UnsupportedLawError for MGF-less mixing laws
     if abs(probe - 1.0) > 1e-9:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")
     if model.mean() <= 1.0:
         return SurvivalResult(0.0, 0, 0.0)
-    q = 0.0
-    iterations = 0
-    while iterations < max_iter:
-        q_next = model.pgf(q)
+    lo, hi = 0.0, 1.0
+    s, slope = model.survival_map(hi)
+    iterations = 1
+    if s >= hi:
+        return SurvivalResult(1.0, iterations, 0.0)
+    margin = _SIGN_MARGIN
+    while hi - lo > tol and iterations < max_iter:
+        descent = 1.0 - slope  # -(S(phi) - phi)' > 0 above the root, by concavity
+        step = (hi - s) / descent
+        noise = margin * hi / descent  # root shift a rounding error in S can fake
+        probing = 2.0 * step + noise <= tol
+        if probing:
+            x = hi - 2.0 * step - noise  # below the root once steps are quadratic
+        else:
+            x = hi - step + min(noise, 0.5 * step)  # Newton, kept off the root
+        s_x, slope_x = model.survival_map(x)
         iterations += 1
-        if abs(q_next - q) <= tol:
-            q = q_next
-            break
-        q = q_next
-    residual = abs(model.pgf(q) - q)
-    return SurvivalResult(1.0 - q, iterations, residual)
+        if s_x > x:
+            lo = max(lo, x)
+        elif s_x < x:
+            hi, s, slope = x, s_x, slope_x
+        if (s_x > x) != probing:
+            margin *= 2.0
+    return SurvivalResult(hi, iterations, hi - lo)
 
 
 def haldane_ref(s: float, sigma2: float) -> float:

@@ -11,7 +11,7 @@ results file is self-describing and re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 The HALDANE_PARALLELISM environment variable sets the default worker
-count.
+count; it is read on every call, so one parser serves the process.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -41,7 +42,7 @@ CSV_COLUMNS = [
     "p_hat", "fixations", "truncated", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
     "p1", "p2", "p3", "threshold_1", "threshold_2",
-    "phi", "iterations", "residual", "offspring_mean", "offspring_variance",
+    "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
     "naive_prediction", "neutral_floor", "violation",
     "duality_fixation", "n_samples",
     "moment_value", "moment_stderr",
@@ -58,14 +59,6 @@ _GW_MODELS = {
     "binary": (branching.Binary, ("p",)),
     "plain-poisson": (branching.PlainPoisson, ("m",)),
 }
-
-
-def _default_parallelism() -> int:
-    raw = os.environ.get("HALDANE_PARALLELISM", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_output_args(sp):
@@ -89,16 +82,25 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _default_parallelism() -> int:
+    raw = os.environ.get("HALDANE_PARALLELISM", "1")
+    try:
+        return _worker_count(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigurationError(f"HALDANE_PARALLELISM={raw!r}: {exc}") from None
+
+
 def _add_mc_args(sp, parallel: bool = True):
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     if parallel:
-        sp.add_argument("--parallelism", type=_worker_count,
-                        default=_default_parallelism())
+        sp.add_argument("--parallelism", type=_worker_count, default=None,
+                        help="worker processes (default: $HALDANE_PARALLELISM or 1)")
     sp.add_argument("--level", type=float, default=analysis.DEFAULT_LEVEL,
                     help="confidence level for Wilson intervals")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haldane",
@@ -125,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="binomial scale")
     p.add_argument("--beta-s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="largest width of the bracket [phi - phi_bound, phi] "
+                        "that holds the survival probability")
 
     p = sub.add_parser("duality", help="fixation from ancestral-line sample file")
     p.add_argument("--N", type=int, required=True)
@@ -242,7 +246,7 @@ def _cmd_gw_survival(args):
         args, model=model.tag(),
         y=args.y if args.model.startswith("mixed") else None,
         m=args.m, M=args.M, N=args.N, beta_s=args.beta_s, p=args.p, tol=args.tol,
-        phi=res.phi, iterations=res.iterations, residual=res.residual,
+        phi=res.phi, iterations=res.iterations, phi_bound=res.bound,
         offspring_mean=mean, offspring_variance=var,
         haldane=branching.haldane_ref(max(mean - 1.0, 0.0), var))
 
@@ -329,6 +333,8 @@ def run_command(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     records = []
     try:
+        if getattr(args, "parallelism", 0) is None:  # moments takes no --parallelism
+            args.parallelism = _default_parallelism()
         last = time.perf_counter()
         for rec in _HANDLERS[args.command](args):
             now = time.perf_counter()

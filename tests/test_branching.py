@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from haldane.branching import (
     Binary,
@@ -19,6 +20,24 @@ from haldane.branching import (
 )
 from haldane.paintbox import Deterministic, Gamma, LogNormal, TwoPoint, UnsupportedLawError
 from haldane.streams import make_rng
+
+SUPERCRITICAL = [
+    PlainPoisson(1.3),
+    Binary(0.7),
+    TwoPointImmortal(0.25),
+    MixedPoisson(Deterministic(), 1.2),
+    MixedPoisson(Gamma(2.0), 1.15),
+    MixedPoisson(TwoPoint(0.5, 1.5, 0.5), 1.2),
+    MixedBinomial(Deterministic(), 9000, 1.1, 10000),
+    MixedBinomial(Gamma(1.0), 9000, 1.1, 10000),
+    MixedBinomial(TwoPoint(0.5, 1.5, 0.5), 9000, 1.1, 10000),
+    # the five near-critical solves of the gw-survival benchmark workload
+    MixedPoisson(Gamma(1.0), 1.001),
+    MixedBinomial(Gamma(1.0), 10000, 1.01, 10000),
+    MixedBinomial(TwoPoint(), 10000, 1.01, 10000),
+    PlainPoisson(1.001),
+    Binary(0.51),
+]
 
 
 def smallest_root_bisect(pgf, iters=200):
@@ -87,20 +106,44 @@ def test_gw_step_mixed_binomial_counts_clamps():
 
 def test_extinction_critical_poisson_is_zero():
     res = extinction_q(PlainPoisson(1.0))
-    assert res.phi == 0.0 and res.residual == 0.0
+    assert res.phi == 0.0 and res.bound == 0.0
 
 
 def test_extinction_immortal_is_one():
-    res = extinction_q(TwoPointImmortal(0.1))
-    assert res.phi == 1.0
-    assert res.residual <= 1e-12
+    for beta_s in (0.1, 1e-13):
+        res = extinction_q(TwoPointImmortal(beta_s))
+        assert res.phi == 1.0
+        assert res.bound <= 1e-12
 
 
 def test_extinction_mixed_poisson_gamma_quadratic():
-    # q = 1/(1 - 1.1(q-1)) gives 1.1 q^2 - 2.1 q + 1 = 0, smallest root 10/11
-    res = extinction_q(MixedPoisson(Gamma(1.0), 1.1))
-    assert abs(res.phi - 1.0 / 11.0) <= 1e-10
-    assert res.residual <= 1e-12
+    # q = 1/(1 - m(q-1)) gives m q^2 - (m+1) q + 1 = 0, smallest root 1/m;
+    # near m = 1 the survival 1 - 1/m is the paper's slightly supercritical case
+    for m in (1.1, 1.001, 1.0001):
+        res = extinction_q(MixedPoisson(Gamma(1.0), m))
+        exact = 1.0 - 1.0 / m
+        assert abs(res.phi - exact) <= 1e-9 * exact
+        assert res.bound <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, exact",
+    [
+        *[(Binary(p), (2 * p - 1) / p) for p in (0.51, 0.6, 0.9)],
+        *[(PlainPoisson(m), 1.0 + float(lambertw(-m * math.exp(-m)).real) / m)
+          for m in (1.001, 1.01, 1.1, 2.0)],
+    ],
+)
+def test_extinction_bracket_holds_closed_form(model, exact):
+    res = extinction_q(model)
+    assert res.phi - res.bound <= exact <= res.phi
+    assert res.bound <= 1e-12
+
+
+def test_extinction_budget_exhausted_is_reported():
+    res = extinction_q(PlainPoisson(1.001), max_iter=1)
+    assert res.bound > 1e-12
+    assert res.iterations == 1
 
 
 def test_extinction_plain_poisson_vs_bisection():
@@ -111,25 +154,23 @@ def test_extinction_plain_poisson_vs_bisection():
     assert res.phi == pytest.approx(0.1761341436, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        PlainPoisson(1.3),
-        Binary(0.7),
-        TwoPointImmortal(0.25),
-        MixedPoisson(Deterministic(), 1.2),
-        MixedPoisson(Gamma(2.0), 1.15),
-        MixedPoisson(TwoPoint(0.5, 1.5, 0.5), 1.2),
-        MixedBinomial(Deterministic(), 9000, 1.1, 10000),
-        MixedBinomial(Gamma(1.0), 9000, 1.1, 10000),
-        MixedBinomial(TwoPoint(0.5, 1.5, 0.5), 9000, 1.1, 10000),
-    ],
-)
+@pytest.mark.parametrize("model", SUPERCRITICAL)
 def test_extinction_matches_bisection(model):
     res = extinction_q(model)
     oracle = 1.0 - smallest_root_bisect(model.pgf)
     assert abs(res.phi - oracle) <= 1e-9
-    assert res.residual <= 1e-12
+    assert res.bound <= 1e-12
+    assert res.iterations <= 30
+
+
+@pytest.mark.parametrize("model", SUPERCRITICAL)
+def test_survival_map_matches_pgf(model):
+    h = 1e-6
+    for phi in (0.5, 0.99):
+        value, slope = model.survival_map(phi)
+        assert value == pytest.approx(1.0 - model.pgf(1.0 - phi), abs=1e-12)
+        central = (model.pgf(1.0 - phi + h) - model.pgf(1.0 - phi - h)) / (2 * h)
+        assert slope == pytest.approx(central, rel=1e-7, abs=1e-9)
 
 
 def test_extinction_monotone_iterates():

@@ -155,7 +155,7 @@ def test_gw_survival_record(capsys):
     assert rec["phi"] == pytest.approx(1 / 11, abs=1e-9)
     assert rec["haldane"] == pytest.approx(0.0865801, abs=1e-7)
     assert rec["offspring_variance"] == pytest.approx(2.31)
-    assert rec["residual"] <= 1e-12
+    assert rec["phi_bound"] <= 1e-12
 
 
 def test_gw_survival_missing_param_exits_2(capsys):
@@ -303,7 +303,27 @@ def test_parallelism_env_default(capsys, monkeypatch):
     _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
                                    "--trials", "50", "--seed", "1"])
     assert rec["parallelism"] == 3
-    monkeypatch.setenv("HALDANE_PARALLELISM", "junk")
+    # a value that is not a worker count is a configuration error, like --parallelism 0
+    for junk in ("junk", "0"):
+        monkeypatch.setenv("HALDANE_PARALLELISM", junk)
+        assert run_command(["fixation", "--N", "20", "--s", "0",
+                            "--trials", "50", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: HALDANE_PARALLELISM")
+    # the flag wins over a broken environment
     _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
-                                   "--trials", "50", "--seed", "1"])
-    assert rec["parallelism"] == 1
+                                   "--trials", "50", "--seed", "1", "--parallelism", "2"])
+    assert rec["parallelism"] == 2
+
+
+def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, so its default must not freeze the environment
+    argv = ["fixation", "--N", "20", "--s", "0", "--trials", "50", "--seed", "1"]
+    seen = []
+    for workers in ("2", "1"):
+        monkeypatch.setenv("HALDANE_PARALLELISM", workers)
+        _, (rec,) = run_jsonl(capsys, argv)
+        seen.append(rec["parallelism"])
+    assert seen == [2, 1]
+    assert cli.build_parser() is cli.build_parser()
