@@ -15,7 +15,6 @@ re-running its block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
@@ -111,6 +110,10 @@ def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> _Tally:
     workers = min(parallelism, blocks)
     if workers <= 1:
         return _run_chunk(config, thresholds, seed, trials, 0, blocks, cap)
+    # imported here: one-block runs never start a pool, and the import
+    # costs every process that loads the package ~12 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     n_chunks = min(blocks, 4 * workers)
     bounds = [round(i * blocks / n_chunks) for i in range(n_chunks + 1)]
     tally = _Tally(threshold_hits={t: 0 for t in thresholds})

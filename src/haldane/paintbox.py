@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -167,21 +167,33 @@ class Gamma(YLaw):
             raise ValueError(f"Gamma MGF diverges at t={t} >= kappa={self.kappa}")
         return (1.0 - t / self.kappa) ** (-self.kappa)
 
-    @cached_property
-    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        # generalized Gauss-Laguerre for the Gamma(kappa, 1/kappa) density;
-        # scipy.special is imported here, its only use, because loading it
-        # costs Monte Carlo runs ~24 MB of memory and part of their start-up
-        from scipy.special import gammaln, roots_genlaguerre
-
-        x, w = roots_genlaguerre(_QUAD_NODES, self.kappa - 1.0)
-        return x / self.kappa, w / math.exp(gammaln(self.kappa))
-
     def mixing_atoms(self):
-        return self._atoms
+        return _gamma_atoms(self.kappa)
 
     def tag(self):
         return f"gamma:{self.kappa:g}"
+
+
+@cache
+def _gamma_atoms(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre atoms of the mean-1 Gamma(kappa) law, built once per shape.
+
+    Golub-Welsch: the nodes of generalized Laguerre quadrature with
+    alpha = kappa - 1 are the eigenvalues of the Jacobi matrix of its
+    three-term recurrence, and the weights are the squared first
+    components of the eigenvectors times the weight function's total
+    mass.  Normalizing the weights to sum 1 stands in for that mass,
+    Gamma(kappa), which overflows past kappa ~ 171.
+    """
+    i = np.arange(_QUAD_NODES)
+    off = np.sqrt(i[1:] * (i[1:] + kappa - 1.0))
+    jacobi = np.diag(2.0 * i + kappa) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    atoms = nodes / kappa, weights / weights.sum()
+    for a in atoms:
+        a.flags.writeable = False  # one pair is shared by every Gamma(kappa)
+    return atoms
 
 
 @dataclass(frozen=True)

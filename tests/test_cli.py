@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haldane
 from haldane import cli
 from haldane.analysis import BLOCK_TRIALS
 from haldane.cli import CSV_COLUMNS, run_command
@@ -156,6 +162,26 @@ def test_gw_survival_record(capsys):
     assert rec["haldane"] == pytest.approx(0.0865801, abs=1e-7)
     assert rec["offspring_variance"] == pytest.approx(2.31)
     assert rec["phi_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [200, 1000])
+def test_gw_survival_gamma_beyond_gamma_function_range(capsys, kappa):
+    # Gamma(kappa) overflows a float past kappa ~ 171.6; the atoms must not need it
+    m = 1.01
+    code, records = run_jsonl(capsys, [
+        "gw-survival", "--model", "mixed-poisson", "--y", f"gamma:{kappa}", "--m", str(m)])
+    assert code == 0
+    (rec,) = records
+    assert rec["phi_bound"] <= 1e-12
+
+    def excess(phi):  # 1 - f(1 - phi) - phi for the negative-binomial pgf f
+        return -math.expm1(-kappa * math.log1p(m * phi / kappa)) - phi
+
+    lo, hi = 1e-6, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    assert rec["phi"] == pytest.approx(0.5 * (lo + hi), rel=1e-9)
 
 
 def test_gw_survival_missing_param_exits_2(capsys):
@@ -327,3 +353,22 @@ def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
         seen.append(rec["parallelism"])
     assert seen == [2, 1]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
+    # a fresh interpreter, since the test process has both loaded: either
+    # import would cost every run's start-up
+    script = (
+        "import sys\n"
+        "from haldane.cli import run_command\n"
+        "codes = [run_command(['gw-survival', '--model', 'mixed-poisson',"
+        " '--y', 'gamma:1', '--m', '1.1']),\n"
+        "         run_command(['fixation', '--N', '20', '--s', '0.1', '--trials', '50',"
+        " '--seed', '1', '--parallelism', '2'])]\n"
+        "print(codes, [m for m in ('scipy', 'concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(haldane.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

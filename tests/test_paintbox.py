@@ -221,13 +221,21 @@ def test_mixing_atoms_unsupported_for_lognormal():
 
 
 def test_gamma_mixing_atoms_computed_once_per_law():
-    law = Gamma(2.5)
-    vals, wts = law.mixing_atoms()
-    again = law.mixing_atoms()
+    vals, wts = Gamma(2.5).mixing_atoms()
+    again = Gamma(2.5).mixing_atoms()
     assert again[0] is vals and again[1] is wts
-    x, w = roots_genlaguerre(160, 1.5)
-    assert np.array_equal(vals, x / 2.5)
-    assert np.array_equal(wts, w / math.exp(gammaln(2.5)))
+    assert not vals.flags.writeable and not wts.flags.writeable
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.5, 1.0, 2.5, 100.0])
+def test_gamma_mixing_atoms_match_scipy(kappa):
+    # scipy's generalized Gauss-Laguerre rule is an independent oracle
+    vals, wts = Gamma(kappa).mixing_atoms()
+    x, w = roots_genlaguerre(160, kappa - 1.0)
+    w = w / math.exp(gammaln(kappa))
+    np.testing.assert_allclose(vals, x / kappa, rtol=1e-11, atol=0)
+    big = w > 1e-10
+    np.testing.assert_allclose(wts[big], w[big], rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
