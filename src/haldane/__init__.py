@@ -35,8 +35,8 @@ from .cannings import (
     AbsorptionRecord,
     CanningsConfig,
     ConfigurationError,
-    Ensemble,
     QnEstimate,
+    Tally,
     growth_factor_qn,
     run_ensemble,
     run_to_absorption,

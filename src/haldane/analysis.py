@@ -15,14 +15,12 @@ re-running its block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
-import numpy as np
-
 from .branching import haldane_ref
-from .cannings import CanningsConfig, ConfigurationError, Ensemble, run_ensemble
+from .cannings import CanningsConfig, ConfigurationError, Tally, run_ensemble
 from .paintbox import SpikedSpec
 from .streams import TrialStreams
 
@@ -58,53 +56,17 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Tally:
-    """Order-insensitive integer aggregate of absorption trials."""
-
-    trials: int = 0
-    fixations: int = 0
-    losses: int = 0
-    truncated: int = 0
-    tau_total: int = 0
-    tau_max: int = 0
-    threshold_hits: dict[int, int] = field(default_factory=dict)
-
-    def merge(self, other: "_Tally") -> "_Tally":
-        hits = dict(self.threshold_hits)
-        for t, c in other.threshold_hits.items():
-            hits[t] = hits.get(t, 0) + c
-        return _Tally(
-            self.trials + other.trials,
-            self.fixations + other.fixations,
-            self.losses + other.losses,
-            self.truncated + other.truncated,
-            self.tau_total + other.tau_total,
-            max(self.tau_max, other.tau_max),
-            hits,
-        )
-
-
-def _ensemble_tally(ens: Ensemble) -> _Tally:
-    fixations, losses, truncated = ens.outcome_counts()
-    return _Tally(
-        ens.tau.size, fixations, losses, truncated, int(ens.tau.sum()), int(ens.tau.max()),
-        {t: int(np.count_nonzero(fp >= 0)) for t, fp in ens.first_passage.items()},
-    )
-
-
 def _run_chunk(config, thresholds, seed, trials, first_block, stop_block, cap):
     """Tally of blocks first_block..stop_block-1 of a `trials`-trial run."""
-    tally = _Tally(threshold_hits={t: 0 for t in thresholds})
+    tally = Tally(threshold_hits={t: 0 for t in thresholds})
     streams = TrialStreams(seed)
     for b in range(first_block, stop_block):
         size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-        ens = run_ensemble(config, size, streams.stream(b), thresholds, cap)
-        tally = tally.merge(_ensemble_tally(ens))
+        tally = tally.merge(run_ensemble(config, size, streams.stream(b), thresholds, cap))
     return tally
 
 
-def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> _Tally:
+def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> Tally:
     thresholds = tuple(sorted(set(thresholds)))
     blocks = -(-trials // BLOCK_TRIALS)
     workers = min(parallelism, blocks)
@@ -116,7 +78,7 @@ def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> _Tally:
 
     n_chunks = min(blocks, 4 * workers)
     bounds = [round(i * blocks / n_chunks) for i in range(n_chunks + 1)]
-    tally = _Tally(threshold_hits={t: 0 for t in thresholds})
+    tally = Tally(threshold_hits={t: 0 for t in thresholds})
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_chunk, config, thresholds, seed, trials, lo, hi, cap)
@@ -147,6 +109,8 @@ class FixationEstimate:
     ratio: float | None
     mean_tau: float
     max_tau: int
+    trial_generations: int
+    lockstep_generations: int
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
@@ -157,9 +121,11 @@ class FixationEstimate:
             raise RuntimeError(f"{self.fixations} fixations in {self.trials} trials")
 
 
-def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
+def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
     p_hat = tally.fixations / tally.trials
-    lo, hi = wilson_interval(tally.fixations, tally.trials, level)
+    # a truncated trial might still have fixed: the upper end counts it as one
+    lo = wilson_interval(tally.fixations, tally.trials, level)[0]
+    hi = wilson_interval(tally.fixations + tally.truncated, tally.trials, level)[1]
     rv = config.paintbox.rho_squared(config.N)
     s = config.s
     ratio = p_hat * rv / (2.0 * s) if s > 0 else None
@@ -177,6 +143,8 @@ def _estimate_from_tally(tally: _Tally, config, level) -> FixationEstimate:
         ratio=ratio,
         mean_tau=tally.tau_total / tally.trials,
         max_tau=tally.tau_max,
+        trial_generations=tally.tau_total,
+        lockstep_generations=tally.lockstep_generations,
     )
 
 

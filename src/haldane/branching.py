@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,20 +83,19 @@ class MixedPoisson(GWModel):
         return f"mixed-poisson({self.law.tag()},m={self.m:g})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixedBinomial(GWModel):
     """Offspring Bin(M, Y*m/N): the per-line lower bound on the early phase.
 
-    Success probabilities above 1 (huge Y at small N) are clamped and
-    counted in `clamp_count`; at the intended parameters the event has
-    vanishing probability.  Analytic mean/variance ignore the clamp.
+    The success probability Y*m/N is clamped at 1 (huge Y at small N); at
+    the intended parameters that has vanishing probability.  Analytic
+    mean/variance ignore the clamp.
     """
 
     law: YLaw
     M: int
     m: float
     N: int
-    clamp_count: int = field(default=0, compare=False, repr=False)
 
     def mean(self):
         return self.M * self.m / self.N
@@ -125,11 +124,7 @@ class MixedBinomial(GWModel):
     def sample_total(self, z, rng):
         if z == 0:
             return 0
-        p = self.law.sample(z, rng) * (self.m / self.N)
-        over = int((p > 1.0).sum())
-        if over:
-            self.clamp_count += over
-            p = np.minimum(p, 1.0)
+        p = np.minimum(self.law.sample(z, rng) * (self.m / self.N), 1.0)
         return int(rng.binomial(self.M, p).sum())
 
     def tag(self):

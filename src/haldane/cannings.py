@@ -14,8 +14,10 @@ each paintbox source's `split_sums` draws exactly without building the
 N-vector, for one count or for an array of counts at once.  Absorption
 runs advance a whole ensemble of independent trials in lockstep
 (`run_ensemble`), one `split_sums` call and one binomial draw per
-generation, so they stay cheap at N = 10^4 and beyond; a single
-trajectory (`run_to_absorption`) is the one-trial ensemble.
+generation, so they stay cheap at N = 10^4 and beyond; they keep only
+the live counts and return integer counts of the outcomes (`Tally`).
+A single trajectory with its first passages is `run_to_absorption`,
+which draws what a one-trial ensemble draws.
 """
 
 from __future__ import annotations
@@ -119,32 +121,37 @@ class AbsorptionRecord:
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Outcomes of trials run together, one array entry per trial.
+class Tally:
+    """Integer counts over a set of absorption trials; `merge` is order-insensitive.
 
-    `final_state` is 0 (loss), N (fixation) or, for a trial stopped by the
-    generation cap, the count it stopped at.  `first_passage[t]` holds the
-    generation at which the count first reached t, or -1 if it never did.
+    `threshold_hits[t]` counts the trials whose count reached t (count >=
+    t) by absorption or the cap; `lockstep_generations` sums the
+    generations each lockstep run took, i.e. its longest trial.
     """
 
-    N: int
-    tau: np.ndarray
-    final_state: np.ndarray
-    max_count: np.ndarray
-    first_passage: dict[int, np.ndarray]
+    trials: int = 0
+    fixations: int = 0
+    losses: int = 0
+    truncated: int = 0
+    tau_total: int = 0
+    tau_max: int = 0
+    threshold_hits: dict[int, int] = field(default_factory=dict)
+    lockstep_generations: int = 0
 
-    def outcome_counts(self) -> tuple[int, int, int]:
-        """(fixations, losses, truncated)."""
-        fixations = int(np.count_nonzero(self.final_state == self.N))
-        losses = int(np.count_nonzero(self.final_state == 0))
-        return fixations, losses, self.tau.size - fixations - losses
-
-    def record(self, i: int) -> AbsorptionRecord:
-        """Trial i's outcome as a single-trajectory record."""
-        k = int(self.final_state[i])
-        outcome = "fixation" if k == self.N else "loss" if k == 0 else "truncated"
-        passage = {t: int(fp[i]) for t, fp in self.first_passage.items() if fp[i] >= 0}
-        return AbsorptionRecord(outcome, int(self.tau[i]), k, int(self.max_count[i]), passage)
+    def merge(self, other: "Tally") -> "Tally":
+        hits = dict(self.threshold_hits)
+        for t, c in other.threshold_hits.items():
+            hits[t] = hits.get(t, 0) + c
+        return Tally(
+            self.trials + other.trials,
+            self.fixations + other.fixations,
+            self.losses + other.losses,
+            self.truncated + other.truncated,
+            self.tau_total + other.tau_total,
+            max(self.tau_max, other.tau_max),
+            hits,
+            self.lockstep_generations + other.lockstep_generations,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -182,48 +189,53 @@ def run_ensemble(
     rng: np.random.Generator,
     thresholds: Sequence[int] = (),
     cap: int | None = None,
-) -> Ensemble:
-    """Run `trials` independent copies of the chain in lockstep until each absorbs.
+) -> Tally:
+    """Run `trials` independent copies of the chain in lockstep and tally them.
 
     Every generation draws one paintbox split per live trial with a single
-    `split_sums` call and the next counts with a single binomial draw, then
-    drops the trials that hit 0 or N.  `thresholds` are levels whose first
-    crossing generation is recorded (crossing = count >= level).
+    `split_sums` call and the next counts with a single binomial draw,
+    then counts the trials that hit 0 or N and drops them.  Only the live
+    counts are kept, plus their running maxima when a threshold lies above
+    the start: a trial reached level t (count >= t) if its maximum did.
     Absorption is a.s. finite, so there is no cap by default; when one is
-    given, the trials still running after `cap` generations come back
-    truncated rather than being silently misclassified.
+    given, the trials still running after `cap` generations are counted
+    as truncated rather than being silently misclassified.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     N, k0 = config.N, config.initial_count
+    hits = {t: trials if k0 >= t else 0 for t in thresholds}
+    if not 0 < k0 < N:
+        fixations = trials if k0 == N else 0
+        return Tally(trials, fixations, trials - fixations, 0, 0, 0, hits)
     split = config.paintbox.split_sums
     one_minus_s = 1.0 - config.s
-    tau = np.zeros(trials, dtype=np.int64)
-    final = np.full(trials, k0, dtype=np.int64)
-    max_count = np.full(trials, k0, dtype=np.int64)
-    first_passage = {t: np.full(trials, 0 if k0 >= t else -1, dtype=np.int64)
-                     for t in thresholds}
-    pending = [(t, first_passage[t]) for t in sorted(first_passage) if t > k0]
-    live = np.arange(trials if 0 < k0 < N else 0)
-    k = np.full(live.size, k0, dtype=np.int64)
-    peak = k.copy()
-    g = 0
-    while live.size and (cap is None or g < cap):
+    above = sorted(t for t in hits if t > k0)
+    k = np.full(trials, k0, dtype=np.int64)
+    peak = k.copy() if above else None
+    fixations = losses = tau_total = g = 0
+    while k.size and (cap is None or g < cap):
         head, tail = split(k, N, rng)
         k = rng.binomial(N, head / (head + one_minus_s * tail))
         g += 1
-        np.maximum(peak, k, out=peak)
-        for t, passage in pending:
-            reached = live[k >= t]
-            passage[reached[passage[reached] < 0]] = g
-        done = (k == 0) | (k == N)
-        if np.count_nonzero(done):
-            gone = live[done]
-            tau[gone], final[gone], max_count[gone] = g, k[done], peak[done]
-            keep = ~done
-            live, k, peak = live[keep], k[keep], peak[keep]
-    tau[live], final[live], max_count[live] = g, k, peak
-    return Ensemble(N, tau, final, max_count, first_passage)
+        if above:
+            np.maximum(peak, k, out=peak)
+        live = (k > 0) & (k < N)
+        absorbed = k.size - int(np.count_nonzero(live))
+        if absorbed:
+            fixed = int(np.count_nonzero(k == N))
+            fixations += fixed
+            losses += absorbed - fixed
+            tau_total += g * absorbed
+            k = k[live]
+            if above:
+                gone = peak[~live]
+                for t in above:
+                    hits[t] += int(np.count_nonzero(gone >= t))
+                peak = peak[live]
+    for t in above:  # the truncated trials
+        hits[t] += int(np.count_nonzero(peak >= t))
+    return Tally(trials, fixations, losses, k.size, tau_total + g * k.size, g, hits, g)
 
 
 def run_to_absorption(
@@ -232,10 +244,25 @@ def run_to_absorption(
     rng: np.random.Generator | None = None,
     cap: int | None = None,
 ) -> AbsorptionRecord:
-    """One trajectory: the one-trial case of `run_ensemble`."""
+    """One trajectory, `step` by step, with the generation it first reached each threshold.
+
+    On a given stream it draws exactly what a one-trial `run_ensemble` draws.
+    """
     if rng is None:
         raise ValueError("an explicit random stream is required")
-    return run_ensemble(config, 1, rng, thresholds, cap).record(0)
+    N = config.N
+    k = peak = config.initial_count
+    passage = {t: 0 for t in thresholds if k >= t}
+    tau = 0
+    while 0 < k < N and (cap is None or tau < cap):
+        k = step(k, config, rng)
+        tau += 1
+        peak = max(peak, k)
+        for t in thresholds:
+            if k >= t:
+                passage.setdefault(t, tau)
+    outcome = "fixation" if k == N else "loss" if k == 0 else "truncated"
+    return AbsorptionRecord(outcome, tau, k, peak, passage)
 
 
 # ---------------------------------------------------------------------------

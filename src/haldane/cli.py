@@ -41,6 +41,7 @@ CSV_COLUMNS = [
     "moment_p", "level",
     "p_hat", "fixations", "truncated", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
+    "trial_generations", "lockstep_generations",
     "p1", "p2", "p3", "threshold_1", "threshold_2",
     "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
     "naive_prediction", "neutral_floor", "violation",

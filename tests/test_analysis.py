@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from haldane.analysis import (
     BLOCK_TRIALS,
     FixationEstimate,
-    _ensemble_tally,
     _farm,
     _run_chunk,
     counterexample_check,
@@ -115,9 +114,25 @@ def test_block_replays_alone():
     trials = 2 * BLOCK_TRIALS + 3
     alone = [_run_chunk(cfg, (5,), 33, trials, b, b + 1, None) for b in range(3)]
     for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
-        ens = run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
-        assert alone[b] == _ensemble_tally(ens)
+        assert alone[b] == run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
     assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
+
+
+def test_cap_widens_the_upper_bound_by_the_truncated_trials():
+    # a truncated trial may still fix, so the interval's upper end counts
+    # it as a fixation; the capped run is a prefix of the uncapped one,
+    # whose fixation frequency must then lie between the two counts
+    cfg = CanningsConfig.from_s(50, 0.05, Gamma(1.0), 5)
+    est = estimate_fixation(cfg, 4000, seed=8, cap=20)
+    free = estimate_fixation(cfg, 4000, seed=8)
+    n, fix, trunc = est.trials, est.fixations, est.truncated
+    assert trunc > 0 and free.truncated == 0
+    assert est.p_hat == fix / n
+    assert est.ci_low == wilson_interval(fix, n, est.level)[0]
+    assert est.ci_high == wilson_interval(fix + trunc, n, est.level)[1]
+    assert fix <= free.fixations <= fix + trunc
+    assert est.max_tau == est.lockstep_generations == 20
+    assert est.trial_generations < free.trial_generations
 
 
 def test_estimate_monotone_in_selection():
@@ -144,7 +159,8 @@ def test_fixation_estimate_invariants_raise():
     # exceptions, not asserts, so that `python -O` keeps the checks
     fields = dict(trials=10, fixations=3, truncated=0, p_hat=0.3, ci_low=0.1,
                   ci_high=0.6, level=0.99, s=0.1, ref_variance=2.0, haldane=0.1,
-                  ratio=3.0, mean_tau=2.0, max_tau=5)
+                  ratio=3.0, mean_tau=2.0, max_tau=5, trial_generations=20,
+                  lockstep_generations=5)
     FixationEstimate(**fields)
     with pytest.raises(RuntimeError):
         FixationEstimate(**{**fields, "ci_low": 0.4})

@@ -89,14 +89,15 @@ def test_gw_step_plain_poisson_moments():
     assert abs(draws.mean() - 110.0) <= band
 
 
-def test_gw_step_mixed_binomial_counts_clamps():
-    # tiny N with fat potentials forces Y*m/N > 1 draws
+def test_gw_step_mixed_binomial_clamps_p_at_one():
+    # Y*m/N = 2 for every line: each line leaves all M = 4 offspring
+    assert gw_step(MixedBinomial(Deterministic(), 4, 8.0, 4), 10, make_rng(3)) == 40
+    # tiny N with fat potentials forces some Y*m/N > 1 draws
     model = MixedBinomial(LogNormal(2.0), 4, 3.0, 4)
     rng = make_rng(3)
     for _ in range(500):
         out = gw_step(model, 10, rng)
         assert 0 <= out <= 40
-    assert model.clamp_count > 0
 
 
 # ---------------------------------------------------------------------------

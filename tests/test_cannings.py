@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 from haldane.cannings import (
     CanningsConfig,
     ConfigurationError,
+    Tally,
     growth_factor_qn,
     run_ensemble,
     run_to_absorption,
@@ -199,7 +200,7 @@ def test_two_state_chain_oracle():
     # h = p^2/(1 - 2p(1-p)) with p = 2/3, i.e. 0.8
     cfg = wf(2, 0.5, 1)
     trials = 2 * 10**5
-    fixed, _, _ = run_ensemble(cfg, trials, trial_rng(42, 0)).outcome_counts()
+    fixed = run_ensemble(cfg, trials, trial_rng(42, 0)).fixations
     band = 3 * math.sqrt(0.8 * 0.2 / trials)
     assert abs(fixed / trials - 0.8) <= band
 
@@ -233,7 +234,7 @@ def test_neutral_martingale_fixation_frequency():
     # with s=0, fixation probability from k is exactly k/N; 3 sigma Wilson band
     cfg = CanningsConfig.from_s(20, 0.0, Gamma(1.0), 4)
     trials = 10**5
-    fixed, _, _ = run_ensemble(cfg, trials, trial_rng(1234, 0)).outcome_counts()
+    fixed = run_ensemble(cfg, trials, trial_rng(1234, 0)).fixations
     from haldane.analysis import wilson_interval
 
     level = math.erf(3 / math.sqrt(2))  # 3 sigma two-sided
@@ -247,8 +248,8 @@ def test_neutral_martingale_fixation_frequency():
 
 
 def test_single_trajectory_follows_step_on_the_same_stream():
-    # a one-trial ensemble draws what repeated `step` calls draw, so the
-    # record must match a trajectory built step by step
+    # the record holds the trajectory built step by step: its length,
+    # end, maximum and first passages
     cfg = CanningsConfig.from_s(100, 0.2, Gamma(1.0), 3)
     thresholds = (2, 10, 50)
     for i in range(50):
@@ -263,22 +264,46 @@ def test_single_trajectory_follows_step_on_the_same_stream():
         assert rec.first_passage == passage
 
 
-def test_ensemble_arrays_are_consistent():
+@pytest.mark.parametrize("source", [Gamma(1.0), SpikedSpec(0.2)], ids=["gamma:1", "spiked"])
+@pytest.mark.parametrize("cap", [None, 20])
+def test_one_trial_tally_is_the_trajectory(source, cap):
+    # on one stream a one-trial ensemble draws what the step-by-step
+    # trajectory draws, so its tally holds that trajectory's counts
+    cfg = CanningsConfig.from_s(100, 0.2, source, 3)
+    thresholds = (2, 3, 10, 50, 100)
+    seen = set()
+    for i in range(300):
+        tally = run_ensemble(cfg, 1, trial_rng(9, i), thresholds, cap)
+        rec = run_to_absorption(cfg, thresholds, trial_rng(9, i), cap)
+        assert (tally.fixations, tally.losses, tally.truncated) == tuple(
+            int(rec.outcome == o) for o in ("fixation", "loss", "truncated"))
+        assert tally.tau_total == tally.tau_max == tally.lockstep_generations == rec.tau
+        assert tally.threshold_hits == {t: int(t in rec.first_passage) for t in thresholds}
+        seen.add(rec.outcome)
+    assert seen == ({"fixation", "loss"} if cap is None else {"fixation", "loss", "truncated"})
+
+
+@pytest.mark.parametrize("cap", [None, 15])
+def test_tally_identities(cap):
     cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
-    ens = run_ensemble(cfg, 3000, make_rng(6), thresholds=(2, 10, 50, 100))
-    fixed = ens.final_state == 100
-    assert np.all(fixed | (ens.final_state == 0))
-    assert ens.outcome_counts() == (fixed.sum(), (~fixed).sum(), 0)
-    assert np.all(ens.first_passage[2] == 0)  # crossed at start
-    assert np.array_equal(ens.first_passage[100] >= 0, fixed)
-    assert np.array_equal(ens.first_passage[100][fixed], ens.tau[fixed])
-    levels = (10, 50, 100)
-    for lo, hi in zip(levels, levels[1:]):
-        hit = ens.first_passage[hi] >= 0
-        assert np.all(ens.first_passage[lo][hit] >= 0)
-        assert np.all(ens.first_passage[lo][hit] <= ens.first_passage[hi][hit])
-        assert np.array_equal(hit, ens.max_count >= hi)
-    assert np.all(ens.max_count >= 3)
+    levels = (1, 3, 10, 50, 100)
+    tally = run_ensemble(cfg, 3000, make_rng(6), levels, cap)
+    assert tally.fixations + tally.losses + tally.truncated == tally.trials == 3000
+    hits = [tally.threshold_hits[t] for t in levels]
+    assert hits == sorted(hits, reverse=True)  # nonincreasing in the level
+    assert hits[0] == hits[1] == 3000  # at or below the start
+    assert hits[-1] == tally.fixations  # reaching N is fixing
+    assert tally.fixations > 0 and hits[2] < 3000  # some fix, some never reach 10
+    assert tally.tau_max == tally.lockstep_generations
+    assert tally.tau_max <= tally.tau_total <= tally.tau_max * 3000
+    assert (tally.truncated > 0) == (cap is not None)
+    if cap is not None:
+        assert tally.tau_max == cap
+    for k0, fixations in ((0, 0), (100, 3000)):  # absorbing starts
+        start = CanningsConfig.from_s(100, 0.3, Gamma(1.0), k0)
+        assert run_ensemble(start, 3000, make_rng(6), levels, cap) == Tally(
+            3000, fixations, 3000 - fixations, 0, 0, 0,
+            {t: 3000 if k0 >= t else 0 for t in levels}, 0)
 
 
 def test_cap_truncates_the_same_trials_in_lockstep_as_per_trial():
@@ -286,18 +311,21 @@ def test_cap_truncates_the_same_trials_in_lockstep_as_per_trial():
     # so the truncated trials are those whose uncapped tau exceeds the cap
     cfg = CanningsConfig.from_s(50, 0.05, Gamma(1.0), 5)
     cap = 20
-    free = run_ensemble(cfg, 4000, make_rng(8))
-    capped = run_ensemble(cfg, 4000, make_rng(8), cap=cap)
-    late = free.tau > cap
-    assert 0 < late.sum() < 4000
-    assert capped.outcome_counts()[2] == late.sum()
-    assert np.all(capped.tau[late] == cap)
-    assert np.array_equal(capped.tau[~late], free.tau[~late])
-    assert np.array_equal(capped.final_state[~late], free.final_state[~late])
-    per_trial = [run_to_absorption(cfg, rng=trial_rng(8, i), cap=cap) for i in range(300)]
-    per_trial_free = [run_to_absorption(cfg, rng=trial_rng(8, i)) for i in range(300)]
-    assert (sum(r.outcome == "truncated" for r in per_trial)
-            == sum(r.tau > cap for r in per_trial_free) > 0)
+    capped = Tally()
+    for i in range(300):
+        capped = capped.merge(run_ensemble(cfg, 1, trial_rng(8, i), cap=cap))
+    late = sum(run_to_absorption(cfg, rng=trial_rng(8, i)).tau > cap for i in range(300))
+    assert capped.trials == 300
+    assert capped.truncated == late > 0
+    # in lockstep too: a trial is still running after c generations iff
+    # its tau exceeds c, so the truncated counts over caps c = 0, 1, ...
+    # sum to the uncapped total of tau
+    free = run_ensemble(cfg, 1000, make_rng(8))
+    truncated = [run_ensemble(cfg, 1000, make_rng(8), cap=c).truncated
+                 for c in range(free.tau_max + 1)]
+    assert truncated == sorted(truncated, reverse=True)
+    assert truncated[0] == 1000 and truncated[-1] == 0 < truncated[-2]
+    assert sum(truncated) == free.tau_total
 
 
 class _DrawLog:
@@ -318,10 +346,10 @@ def test_lognormal_ensemble_draws_in_bounded_slices():
     # 300 trials at N = 1e4 need 3e6 potentials in their first generation
     cfg = CanningsConfig.from_exponent(10**4, 0.25, LogNormal(0.7), 1)
     log = _DrawLog(make_rng(12))
-    ens = run_ensemble(cfg, 300, log, cap=5)
+    tally = run_ensemble(cfg, 300, log, cap=5)
     assert max(log.sizes) <= MAX_DRAW
     assert sum(log.sizes[:3]) >= MAX_DRAW  # the first generation took several slices
-    assert np.all((ens.final_state >= 0) & (ens.final_state <= 10**4))
+    assert tally.fixations + tally.losses + tally.truncated == 300
 
 
 # ---------------------------------------------------------------------------

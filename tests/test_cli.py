@@ -146,6 +146,7 @@ def test_golden_records(capsys, argv, expected):
     assert code == 0
     assert (rec["fixations"], round(rec["mean_tau"] * rec["trials"]),
             rec["max_tau"]) == expected
+    assert rec["trial_generations"] == round(rec["mean_tau"] * rec["trials"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,22 @@ def test_each_record_carries_its_own_wall_clock(capsys, monkeypatch):
         "--seed", "1"])
     assert code == 0
     assert [rec["wall_clock_seconds"] for rec in records] == [0.25, 0.75, 1.5]
+
+
+def test_work_fields_are_the_same_at_one_and_two_workers(capsys):
+    # three blocks, each its own lockstep run of max_tau generations at most
+    argv = ["fixation", "--N", "20", "--s", "0.1", "--trials", str(2 * BLOCK_TRIALS + 3),
+            "--seed", "6", "--format", "csv", "--parallelism"]
+    rows = []
+    for workers in ("1", "2"):
+        assert run_command(argv + [workers]) == 0
+        rows.append(next(csv.DictReader(io.StringIO(capsys.readouterr().out))))
+    work = ("trial_generations", "lockstep_generations")
+    assert [rows[0][k] for k in work] == [rows[1][k] for k in work]
+    row = rows[0]
+    trials, max_tau = int(row["trials"]), int(row["max_tau"])
+    assert int(row["trial_generations"]) == round(float(row["mean_tau"]) * trials)
+    assert max_tau < int(row["lockstep_generations"]) <= 3 * max_tau
 
 
 def test_csv_output(capsys, tmp_path):
