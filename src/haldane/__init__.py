@@ -19,7 +19,6 @@ from .analysis import (
 from .branching import (
     Binary,
     GWModel,
-    HittingStats,
     MixedBinomial,
     MixedPoisson,
     PlainPoisson,
@@ -27,7 +26,6 @@ from .branching import (
     TwoPointImmortal,
     conditioned_pmf,
     extinction_q,
-    gw_hitting_stats,
     gw_step,
     haldane_ref,
 )

@@ -299,13 +299,11 @@ def read_aeq_samples(path) -> list[int]:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    p_hat: float
-    ci_low: float
-    ci_high: float
     naive_prediction: float
     neutral_floor: float
     violation: bool
     estimate: FixationEstimate
+    config: CanningsConfig
 
 
 def counterexample_check(
@@ -332,13 +330,10 @@ def counterexample_check(
     config = CanningsConfig.from_exponent(N, b, spec, initial_count=1)
     est = estimate_fixation(config, trials, seed, parallelism, level)
     naive = 2.0 * config.s / spec.rho_squared(N)
-    violation = est.ci_low > max(2.0 * naive, 0.0)
     return CounterexampleReport(
-        p_hat=est.p_hat,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
         naive_prediction=naive,
         neutral_floor=1.0 / N,
-        violation=violation,
+        violation=est.ci_low > max(2.0 * naive, 0.0),
         estimate=est,
+        config=config,
     )

@@ -1,5 +1,5 @@
 """Galton-Watson machinery: bounding offspring laws, exact extinction
-probabilities, survival-conditioned transforms and hitting statistics.
+probabilities and survival-conditioned transforms.
 
 The offspring laws mirror the two bounds used to sandwich the frequency
 process while the beneficial count is small -- mixed Poisson above,
@@ -346,50 +346,3 @@ def conditioned_pmf(
         if j >= k and pj > 0.0:
             acc += pj * math.comb(j, k) * phi**k * (1.0 - phi) ** (j - k)
     return acc / phi
-
-
-@dataclass(frozen=True)
-class HittingStats:
-    """First-exit classification of trials started from a single individual."""
-
-    trials: int
-    reached_upper: float
-    hit_zero: float
-    still_inside: float
-    counts: tuple[int, int, int]
-
-
-def gw_hitting_stats(
-    model: GWModel,
-    upper: int,
-    horizon: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> HittingStats:
-    """Classify trajectories from 1 by first exit from {1, ..., upper-1}."""
-    if upper < 2:
-        raise ValueError(f"need upper >= 2, got {upper}")
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    n_up = n_zero = n_in = 0
-    for _ in range(trials):
-        z = 1
-        for _ in range(horizon):
-            z = model.sample_total(z, rng)
-            if z == 0 or z >= upper:
-                break
-        if z == 0:
-            n_zero += 1
-        elif z >= upper:
-            n_up += 1
-        else:
-            n_in += 1
-    return HittingStats(
-        trials,
-        n_up / trials,
-        n_zero / trials,
-        n_in / trials,
-        (n_up, n_zero, n_in),
-    )

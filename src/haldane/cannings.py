@@ -9,15 +9,16 @@ where k is the current number of beneficial individuals (exchangeability
 lets them occupy the first k slots).  The next beneficial count is an
 exact binomial draw; 0 and N absorb.
 
-A transition consumes only the beneficial/wildtype weight sums, which
-each paintbox source's `split_sums` draws exactly without building the
-N-vector, for one count or for an array of counts at once.  Absorption
-runs advance a whole ensemble of independent trials in lockstep
-(`run_ensemble`), one `split_sums` call and one binomial draw per
-generation, so they stay cheap at N = 10^4 and beyond; they keep only
-the live counts and return integer counts of the outcomes (`Tally`).
-A single trajectory with its first passages is `run_to_absorption`,
-which draws what a one-trial ensemble draws.
+A transition consumes only the beneficial/wildtype weight sums, the two
+blocks split at k that each paintbox source's `block_sums` draws exactly
+without building the N-vector, for one count or for an array of counts
+at once.  Absorption runs advance a whole ensemble of independent trials
+in lockstep (`run_ensemble`), one `block_sums` call and one binomial
+draw per generation, so they stay cheap at N = 10^4 and beyond; they
+keep only the live counts and return integer counts of the outcomes
+(`Tally`).  A single trajectory with its first passages is
+`run_to_absorption`, a loop of `step`, which draws what a one-trial
+ensemble draws.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:
         raise ValueError(f"beneficial count {k} outside [0, {config.N}]")
     if k == 0 or k == config.N:
         return k
-    head, tail = config.paintbox.split_sums(k, config.N, rng)
+    head, tail = config.paintbox.block_sums((k,), config.N, rng)
     return int(rng.binomial(config.N, head / (head + (1.0 - config.s) * tail)))
 
 
@@ -193,7 +194,7 @@ def run_ensemble(
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
     Every generation draws one paintbox split per live trial with a single
-    `split_sums` call and the next counts with a single binomial draw,
+    `block_sums` call and the next counts with a single binomial draw,
     then counts the trials that hit 0 or N and drops them.  Only the live
     counts are kept, plus their running maxima when a threshold lies above
     the start: a trial reached level t (count >= t) if its maximum did.
@@ -208,14 +209,14 @@ def run_ensemble(
     if not 0 < k0 < N:
         fixations = trials if k0 == N else 0
         return Tally(trials, fixations, trials - fixations, 0, 0, 0, hits)
-    split = config.paintbox.split_sums
+    block_sums = config.paintbox.block_sums
     one_minus_s = 1.0 - config.s
     above = sorted(t for t in hits if t > k0)
     k = np.full(trials, k0, dtype=np.int64)
     peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
     while k.size and (cap is None or g < cap):
-        head, tail = split(k, N, rng)
+        head, tail = block_sums((k,), N, rng)
         k = rng.binomial(N, head / (head + one_minus_s * tail))
         g += 1
         if above:
@@ -321,8 +322,8 @@ def growth_factor_qn(
         return QnEstimate(_spiked_qn(config.paintbox, N, s, j0), 0.0, True)
     law = config.paintbox
     y1 = law.sample(trials, rng)
-    mid = law.sample_sum(j0 - 1, rng, size=trials) if j0 > 1 else np.zeros(trials)
-    tail = law.sample_sum(N - j0, rng, size=trials)
+    mid = law.sample_sum(np.full(trials, j0 - 1), rng)
+    tail = law.sample_sum(np.full(trials, N - j0), rng)
     vals = N * y1 / (y1 + mid + tail - s * tail)
     return QnEstimate(
         float(vals.mean()),

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, analysis, branching
 from .cannings import CanningsConfig, ConfigurationError
-from .paintbox import SpikedSpec, YLaw, estimate_weight_moment, parse_source
+from .paintbox import YLaw, estimate_weight_moment, parse_source
 from .streams import trial_rng
 
 CSV_COLUMNS = [
@@ -263,9 +263,8 @@ def _cmd_counterexample(args):
     rep = analysis.counterexample_check(
         args.N, args.gamma, args.b, args.trials, args.seed,
         args.parallelism, args.level)
-    config = CanningsConfig.from_exponent(args.N, args.b, SpikedSpec(args.gamma), 1)
     yield _record(
-        args, config, rep.estimate, gamma=args.gamma,
+        args, rep.config, rep.estimate, gamma=args.gamma,
         naive_prediction=rep.naive_prediction, neutral_floor=rep.neutral_floor,
         violation=rep.violation)
 

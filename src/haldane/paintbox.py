@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +66,11 @@ class YLaw(abc.ABC):
         """n i.i.d. mean-1 draws, all strictly positive."""
 
     @abc.abstractmethod
-    def sample_sum(self, n, rng: np.random.Generator, size: int | None = None):
+    def sample_sum(self, n, rng: np.random.Generator):
         """Sum of n i.i.d. mean-1 draws; closed-form block law where one exists.
 
-        ``n`` is a count or an integer array of counts (one independent sum
-        each); with ``size`` given, returns that many independent sums of n.
+        ``n`` is a count or an integer array of counts, one independent sum
+        each; a zero count gives 0 and consumes no draw.
         """
 
     @abc.abstractmethod
@@ -87,13 +89,19 @@ class YLaw(abc.ABC):
         """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
         raise UnsupportedLawError(f"no closed-form mixing representation for {self.tag()}")
 
-    def split_sums(self, k, N: int, rng: np.random.Generator):
-        """Unnormalized weight mass of the first k and of the other N-k indices.
+    def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
+        """Weight mass of the index blocks [0, c_1), [c_1, c_2), ..., [c_last, N).
 
-        ``k`` is a count or an integer array of counts; both masses come
-        back in its shape, one independent paintbox per entry.
+        The cuts are nondecreasing counts, or integer arrays of one shape
+        with one independent paintbox per entry; the masses come back in
+        that shape.  Here they are sums of Y, so the weights' block sums
+        are the masses over their total.
         """
-        return self.sample_sum(k, rng), self.sample_sum(N - k, rng)
+        edges = (*cuts, N)
+        masses = [self.sample_sum(edges[0], rng)]
+        for lo, hi in pairwise(edges):
+            masses.append(self.sample_sum(hi - lo, rng))
+        return masses
 
     @abc.abstractmethod
     def tag(self) -> str:
@@ -117,10 +125,8 @@ class Deterministic(YLaw):
     def sample(self, n, rng):
         return np.ones(n)
 
-    def sample_sum(self, n, rng, size=None):
-        if size is None:
-            return n * 1.0
-        return np.full(size, float(n))
+    def sample_sum(self, n, rng):
+        return n * 1.0
 
     def raw_moment(self, r):
         return 1.0
@@ -152,9 +158,9 @@ class Gamma(YLaw):
     def sample(self, n, rng):
         return rng.standard_gamma(self.kappa, size=n) / self.kappa
 
-    def sample_sum(self, n, rng, size=None):
+    def sample_sum(self, n, rng):
         # Gamma additivity: sum of n iid Gamma(kappa, 1/kappa) is Gamma(n*kappa, 1/kappa).
-        return rng.standard_gamma(n * self.kappa, size=size) / self.kappa
+        return rng.standard_gamma(n * self.kappa) / self.kappa
 
     def raw_moment(self, r):
         out = 1.0
@@ -223,9 +229,9 @@ class TwoPoint(YLaw):
         a, b = self._ab
         return np.where(rng.random(n) < self.p, a, b)
 
-    def sample_sum(self, n, rng, size=None):
+    def sample_sum(self, n, rng):
         a, b = self._ab
-        j = rng.binomial(n, self.p, size=size)
+        j = rng.binomial(n, self.p)
         return j * a + (n - j) * b
 
     def raw_moment(self, r):
@@ -255,6 +261,8 @@ class LogNormal(YLaw):
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"LogNormal sigma must be > 0, got {self.sigma}")
+        if not self.sigma**2 < math.log(sys.float_info.max):
+            raise ValueError(f"LogNormal sigma={self.sigma:g} overflows E[Y^2] = exp(sigma^2)")
 
     @property
     def scale(self) -> float:
@@ -268,13 +276,11 @@ class LogNormal(YLaw):
     def sample(self, n, rng):
         return rng.lognormal(self._mu, self.sigma, size=n)
 
-    def sample_sum(self, n, rng, size=None):
+    def sample_sum(self, n, rng):
         # no closed-form block law: sum the draws, MAX_DRAW at a time
-        shape = np.shape(n) if size is None else size
-        counts = np.broadcast_to(n, shape).ravel()
         sums = _segment_sums(
-            counts, lambda m: rng.lognormal(self._mu, self.sigma, size=m)).reshape(shape)
-        return float(sums) if sums.ndim == 0 else sums
+            np.ravel(n), lambda m: rng.lognormal(self._mu, self.sigma, size=m))
+        return float(sums[0]) if np.ndim(n) == 0 else sums.reshape(np.shape(n))
 
     def raw_moment(self, r):
         return math.exp(0.5 * (r * r - r) * self.sigma**2)
@@ -367,15 +373,26 @@ class SpikedSpec:
         wo = self.other_weight(N)
         return N * (N - 1) * (ws**2 / N + (1.0 - 1.0 / N) * wo**2)
 
-    def split_sums(self, k, N: int, rng: np.random.Generator):
-        """Weight mass of the first k and of the other N-k indices, spike placed uniformly.
+    def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
+        """Weight mass of the index blocks [0, c_1), ..., [c_last, N), as for Y laws.
 
-        ``k`` is a count or an integer array of counts, as for Y laws.
+        One uniform spike index is drawn per paintbox; the mass of [0, c)
+        is c * other_weight, lifted to the spike's weight when the index
+        lies below c.  The masses sum to 1 up to rounding.
         """
         wo = self.other_weight(N)
-        spiked = rng.integers(N, size=np.shape(k)) < k
-        head = k * wo + spiked * (self.spike_weight(N) - wo)
-        return head, 1.0 - head
+        lift = self.spike_weight(N) - wo
+        # size None for scalar cuts: same draw as a 0-d one, a third of the cost
+        pos = rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None)
+        below = [pos < c for c in cuts]
+        # freed before the float masses are built, which halves the cost
+        # of a call at 16,384 paintboxes
+        del pos
+        edges = (*(c * wo + spiked * lift for c, spiked in zip(cuts, below)), 1.0)
+        masses = [edges[0]]
+        for lo, hi in pairwise(edges):
+            masses.append(hi - lo)
+        return masses
 
     def tag(self) -> str:
         return f"spiked:{self.gamma:g}"
@@ -424,30 +441,19 @@ def block_weight_sums(
     """Sums of a fresh paintbox over consecutive index blocks of the given sizes.
 
     Only block sums of the weights enter the frequency-process transition
-    law, and for every built-in source the joint law of the block sums is
-    available without materializing N weights: for Dirichlet-type sources
-    block sums of Y are closed-form (Gamma additivity, binomial counts,
-    point masses), and for the spiked source the block holding the spike
-    is categorical with probabilities sizes/N.  The result is exactly
-    distributed as the block sums of ``spiked_weights``/``weights_from_y``
-    output; sizes must be nonnegative and sum to N.
+    law, and every source's ``block_sums`` draws them exactly without
+    materializing N weights: block sums of Y are closed-form for
+    Dirichlet-type sources (Gamma additivity, binomial counts, point
+    masses), and the spike lands in a block with probability size/N.
+    The result is distributed as the block sums of
+    ``spiked_weights``/``weights_from_y`` output; sizes must be
+    nonnegative and sum to N.
     """
     sizes = list(sizes)
     if any(n < 0 for n in sizes) or sum(sizes) != N:
         raise ValueError(f"block sizes {sizes} must be >= 0 and sum to N={N}")
-    if isinstance(source, SpikedSpec):
-        wo = source.other_weight(N)
-        sums = np.array([n * wo for n in sizes])
-        pos = int(rng.integers(N))
-        cum = 0
-        for j, n in enumerate(sizes):
-            cum += n
-            if pos < cum:
-                sums[j] += source.spike_weight(N) - wo
-                break
-        return sums
-    ysums = np.array([source.sample_sum(n, rng) if n else 0.0 for n in sizes])
-    return ysums / ysums.sum()
+    sums = np.array(source.block_sums(tuple(accumulate(sizes[:-1])), N, rng))
+    return sums / sums.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +490,7 @@ def estimate_weight_moment(
     if p not in (2, 3):
         raise ValueError(f"supported exponents are 2 and 3, got {p}")
     y1 = law.sample(trials, rng)
-    rest = law.sample_sum(N - 1, rng, size=trials)
+    rest = law.sample_sum(np.full(trials, N - 1), rng)
     vals = (y1 / (y1 + rest)) ** p
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")

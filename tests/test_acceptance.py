@@ -223,14 +223,15 @@ def test_criterion_09_spiked_counterexample():
     rep = counterexample_check(1000, gamma=0.1, b=0.45, trials=10**6, seed=99,
                                parallelism=1)
     floor = 0.9 / 1000
-    ok = (rep.ci_low >= 2 * rep.naive_prediction and rep.ci_low >= floor
+    est = rep.estimate
+    ok = (est.ci_low >= 2 * rep.naive_prediction and est.ci_low >= floor
           and rep.violation)
     report(9, "spiked-counterexample", ok,
-           f"p_hat={rep.p_hat:.6f} ci_low={rep.ci_low:.6f} "
+           f"p_hat={est.p_hat:.6f} ci_low={est.ci_low:.6f} "
            f"2*naive={2 * rep.naive_prediction:.6f} floor={floor:.6f} "
            f"violation={rep.violation}")
-    assert rep.ci_low >= 2 * rep.naive_prediction
-    assert rep.ci_low >= floor
+    assert est.ci_low >= 2 * rep.naive_prediction
+    assert est.ci_low >= floor
     assert rep.violation
 
 

@@ -273,9 +273,11 @@ def test_counterexample_precondition():
 def test_counterexample_small_run_fields():
     rep = counterexample_check(200, gamma=0.1, b=0.45, trials=20000, seed=28)
     assert rep.neutral_floor == pytest.approx(1 / 200)
-    assert 0.0 <= rep.ci_low <= rep.p_hat <= rep.ci_high <= 1.0
+    est = rep.estimate
+    assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
+    assert rep.config.paintbox == SpikedSpec(0.1) and rep.config.N == 200
     spec = SpikedSpec(0.1)
     s = 200.0**-0.45
     expected_naive = 2 * s / spec.rho_squared(200)
     assert rep.naive_prediction == pytest.approx(expected_naive, rel=1e-12)
-    assert rep.violation == (rep.ci_low > 2 * rep.naive_prediction)
+    assert rep.violation == (est.ci_low > 2 * rep.naive_prediction)

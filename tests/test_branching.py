@@ -14,7 +14,6 @@ from haldane.branching import (
     TwoPointImmortal,
     conditioned_pmf,
     extinction_q,
-    gw_hitting_stats,
     gw_step,
     haldane_ref,
 )
@@ -371,38 +370,41 @@ def test_haldane_ratio_trend_plain_poisson():
 
 
 # ---------------------------------------------------------------------------
-# hitting statistics
+# first exits of the offspring laws
 # ---------------------------------------------------------------------------
 
 
+def first_exits(model, upper, horizon, trials, rng):
+    """Counts of runs from 1 that reach `upper`, hit 0, or stay between by `horizon`."""
+    counts = [0, 0, 0]
+    for _ in range(trials):
+        z = 1
+        for _ in range(horizon):
+            z = model.sample_total(z, rng)
+            if z == 0 or z >= upper:
+                break
+        counts[0 if z >= upper else 1 if z == 0 else 2] += 1
+    return counts
+
+
 def test_hitting_immortal_never_zero():
-    stats = gw_hitting_stats(TwoPointImmortal(0.1), 2, 10**4, 2000, make_rng(7))
-    assert stats.hit_zero == 0.0
-    assert stats.reached_upper == 1.0
+    assert first_exits(TwoPointImmortal(0.1), 2, 10**4, 2000, make_rng(7)) == [2000, 0, 0]
 
 
 def test_hitting_still_inside_decays_with_horizon():
-    short = gw_hitting_stats(PlainPoisson(1.1), 16, 32, 10**5, make_rng(8))
-    long = gw_hitting_stats(PlainPoisson(1.1), 16, 64, 10**5, make_rng(8))
-    assert short.still_inside > long.still_inside
-    assert short.reached_upper + short.hit_zero + short.still_inside == pytest.approx(1.0)
+    short = first_exits(PlainPoisson(1.1), 16, 32, 10**5, make_rng(8))
+    long = first_exits(PlainPoisson(1.1), 16, 64, 10**5, make_rng(8))
+    assert short[2] > long[2]
 
 
 def test_hitting_matches_survival_bracket():
     # phi <= P(reach u before 0) <= phi / (1 - (1-phi)^u); both bounds exact
     model = PlainPoisson(1.1)
     phi = extinction_q(model).phi
-    upper = 16
-    stats = gw_hitting_stats(model, upper, 10**4, 10**5, make_rng(9))
-    assert stats.still_inside == 0.0
-    p = stats.reached_upper
-    se = math.sqrt(p * (1 - p) / stats.trials)
+    upper, trials = 16, 10**5
+    reached, _, inside = first_exits(model, upper, 10**4, trials, make_rng(9))
+    assert inside == 0
+    p = reached / trials
+    se = math.sqrt(p * (1 - p) / trials)
     hi = phi / (1.0 - (1.0 - phi) ** upper)
     assert phi - 3 * se <= p <= hi + 3 * se
-
-
-def test_hitting_stats_validation():
-    with pytest.raises(ValueError):
-        gw_hitting_stats(PlainPoisson(1.1), 1, 10, 10, make_rng(0))
-    with pytest.raises(ValueError):
-        gw_hitting_stats(PlainPoisson(1.1), 4, 0, 10, make_rng(0))

@@ -161,14 +161,14 @@ def test_step_lognormal_and_spiked_paths():
     ids=lambda source: source.tag(),
 )
 def test_step_matches_explicit_paintbox(source):
-    # split_sums transition, one count at a time and for an array of n
+    # block_sums transition, one count at a time and for an array of n
     # counts at once, vs Bin(N, success_probability(W, k, s)) with W built
     # weight by weight; two-sample KS at alpha = 0.001
     N, k, s, n = 12, 3, 0.2, 10**5
     cfg = CanningsConfig.from_s(N, s, source, k)
     rng = make_rng(30)
     fast = np.array([step(k, cfg, rng) for _ in range(n)])
-    head, tail = source.split_sums(np.full(n, k), N, rng)
+    head, tail = source.block_sums((np.full(n, k),), N, rng)
     lockstep = rng.binomial(N, head / (head + (1.0 - s) * tail))
     rng = make_rng(31)
     explicit = np.empty(n, dtype=int)

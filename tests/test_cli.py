@@ -67,6 +67,24 @@ def test_parallelism_below_one_exits_2(capsys, workers):
     assert capsys.readouterr().out == ""
 
 
+def test_lognormal_sigma_overflowing_the_second_moment_exits_2(capsys):
+    # E[Y^2] = exp(27^2) overflows a float: rejected before any trial runs
+    assert run_command(["fixation", "--N", "100", "--s", "0.1", "--paintbox", "lognormal:27",
+                        "--trials", "50", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_lognormal_sigma_with_a_finite_second_moment_runs(capsys):
+    code, records = run_jsonl(capsys, ["fixation", "--N", "100", "--s", "0.1",
+                                       "--paintbox", "lognormal:26", "--trials", "50",
+                                       "--seed", "1"])
+    assert code == 0
+    assert records[0]["paintbox"] == "lognormal:26"
+    assert records[0]["ref_variance"] == math.exp(26.0**2)
+
+
 def test_missing_samples_file_exits_2(capsys):
     assert run_command(["duality", "--N", "10", "--k", "2",
                         "--samples", "/nonexistent/aeq.txt"]) == 2

@@ -239,17 +239,18 @@ def test_gamma_mixing_atoms_match_scipy(kappa):
 
 
 # ---------------------------------------------------------------------------
-# split_sums over arrays of counts
+# block_sums over counts and arrays of counts
 # ---------------------------------------------------------------------------
 
+SOURCES = [Deterministic(), Gamma(1.0), Gamma(2.5), TwoPoint(), LogNormal(0.5), SpikedSpec(0.2)]
 
-@pytest.mark.parametrize("source", [
-    Deterministic(), Gamma(1.0), Gamma(2.5), TwoPoint(), LogNormal(0.5), SpikedSpec(0.2),
-], ids=lambda source: source.tag())
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.tag())
 def test_split_sums_take_the_shape_of_the_counts(source):
+    # one cut: the beneficial/wildtype split of the transition
     N = 40
     k = np.array([[1, 5, 39], [20, 2, 7]])
-    head, tail = source.split_sums(k, N, make_rng(40))
+    head, tail = source.block_sums((k,), N, make_rng(40))
     assert head.shape == tail.shape == k.shape
     assert np.all(head > 0) and np.all(tail > 0)
     if isinstance(source, Deterministic):
@@ -257,8 +258,45 @@ def test_split_sums_take_the_shape_of_the_counts(source):
     if isinstance(source, SpikedSpec):
         assert np.allclose(head + tail, 1.0, rtol=0, atol=1e-15)
     # a single count gives a single pair
-    one = source.split_sums(5, N, make_rng(40))
-    assert np.ndim(one[0]) == np.ndim(one[1]) == 0
+    one = source.block_sums((5,), N, make_rng(40))
+    assert len(one) == 2 and np.ndim(one[0]) == np.ndim(one[1]) == 0
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.tag())
+def test_block_sums_with_two_cuts(source):
+    N = 40
+    lo = np.array([[0, 5, 39], [20, 2, 7]])
+    hi = np.array([[1, 5, 40], [30, 40, 7]])
+    masses = source.block_sums((lo, hi), N, make_rng(42))
+    assert len(masses) == 3
+    assert all(m.shape == lo.shape for m in masses)
+    # an empty block has no mass; the others are positive
+    for m, size in zip(masses, (lo, hi - lo, N - hi)):
+        assert np.all((m > 0) == (size > 0))
+    one = source.block_sums((3, 10), N, make_rng(42))
+    assert len(one) == 3 and all(np.ndim(m) == 0 for m in one)
+    if isinstance(source, Deterministic):
+        assert [m.tolist() for m in masses] == [lo.tolist(), (hi - lo).tolist(), (N - hi).tolist()]
+
+
+def test_spiked_block_sums_hold_the_spike_in_one_block():
+    spec, N, n = SpikedSpec(0.2), 40, 1000
+    ws, wo = spec.spike_weight(N), spec.other_weight(N)
+    rng = make_rng(43)
+    cuts = (rng.integers(0, 21, size=n), rng.integers(20, N + 1, size=n))
+    masses = spec.block_sums(cuts, N, rng)
+    total = masses[0] + masses[1] + masses[2]
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+    sizes = (cuts[0], cuts[1] - cuts[0], N - cuts[1])
+    # each block holds its size in plain weights, plus the spike's lift in one block
+    lifted = np.array([np.isclose(m - size * wo, ws - wo, rtol=1e-12, atol=0)
+                       for m, size in zip(masses, sizes)])
+    plain = np.array([np.isclose(m, size * wo, rtol=1e-12, atol=1e-15)
+                      for m, size in zip(masses, sizes)])
+    assert np.all(lifted.sum(axis=0) == 1)
+    assert np.all(lifted | plain)
+    # the spike never lands in an empty block
+    assert not np.any(lifted & (np.array(sizes) == 0))
 
 
 def test_lognormal_sums_are_sliced_out_of_one_stream(monkeypatch):
@@ -368,20 +406,26 @@ def test_block_weight_sums_match_explicit_paintbox():
     sums = block_weight_sums(Gamma(1.0), 100, (10, 40, 50), rng)
     assert sums.shape == (3,)
     assert math.fsum(sums.tolist()) == pytest.approx(1.0, abs=1e-12)
-    spec = SpikedSpec(0.2)
-    sums = block_weight_sums(spec, 100, (10, 90), rng)
+    sums = block_weight_sums(SpikedSpec(0.2), 100, (10, 90), rng)
     assert math.fsum(sums.tolist()) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         block_weight_sums(Gamma(1.0), 100, (10, 10), rng)
-    # the head block against the head sum of explicitly built weights;
-    # two-sample KS at alpha = 0.001
-    n, law = 20000, Gamma(2.5)
-    fast = [block_weight_sums(law, 12, (3, 4, 5), rng)[0] for _ in range(n)]
-    explicit = [weights_from_y(law.sample(12, rng)).head_sum(3) for _ in range(n)]
-    assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
-    fast = [block_weight_sums(spec, 12, (3, 9), rng)[0] for _ in range(n)]
-    explicit = [spiked_weights(12, spec, rng).head_sum(3) for _ in range(n)]
-    assert ks_2samp(fast, explicit).statistic <= 1.949 * math.sqrt(2.0 / n)
+    # every block of a three-block split against the same blocks of
+    # explicitly built weights, for every random source; two-sample KS at
+    # alpha = 0.001 each, on values rounded so that atoms summed in
+    # another order still tie
+    n, N, sizes = 20000, 12, (3, 4, 5)
+    for source in SOURCES[1:]:
+        fast = np.array([block_weight_sums(source, N, sizes, rng) for _ in range(n)])
+        if isinstance(source, SpikedSpec):
+            w = np.array([spiked_weights(N, source, rng).w for _ in range(n)])
+        else:
+            w = np.array([weights_from_y(source.sample(N, rng)).w for _ in range(n)])
+        explicit = np.add.reduceat(w, [0, 3, 7], axis=1)
+        fast, explicit = np.round(fast, 12), np.round(explicit, 12)
+        for j in range(3):
+            stat = ks_2samp(fast[:, j], explicit[:, j]).statistic
+            assert stat <= 1.949 * math.sqrt(2.0 / n), (source.tag(), j, stat)
 
 
 # ---------------------------------------------------------------------------
