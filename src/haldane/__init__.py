@@ -26,7 +26,6 @@ from .branching import (
     TwoPointImmortal,
     conditioned_pmf,
     extinction_q,
-    gw_step,
     haldane_ref,
 )
 from .cannings import (

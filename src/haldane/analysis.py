@@ -6,8 +6,8 @@ fixation from ancestral-line counts, and the spiked-paintbox violation
 check.
 
 Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
-Philox stream keyed by (seed, b), blocks are farmed over workers and
-their outcomes merged with integer counters only, so results are
+Philox stream keyed by (seed, b), blocks are mapped over workers and
+their tallies folded with integer counters only, so results are
 bit-identical for every worker count and any trial can be replayed by
 re-running its block.
 """
@@ -15,7 +15,9 @@ re-running its block.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial, reduce
 from statistics import NormalDist
 from typing import Sequence
 
@@ -56,37 +58,30 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 
 
-def _run_chunk(config, thresholds, seed, trials, first_block, stop_block, cap):
-    """Tally of blocks first_block..stop_block-1 of a `trials`-trial run."""
-    tally = Tally(threshold_hits={t: 0 for t in thresholds})
-    streams = TrialStreams(seed)
-    for b in range(first_block, stop_block):
-        size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-        tally = tally.merge(run_ensemble(config, size, streams.stream(b), thresholds, cap))
-    return tally
+def _run_block(config, thresholds, seed, trials, cap, b):
+    """Tally of block b of a `trials`-trial run, drawn from stream (seed, b)."""
+    size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
+    return run_ensemble(config, size, TrialStreams(seed).stream(b), thresholds, cap)
 
 
 def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> Tally:
-    thresholds = tuple(sorted(set(thresholds)))
-    blocks = -(-trials // BLOCK_TRIALS)
-    workers = min(parallelism, blocks)
-    if workers <= 1:
-        return _run_chunk(config, thresholds, seed, trials, 0, blocks, cap)
-    # imported here: one-block runs never start a pool, and the import
-    # costs every process that loads the package ~12 ms
-    from concurrent.futures import ProcessPoolExecutor
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    run = partial(_run_block, config, tuple(sorted(set(thresholds))), seed, trials, cap)
+    blocks = range(-(-trials // BLOCK_TRIALS))
+    workers = min(parallelism, len(blocks))
+    with ExitStack() as stack:
+        if workers <= 1:
+            tallies = map(run, blocks)
+        else:
+            # imported here: one-block runs never start a pool, and the import
+            # costs every process that loads the package ~12 ms
+            from concurrent.futures import ProcessPoolExecutor
 
-    n_chunks = min(blocks, 4 * workers)
-    bounds = [round(i * blocks / n_chunks) for i in range(n_chunks + 1)]
-    tally = Tally(threshold_hits={t: 0 for t in thresholds})
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_chunk, config, thresholds, seed, trials, lo, hi, cap)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for fut in futures:
-            tally = tally.merge(fut.result())
-    return tally
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # about four tasks per worker
+            tallies = pool.map(run, blocks, chunksize=-(-len(blocks) // (4 * workers)))
+        return reduce(Tally.merge, tallies)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +156,6 @@ def estimate_fixation(
     Block b of BLOCK_TRIALS trials draws from the stream keyed by
     (seed, b); the aggregate is identical for any `parallelism`.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     tally = _farm(config, (), trials, seed, parallelism, cap)
     return _estimate_from_tally(tally, config, level)
 
@@ -176,10 +169,8 @@ def estimate_fixation(
 class PhaseReport:
     threshold_1: int
     threshold_2: int
-    trials: int
     reached_1: int
     reached_2: int
-    fixations: int
     p1: float
     p2: float
     p3: float
@@ -211,8 +202,6 @@ def phase_diagnostics(
         raise ConfigurationError(f"need b + delta < 1/2, got {b + delta}")
     if not 0.0 < eps < 0.5:
         raise ConfigurationError(f"need 0 < eps < 1/2, got {eps}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     lvl1 = math.ceil(config.N ** (b + delta))
     lvl2 = math.floor(eps * config.N)
     if not config.initial_count < lvl1 < lvl2 < config.N:
@@ -227,10 +216,8 @@ def phase_diagnostics(
     return PhaseReport(
         threshold_1=lvl1,
         threshold_2=lvl2,
-        trials=tally.trials,
         reached_1=n1,
         reached_2=n2,
-        fixations=nfix,
         p1=n1 / tally.trials,
         p2=n2 / n1 if n1 else float("nan"),
         p3=nfix / n2 if n2 else float("nan"),

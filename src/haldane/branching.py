@@ -227,13 +227,6 @@ class PlainPoisson(GWModel):
 # ---------------------------------------------------------------------------
 
 
-def gw_step(model: GWModel, z: int, rng: np.random.Generator) -> int:
-    """One generation from z individuals; 0 is absorbing."""
-    if z < 0:
-        raise ValueError(f"population must be >= 0, got {z}")
-    return model.sample_total(z, rng)
-
-
 MAX_NEWTON = 100
 """Default budget of survival-map evaluations for `extinction_q`.
 

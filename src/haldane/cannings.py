@@ -184,6 +184,7 @@ def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:
     return int(rng.binomial(config.N, head / (head + (1.0 - config.s) * tail)))
 
 
+@np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
 def run_ensemble(
     config: CanningsConfig,
     trials: int,
@@ -241,16 +242,14 @@ def run_ensemble(
 
 def run_to_absorption(
     config: CanningsConfig,
+    rng: np.random.Generator,
     thresholds: Sequence[int] = (),
-    rng: np.random.Generator | None = None,
     cap: int | None = None,
 ) -> AbsorptionRecord:
     """One trajectory, `step` by step, with the generation it first reached each threshold.
 
     On a given stream it draws exactly what a one-trial `run_ensemble` draws.
     """
-    if rng is None:
-        raise ValueError("an explicit random stream is required")
     N = config.N
     k = peak = config.initial_count
     passage = {t: 0 for t in thresholds if k >= t}

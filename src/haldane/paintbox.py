@@ -14,8 +14,7 @@ families are provided:
   excess offspring variance that breaks the 2s/rho^2 rule.
 
 All Y laws are normalized to mean 1 internally (weights are invariant
-under scaling of Y); the constructor's original mean is recorded as
-``scale``.
+under scaling of Y).
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ class YLaw(abc.ABC):
     """
 
     conforming: bool = True
-
-    @property
-    @abc.abstractmethod
-    def scale(self) -> float:
-        """Mean of the law as originally parameterized."""
 
     @abc.abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,10 +112,6 @@ class Deterministic(YLaw):
         if not self.value > 0:
             raise ValueError(f"Deterministic value must be > 0, got {self.value}")
 
-    @property
-    def scale(self) -> float:
-        return self.value
-
     def sample(self, n, rng):
         return np.ones(n)
 
@@ -150,10 +140,6 @@ class Gamma(YLaw):
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"Gamma shape must be > 0, got {self.kappa}")
-
-    @property
-    def scale(self) -> float:
-        return self.kappa
 
     def sample(self, n, rng):
         return rng.standard_gamma(self.kappa, size=n) / self.kappa
@@ -216,13 +202,9 @@ class TwoPoint(YLaw):
         if not 0 < self.p < 1:
             raise ValueError(f"TwoPoint probability must be in (0,1), got {self.p}")
 
-    @property
-    def scale(self) -> float:
-        return self.p * self.a + (1 - self.p) * self.b
-
     @cached_property
     def _ab(self) -> tuple[float, float]:
-        m = self.scale
+        m = self.p * self.a + (1 - self.p) * self.b
         return self.a / m, self.b / m
 
     def sample(self, n, rng):
@@ -265,10 +247,6 @@ class LogNormal(YLaw):
             raise ValueError(f"LogNormal sigma={self.sigma:g} overflows E[Y^2] = exp(sigma^2)")
 
     @property
-    def scale(self) -> float:
-        return 1.0
-
-    @property
     def _mu(self) -> float:
         # mean-1 location
         return -0.5 * self.sigma**2
@@ -299,6 +277,8 @@ def _segment_sums(counts: np.ndarray, draw) -> np.ndarray:
     pieces of at most MAX_DRAW variates, so memory stays bounded however
     large the counts are.
     """
+    if counts.min(initial=0) < 0:
+        raise ValueError(f"counts must be >= 0, got {counts.min()}")
     sums = np.zeros(counts.size)
     nonzero = np.flatnonzero(counts)
     ends = np.cumsum(counts[nonzero])

@@ -39,7 +39,6 @@ from haldane.branching import (
     MixedPoisson,
     PlainPoisson,
     extinction_q,
-    gw_step,
 )
 from haldane.cannings import CanningsConfig, step
 from haldane.cli import _record, build_parser
@@ -204,8 +203,8 @@ def test_criterion_08_stochastic_sandwich():
     all_ok, details = True, []
     for k in (1, 10, level_1):
         mid = np.array([step(k, cfg, rng) for _ in range(n)])
-        up = np.array([gw_step(upper, k, rng) for _ in range(n)])
-        low = np.array([gw_step(lower, k, rng) for _ in range(n)])
+        up = np.array([upper.sample_total(k, rng) for _ in range(n)])
+        low = np.array([lower.sample_total(k, rng) for _ in range(n)])
         grid = np.unique(np.concatenate([mid, up, low]))
         f_mid = np.searchsorted(np.sort(mid), grid, side="right") / n
         f_up = np.searchsorted(np.sort(up), grid, side="right") / n

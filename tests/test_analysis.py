@@ -8,7 +8,7 @@ from haldane.analysis import (
     BLOCK_TRIALS,
     FixationEstimate,
     _farm,
-    _run_chunk,
+    _run_block,
     counterexample_check,
     duality_fixation,
     estimate_fixation,
@@ -112,7 +112,7 @@ def test_block_replays_alone():
     # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
     cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
     trials = 2 * BLOCK_TRIALS + 3
-    alone = [_run_chunk(cfg, (5,), 33, trials, b, b + 1, None) for b in range(3)]
+    alone = [_run_block(cfg, (5,), 33, trials, None, b) for b in range(3)]
     for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
         assert alone[b] == run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
     assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
@@ -189,7 +189,7 @@ def test_phase_thresholds_and_telescoping():
     rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=20000, seed=26)
     assert rep.threshold_1 == 16
     assert rep.threshold_2 == 1000
-    assert rep.reached_1 >= rep.reached_2 >= rep.fixations
+    assert rep.reached_1 >= rep.reached_2 >= rep.estimate.fixations
     # exact telescoping of conditional frequencies on one trial set
     assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.estimate.p_hat, rel=1e-12)
     assert 0 <= rep.p1 <= 1 and 0 <= rep.p2 <= 1 and 0 <= rep.p3 <= 1

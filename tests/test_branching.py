@@ -14,7 +14,6 @@ from haldane.branching import (
     TwoPointImmortal,
     conditioned_pmf,
     extinction_q,
-    gw_step,
     haldane_ref,
 )
 from haldane.paintbox import Deterministic, Gamma, LogNormal, TwoPoint, UnsupportedLawError
@@ -54,7 +53,7 @@ def smallest_root_bisect(pgf, iters=200):
 
 
 # ---------------------------------------------------------------------------
-# gw_step
+# one generation: sample_total
 # ---------------------------------------------------------------------------
 
 
@@ -65,11 +64,12 @@ def test_gw_step_zero_absorbing():
         Binary(0.5),
         TwoPointImmortal(0.1),
         MixedPoisson(Gamma(1.0), 1.1),
+        MixedPoisson(LogNormal(1.0), 1.1),
         MixedBinomial(Gamma(1.0), 90, 1.1, 100),
     ):
-        assert gw_step(model, 0, rng) == 0
-    with pytest.raises(ValueError):
-        gw_step(PlainPoisson(1.1), -1, rng)
+        assert model.sample_total(0, rng) == 0
+        with pytest.raises(ValueError):
+            model.sample_total(-1, rng)
 
 
 def test_gw_step_immortal_never_shrinks():
@@ -77,25 +77,25 @@ def test_gw_step_immortal_never_shrinks():
     model = TwoPointImmortal(0.3)
     for k in (1, 5, 20):
         for _ in range(200):
-            assert gw_step(model, k, rng) >= k
+            assert model.sample_total(k, rng) >= k
 
 
 def test_gw_step_plain_poisson_moments():
     rng = make_rng(2)
     model = PlainPoisson(1.1)
-    draws = np.array([gw_step(model, 100, rng) for _ in range(10**5)])
+    draws = np.array([model.sample_total(100, rng) for _ in range(10**5)])
     band = 3 * math.sqrt(110.0 / 10**5)
     assert abs(draws.mean() - 110.0) <= band
 
 
 def test_gw_step_mixed_binomial_clamps_p_at_one():
     # Y*m/N = 2 for every line: each line leaves all M = 4 offspring
-    assert gw_step(MixedBinomial(Deterministic(), 4, 8.0, 4), 10, make_rng(3)) == 40
+    assert MixedBinomial(Deterministic(), 4, 8.0, 4).sample_total(10, make_rng(3)) == 40
     # tiny N with fat potentials forces some Y*m/N > 1 draws
     model = MixedBinomial(LogNormal(2.0), 4, 3.0, 4)
     rng = make_rng(3)
     for _ in range(500):
-        out = gw_step(model, 10, rng)
+        out = model.sample_total(10, rng)
         assert 0 <= out <= 40
 
 
@@ -211,7 +211,7 @@ def test_extinction_mixed_binomial_vs_simulation():
     for _ in range(trials):
         z, gen = 1, 0
         while 0 < z < 500 and gen < 400:
-            z = gw_step(model, z, rng)
+            z = model.sample_total(z, rng)
             gen += 1
         survived += z >= 500
     p = survived / trials
@@ -255,7 +255,7 @@ def test_offspring_variance_closed_forms():
 def test_offspring_variance_mixed_binomial_vs_simulation():
     model = MixedBinomial(Gamma(1.0), 900, 1.1, 1000)
     rng = make_rng(5)
-    draws = np.array([gw_step(model, 1, rng) for _ in range(10**5)])
+    draws = np.array([model.sample_total(1, rng) for _ in range(10**5)])
     assert abs(draws.mean() - model.mean()) <= 4 * draws.std() / math.sqrt(draws.size)
     var = model.variance()
     # sampling error of the sample variance via the empirical fourth moment

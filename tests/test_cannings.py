@@ -189,9 +189,9 @@ def test_step_matches_explicit_paintbox(source):
 
 def test_absorbing_starts():
     rng = make_rng(4)
-    rec = run_to_absorption(wf(10, 0.3, 10), rng=rng)
+    rec = run_to_absorption(wf(10, 0.3, 10), rng)
     assert rec.outcome == "fixation" and rec.tau == 0 and rec.final_state == 10
-    rec = run_to_absorption(wf(10, 0.3, 0), rng=rng)
+    rec = run_to_absorption(wf(10, 0.3, 0), rng)
     assert rec.outcome == "loss" and rec.tau == 0 and rec.final_state == 0
 
 
@@ -209,7 +209,7 @@ def test_first_passage_recording():
     cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
     rng = make_rng(6)
     for _ in range(50):
-        rec = run_to_absorption(cfg, thresholds=(2, 10, 50, 100), rng=rng)
+        rec = run_to_absorption(cfg, rng, (2, 10, 50, 100))
         assert rec.first_passage[2] == 0  # crossed at start
         levels = sorted(rec.first_passage)
         gens = [rec.first_passage[t] for t in levels]
@@ -224,7 +224,7 @@ def test_first_passage_recording():
 
 def test_generation_cap_reports_truncation():
     cfg = wf(1000, 0.0, 500)
-    rec = run_to_absorption(cfg, rng=make_rng(7), cap=3)
+    rec = run_to_absorption(cfg, make_rng(7), cap=3)
     assert rec.outcome == "truncated"
     assert rec.tau == 3
     assert 0 < rec.final_state < 1000
@@ -253,7 +253,7 @@ def test_single_trajectory_follows_step_on_the_same_stream():
     cfg = CanningsConfig.from_s(100, 0.2, Gamma(1.0), 3)
     thresholds = (2, 10, 50)
     for i in range(50):
-        rec = run_to_absorption(cfg, thresholds, trial_rng(9, i))
+        rec = run_to_absorption(cfg, trial_rng(9, i), thresholds)
         rng = trial_rng(9, i)
         path = [3]
         while 0 < path[-1] < 100:
@@ -274,7 +274,7 @@ def test_one_trial_tally_is_the_trajectory(source, cap):
     seen = set()
     for i in range(300):
         tally = run_ensemble(cfg, 1, trial_rng(9, i), thresholds, cap)
-        rec = run_to_absorption(cfg, thresholds, trial_rng(9, i), cap)
+        rec = run_to_absorption(cfg, trial_rng(9, i), thresholds, cap)
         assert (tally.fixations, tally.losses, tally.truncated) == tuple(
             int(rec.outcome == o) for o in ("fixation", "loss", "truncated"))
         assert tally.tau_total == tally.tau_max == tally.lockstep_generations == rec.tau
@@ -314,7 +314,7 @@ def test_cap_truncates_the_same_trials_in_lockstep_as_per_trial():
     capped = Tally()
     for i in range(300):
         capped = capped.merge(run_ensemble(cfg, 1, trial_rng(8, i), cap=cap))
-    late = sum(run_to_absorption(cfg, rng=trial_rng(8, i)).tau > cap for i in range(300))
+    late = sum(run_to_absorption(cfg, trial_rng(8, i)).tau > cap for i in range(300))
     assert capped.trials == 300
     assert capped.truncated == late > 0
     # in lockstep too: a trial is still running after c generations iff

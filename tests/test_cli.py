@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import haldane
-from haldane import cli
+from haldane import analysis, cli
 from haldane.analysis import BLOCK_TRIALS
 from haldane.cli import CSV_COLUMNS, run_command
 
@@ -83,6 +83,36 @@ def test_lognormal_sigma_with_a_finite_second_moment_runs(capsys):
     assert code == 0
     assert records[0]["paintbox"] == "lognormal:26"
     assert records[0]["ref_variance"] == math.exp(26.0**2)
+
+
+def test_nan_success_probability_is_a_runtime_failure(capsys):
+    # at N = 2 both Gamma(0.001) block masses underflow to 0, so the
+    # chance a child is beneficial is 0/0: the run fails, its input is valid
+    assert run_command(["fixation", "--N", "2", "--s", "0.1", "--paintbox", "gamma:0.001",
+                        "--trials", "100", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failure: FloatingPointError")
+
+
+def _raise(*args):
+    raise RuntimeError("ensemble failed")
+
+
+def _die(*args):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("fault, name", [(_raise, "RuntimeError"), (_die, "BrokenProcessPool")])
+def test_failing_pool_worker_exits_1(capsys, monkeypatch, fault, name):
+    # forked workers inherit the patched ensemble; three blocks start the pool
+    monkeypatch.setattr(analysis, "run_ensemble", fault)
+    assert run_command(["fixation", "--N", "20", "--s", "0.1",
+                        "--trials", str(2 * BLOCK_TRIALS + 1), "--seed", "1",
+                        "--parallelism", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"failure: {name}")
 
 
 def test_missing_samples_file_exits_2(capsys):
