@@ -15,7 +15,6 @@ re-running its block.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial, reduce
 from statistics import NormalDist
@@ -58,30 +57,27 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 
 
-def _run_block(config, thresholds, seed, trials, cap, b):
+def _run_block(config, thresholds, seed, trials, b):
     """Tally of block b of a `trials`-trial run, drawn from stream (seed, b)."""
     size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-    return run_ensemble(config, size, TrialStreams(seed).stream(b), thresholds, cap)
+    return run_ensemble(config, size, TrialStreams(seed).stream(b), thresholds)
 
 
-def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> Tally:
+def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    run = partial(_run_block, config, tuple(sorted(set(thresholds))), seed, trials, cap)
+    run = partial(_run_block, config, tuple(sorted(set(thresholds))), seed, trials)
     blocks = range(-(-trials // BLOCK_TRIALS))
     workers = min(parallelism, len(blocks))
-    with ExitStack() as stack:
-        if workers <= 1:
-            tallies = map(run, blocks)
-        else:
-            # imported here: one-block runs never start a pool, and the import
-            # costs every process that loads the package ~12 ms
-            from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return reduce(Tally.merge, map(run, blocks))
+    # imported here: one-block runs never start a pool, and the import
+    # costs every process that loads the package ~12 ms
+    from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # about four tasks per worker
-            tallies = pool.map(run, blocks, chunksize=-(-len(blocks) // (4 * workers)))
-        return reduce(Tally.merge, tallies)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = -(-len(blocks) // (4 * workers))  # about four tasks per worker
+        return reduce(Tally.merge, pool.map(run, blocks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +89,6 @@ def _farm(config, thresholds, trials, seed, parallelism, cap=None) -> Tally:
 class FixationEstimate:
     trials: int
     fixations: int
-    truncated: int
     p_hat: float
     ci_low: float
     ci_high: float
@@ -118,16 +113,13 @@ class FixationEstimate:
 
 def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
     p_hat = tally.fixations / tally.trials
-    # a truncated trial might still have fixed: the upper end counts it as one
-    lo = wilson_interval(tally.fixations, tally.trials, level)[0]
-    hi = wilson_interval(tally.fixations + tally.truncated, tally.trials, level)[1]
+    lo, hi = wilson_interval(tally.fixations, tally.trials, level)
     rv = config.paintbox.rho_squared(config.N)
     s = config.s
     ratio = p_hat * rv / (2.0 * s) if s > 0 else None
     return FixationEstimate(
         trials=tally.trials,
         fixations=tally.fixations,
-        truncated=tally.truncated,
         p_hat=p_hat,
         ci_low=lo,
         ci_high=hi,
@@ -149,14 +141,13 @@ def estimate_fixation(
     seed: int,
     parallelism: int = 1,
     level: float = DEFAULT_LEVEL,
-    cap: int | None = None,
 ) -> FixationEstimate:
     """Fixation frequency over independent absorption runs.
 
     Block b of BLOCK_TRIALS trials draws from the stream keyed by
     (seed, b); the aggregate is identical for any `parallelism`.
     """
-    tally = _farm(config, (), trials, seed, parallelism, cap)
+    tally = _farm(config, (), trials, seed, parallelism)
     return _estimate_from_tally(tally, config, level)
 
 

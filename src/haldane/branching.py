@@ -51,12 +51,20 @@ class GWModel(abc.ABC):
     def tag(self) -> str: ...
 
 
+def _check_mean_factor(m: float) -> None:
+    if not 0.0 <= m < math.inf:
+        raise ValueError(f"mean factor must be finite and >= 0, got {m}")
+
+
 @dataclass(frozen=True)
 class MixedPoisson(GWModel):
     """Offspring Pois(Y * m): the per-line upper bound on the early phase."""
 
     law: YLaw
     m: float
+
+    def __post_init__(self):
+        _check_mean_factor(self.m)
 
     def mean(self):
         return self.m
@@ -96,6 +104,13 @@ class MixedBinomial(GWModel):
     M: int
     m: float
     N: int
+
+    def __post_init__(self):
+        _check_mean_factor(self.m)
+        if not self.M >= 0:
+            raise ValueError(f"binomial trial count must be >= 0, got {self.M}")
+        if not self.N >= 1:
+            raise ValueError(f"binomial scale must be >= 1, got {self.N}")
 
     def mean(self):
         return self.M * self.m / self.N
@@ -201,6 +216,9 @@ class PlainPoisson(GWModel):
 
     m: float
 
+    def __post_init__(self):
+        _check_mean_factor(self.m)
+
     def mean(self):
         return self.m
 
@@ -274,6 +292,8 @@ def extinction_q(
     critical case), and S(1) = 1 (no mass at 0 offspring) gives phi = 1;
     both come with bound 0.
     """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
     probe = model.pgf(1.0)  # raises UnsupportedLawError for MGF-less mixing laws
     if abs(probe - 1.0) > 1e-9:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")

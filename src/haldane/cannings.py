@@ -112,9 +112,9 @@ class CanningsConfig:
 
 @dataclass
 class AbsorptionRecord:
-    """One trajectory's outcome and phase instrumentation."""
+    """One trajectory, run to absorption: its outcome and phase instrumentation."""
 
-    outcome: str  # 'fixation' | 'loss' | 'truncated'
+    outcome: str  # 'fixation' | 'loss'
     tau: int
     final_state: int
     max_count: int
@@ -123,31 +123,31 @@ class AbsorptionRecord:
 
 @dataclass(frozen=True)
 class Tally:
-    """Integer counts over a set of absorption trials; `merge` is order-insensitive.
+    """Integer counts over trials run to absorption; `merge` is order-insensitive.
 
     `threshold_hits[t]` counts the trials whose count reached t (count >=
-    t) by absorption or the cap; `lockstep_generations` sums the
-    generations each lockstep run took, i.e. its longest trial.
+    t); `lockstep_generations` sums the generations each lockstep run
+    took, i.e. its longest trial.
     """
 
-    trials: int = 0
     fixations: int = 0
     losses: int = 0
-    truncated: int = 0
     tau_total: int = 0
     tau_max: int = 0
     threshold_hits: dict[int, int] = field(default_factory=dict)
     lockstep_generations: int = 0
+
+    @property
+    def trials(self) -> int:
+        return self.fixations + self.losses
 
     def merge(self, other: "Tally") -> "Tally":
         hits = dict(self.threshold_hits)
         for t, c in other.threshold_hits.items():
             hits[t] = hits.get(t, 0) + c
         return Tally(
-            self.trials + other.trials,
             self.fixations + other.fixations,
             self.losses + other.losses,
-            self.truncated + other.truncated,
             self.tau_total + other.tau_total,
             max(self.tau_max, other.tau_max),
             hits,
@@ -190,7 +190,6 @@ def run_ensemble(
     trials: int,
     rng: np.random.Generator,
     thresholds: Sequence[int] = (),
-    cap: int | None = None,
 ) -> Tally:
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
@@ -199,9 +198,8 @@ def run_ensemble(
     then counts the trials that hit 0 or N and drops them.  Only the live
     counts are kept, plus their running maxima when a threshold lies above
     the start: a trial reached level t (count >= t) if its maximum did.
-    Absorption is a.s. finite, so there is no cap by default; when one is
-    given, the trials still running after `cap` generations are counted
-    as truncated rather than being silently misclassified.
+    Absorption is a.s. finite, so the run ends when every trial has fixed
+    or been lost.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -209,14 +207,14 @@ def run_ensemble(
     hits = {t: trials if k0 >= t else 0 for t in thresholds}
     if not 0 < k0 < N:
         fixations = trials if k0 == N else 0
-        return Tally(trials, fixations, trials - fixations, 0, 0, 0, hits)
+        return Tally(fixations, trials - fixations, 0, 0, hits)
     block_sums = config.paintbox.block_sums
     one_minus_s = 1.0 - config.s
     above = sorted(t for t in hits if t > k0)
     k = np.full(trials, k0, dtype=np.int64)
     peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
-    while k.size and (cap is None or g < cap):
+    while k.size:
         head, tail = block_sums((k,), N, rng)
         k = rng.binomial(N, head / (head + one_minus_s * tail))
         g += 1
@@ -235,16 +233,13 @@ def run_ensemble(
                 for t in above:
                     hits[t] += int(np.count_nonzero(gone >= t))
                 peak = peak[live]
-    for t in above:  # the truncated trials
-        hits[t] += int(np.count_nonzero(peak >= t))
-    return Tally(trials, fixations, losses, k.size, tau_total + g * k.size, g, hits, g)
+    return Tally(fixations, losses, tau_total, g, hits, g)
 
 
 def run_to_absorption(
     config: CanningsConfig,
     rng: np.random.Generator,
     thresholds: Sequence[int] = (),
-    cap: int | None = None,
 ) -> AbsorptionRecord:
     """One trajectory, `step` by step, with the generation it first reached each threshold.
 
@@ -254,15 +249,14 @@ def run_to_absorption(
     k = peak = config.initial_count
     passage = {t: 0 for t in thresholds if k >= t}
     tau = 0
-    while 0 < k < N and (cap is None or tau < cap):
+    while 0 < k < N:
         k = step(k, config, rng)
         tau += 1
         peak = max(peak, k)
         for t in thresholds:
             if k >= t:
                 passage.setdefault(t, tau)
-    outcome = "fixation" if k == N else "loss" if k == 0 else "truncated"
-    return AbsorptionRecord(outcome, tau, k, peak, passage)
+    return AbsorptionRecord("fixation" if k == N else "loss", tau, k, peak, passage)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ CSV_COLUMNS = [
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
     "model", "y", "m", "M", "beta_s", "p", "tol", "k", "samples_file",
     "moment_p", "level",
-    "p_hat", "fixations", "truncated", "ci_low", "ci_high",
+    "p_hat", "fixations", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
     "trial_generations", "lockstep_generations",
     "p1", "p2", "p3", "threshold_1", "threshold_2",
@@ -301,11 +301,11 @@ def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
         text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        # inapplicable cells stay empty; a field missing from CSV_COLUMNS raises
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for rec in records:
-            writer.writerow({k: ("" if rec.get(k) is None else rec.get(k))
-                             for k in CSV_COLUMNS})
+            writer.writerow({k: v for k, v in rec.items() if v is not None})
         text = buf.getvalue()
     if out_path is None:
         sys.stdout.write(text)

@@ -44,6 +44,7 @@ from haldane.cannings import CanningsConfig, step
 from haldane.cli import _record, build_parser
 from haldane.paintbox import Deterministic, Gamma, estimate_weight_moment
 from haldane.streams import make_rng
+from test_branching import smallest_root_bisect
 
 RHO2_GAMMA1 = 2.0
 KS_COEFF_001 = math.sqrt(-math.log(0.005) / 2.0)  # two-sample, level 0.01
@@ -52,19 +53,6 @@ KS_COEFF_001 = math.sqrt(-math.log(0.005) / 2.0)  # two-sample, level 0.01
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'} {name}: {detail}")
     return ok
-
-
-def bisect_smallest_root(pgf, iters=200):
-    lo, hi = 0.0, 1.0 - 1e-12
-    if pgf(hi) - hi >= 0.0:
-        return 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if pgf(mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +74,7 @@ def test_criterion_01_exact_gw_survival():
     err_mp = abs(res_mp.phi - 1.0 / 11.0)
     model = PlainPoisson(1.1)
     res_pp = extinction_q(model)
-    err_pp = abs(res_pp.phi - (1.0 - bisect_smallest_root(model.pgf)))
+    err_pp = abs(res_pp.phi - (1.0 - smallest_root_bisect(model.pgf)))
     ok = err_mp <= 1e-10 and err_pp <= 1e-6
     report(1, "exact-gw-survival", ok,
            f"mixed-poisson err={err_mp:.2e} (tol 1e-10), "

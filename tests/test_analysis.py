@@ -68,7 +68,6 @@ def test_estimate_neutral_small():
     assert est.ci_low <= 1 / 50 <= est.ci_high
     assert est.haldane == 0.0 and est.ratio is None
     assert est.fixations <= est.trials
-    assert est.truncated == 0
 
 
 def test_estimate_two_state_oracle():
@@ -96,7 +95,6 @@ def test_estimate_matches_gamma1_closed_form(N, x0):
     est = estimate_fixation(cfg, 40000, seed=31)
     sigma = math.sqrt(exact * (1 - exact) / est.trials)
     assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
-    assert est.truncated == 0
 
 
 @pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
@@ -112,27 +110,10 @@ def test_block_replays_alone():
     # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
     cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
     trials = 2 * BLOCK_TRIALS + 3
-    alone = [_run_block(cfg, (5,), 33, trials, None, b) for b in range(3)]
+    alone = [_run_block(cfg, (5,), 33, trials, b) for b in range(3)]
     for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
         assert alone[b] == run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
     assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
-
-
-def test_cap_widens_the_upper_bound_by_the_truncated_trials():
-    # a truncated trial may still fix, so the interval's upper end counts
-    # it as a fixation; the capped run is a prefix of the uncapped one,
-    # whose fixation frequency must then lie between the two counts
-    cfg = CanningsConfig.from_s(50, 0.05, Gamma(1.0), 5)
-    est = estimate_fixation(cfg, 4000, seed=8, cap=20)
-    free = estimate_fixation(cfg, 4000, seed=8)
-    n, fix, trunc = est.trials, est.fixations, est.truncated
-    assert trunc > 0 and free.truncated == 0
-    assert est.p_hat == fix / n
-    assert est.ci_low == wilson_interval(fix, n, est.level)[0]
-    assert est.ci_high == wilson_interval(fix + trunc, n, est.level)[1]
-    assert fix <= free.fixations <= fix + trunc
-    assert est.max_tau == est.lockstep_generations == 20
-    assert est.trial_generations < free.trial_generations
 
 
 def test_estimate_monotone_in_selection():
@@ -157,7 +138,7 @@ def test_estimate_spiked_uses_finite_n_variance():
 
 def test_fixation_estimate_invariants_raise():
     # exceptions, not asserts, so that `python -O` keeps the checks
-    fields = dict(trials=10, fixations=3, truncated=0, p_hat=0.3, ci_low=0.1,
+    fields = dict(trials=10, fixations=3, p_hat=0.3, ci_low=0.1,
                   ci_high=0.6, level=0.99, s=0.1, ref_variance=2.0, haldane=0.1,
                   ratio=3.0, mean_tau=2.0, max_tau=5, trial_generations=20,
                   lockstep_generations=5)

@@ -222,14 +222,6 @@ def test_first_passage_recording():
         assert rec.max_count >= max(levels)
 
 
-def test_generation_cap_reports_truncation():
-    cfg = wf(1000, 0.0, 500)
-    rec = run_to_absorption(cfg, make_rng(7), cap=3)
-    assert rec.outcome == "truncated"
-    assert rec.tau == 3
-    assert 0 < rec.final_state < 1000
-
-
 def test_neutral_martingale_fixation_frequency():
     # with s=0, fixation probability from k is exactly k/N; 3 sigma Wilson band
     cfg = CanningsConfig.from_s(20, 0.0, Gamma(1.0), 4)
@@ -265,30 +257,28 @@ def test_single_trajectory_follows_step_on_the_same_stream():
 
 
 @pytest.mark.parametrize("source", [Gamma(1.0), SpikedSpec(0.2)], ids=["gamma:1", "spiked"])
-@pytest.mark.parametrize("cap", [None, 20])
-def test_one_trial_tally_is_the_trajectory(source, cap):
+def test_one_trial_tally_is_the_trajectory(source):
     # on one stream a one-trial ensemble draws what the step-by-step
     # trajectory draws, so its tally holds that trajectory's counts
     cfg = CanningsConfig.from_s(100, 0.2, source, 3)
     thresholds = (2, 3, 10, 50, 100)
     seen = set()
     for i in range(300):
-        tally = run_ensemble(cfg, 1, trial_rng(9, i), thresholds, cap)
-        rec = run_to_absorption(cfg, trial_rng(9, i), thresholds, cap)
-        assert (tally.fixations, tally.losses, tally.truncated) == tuple(
-            int(rec.outcome == o) for o in ("fixation", "loss", "truncated"))
+        tally = run_ensemble(cfg, 1, trial_rng(9, i), thresholds)
+        rec = run_to_absorption(cfg, trial_rng(9, i), thresholds)
+        assert (tally.fixations, tally.losses) == tuple(
+            int(rec.outcome == o) for o in ("fixation", "loss"))
         assert tally.tau_total == tally.tau_max == tally.lockstep_generations == rec.tau
         assert tally.threshold_hits == {t: int(t in rec.first_passage) for t in thresholds}
         seen.add(rec.outcome)
-    assert seen == ({"fixation", "loss"} if cap is None else {"fixation", "loss", "truncated"})
+    assert seen == {"fixation", "loss"}
 
 
-@pytest.mark.parametrize("cap", [None, 15])
-def test_tally_identities(cap):
+def test_tally_identities():
     cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
     levels = (1, 3, 10, 50, 100)
-    tally = run_ensemble(cfg, 3000, make_rng(6), levels, cap)
-    assert tally.fixations + tally.losses + tally.truncated == tally.trials == 3000
+    tally = run_ensemble(cfg, 3000, make_rng(6), levels)
+    assert tally.trials == 3000  # every trial fixed or was lost
     hits = [tally.threshold_hits[t] for t in levels]
     assert hits == sorted(hits, reverse=True)  # nonincreasing in the level
     assert hits[0] == hits[1] == 3000  # at or below the start
@@ -296,36 +286,11 @@ def test_tally_identities(cap):
     assert tally.fixations > 0 and hits[2] < 3000  # some fix, some never reach 10
     assert tally.tau_max == tally.lockstep_generations
     assert tally.tau_max <= tally.tau_total <= tally.tau_max * 3000
-    assert (tally.truncated > 0) == (cap is not None)
-    if cap is not None:
-        assert tally.tau_max == cap
     for k0, fixations in ((0, 0), (100, 3000)):  # absorbing starts
         start = CanningsConfig.from_s(100, 0.3, Gamma(1.0), k0)
-        assert run_ensemble(start, 3000, make_rng(6), levels, cap) == Tally(
-            3000, fixations, 3000 - fixations, 0, 0, 0,
+        assert run_ensemble(start, 3000, make_rng(6), levels) == Tally(
+            fixations, 3000 - fixations, 0, 0,
             {t: 3000 if k0 >= t else 0 for t in levels}, 0)
-
-
-def test_cap_truncates_the_same_trials_in_lockstep_as_per_trial():
-    # up to the cap a capped run draws exactly what an uncapped one does,
-    # so the truncated trials are those whose uncapped tau exceeds the cap
-    cfg = CanningsConfig.from_s(50, 0.05, Gamma(1.0), 5)
-    cap = 20
-    capped = Tally()
-    for i in range(300):
-        capped = capped.merge(run_ensemble(cfg, 1, trial_rng(8, i), cap=cap))
-    late = sum(run_to_absorption(cfg, trial_rng(8, i)).tau > cap for i in range(300))
-    assert capped.trials == 300
-    assert capped.truncated == late > 0
-    # in lockstep too: a trial is still running after c generations iff
-    # its tau exceeds c, so the truncated counts over caps c = 0, 1, ...
-    # sum to the uncapped total of tau
-    free = run_ensemble(cfg, 1000, make_rng(8))
-    truncated = [run_ensemble(cfg, 1000, make_rng(8), cap=c).truncated
-                 for c in range(free.tau_max + 1)]
-    assert truncated == sorted(truncated, reverse=True)
-    assert truncated[0] == 1000 and truncated[-1] == 0 < truncated[-2]
-    assert sum(truncated) == free.tau_total
 
 
 class _DrawLog:
@@ -346,10 +311,10 @@ def test_lognormal_ensemble_draws_in_bounded_slices():
     # 300 trials at N = 1e4 need 3e6 potentials in their first generation
     cfg = CanningsConfig.from_exponent(10**4, 0.25, LogNormal(0.7), 1)
     log = _DrawLog(make_rng(12))
-    tally = run_ensemble(cfg, 300, log, cap=5)
+    tally = run_ensemble(cfg, 300, log)
     assert max(log.sizes) <= MAX_DRAW
     assert sum(log.sizes[:3]) >= MAX_DRAW  # the first generation took several slices
-    assert tally.fixations + tally.losses + tally.truncated == 300
+    assert tally.trials == 300
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,19 @@ def test_gw_survival_missing_param_exits_2(capsys):
                         "--y", "gamma:1", "--m", "1.1"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--model", "plain-poisson", "--m", "1.5", "--tol", "nan"],
+    ["--model", "plain-poisson", "--m", "1.5", "--tol", "-1"],
+    ["--model", "mixed-poisson", "--m", "-2"],
+    ["--model", "mixed-binomial", "--M", "100", "--N", "0", "--m", "1.5"],
+], ids=["tol-nan", "tol-negative", "mean-negative", "scale-zero"])
+def test_gw_survival_bad_law_or_tolerance_exits_2(capsys, flags):
+    assert run_command(["gw-survival", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_duality_from_file(capsys, tmp_path):
     path = tmp_path / "aeq.txt"
     path.write_text("2\n2\n")
@@ -354,6 +367,7 @@ def test_every_csv_column_is_filled(capsys, tmp_path):
     mc = ["--trials", "200", "--seed", "1"]
     runs = [
         ["fixation", "--N", "50", "--b", "0.3", *mc],
+        ["sweep", "--N", "50", "100", "--b", "0.3", *mc],
         ["phases", "--N", "1000", "--b", "0.2", "--delta", "0.15", "--eps", "0.1", *mc],
         ["gw-survival", "--model", "mixed-binomial", "--m", "1.1", "--M", "90", "--N", "100"],
         ["gw-survival", "--model", "two-point-immortal", "--beta-s", "0.1"],
@@ -362,11 +376,14 @@ def test_every_csv_column_is_filled(capsys, tmp_path):
         ["counterexample", "--N", "200", "--gamma", "0.1", "--b", "0.45", *mc],
         ["moments", "--N", "100", *mc],
     ]
-    filled = set()
+    keys, filled = set(), set()
     for argv in runs:
         code, records = run_jsonl(capsys, argv)
         assert code == 0, argv
+        keys.update(k for rec in records for k in rec)
         filled.update(k for rec in records for k, v in rec.items() if v is not None)
+    # every record field has a column, and every column is filled by some record
+    assert keys == set(CSV_COLUMNS), keys ^ set(CSV_COLUMNS)
     assert set(CSV_COLUMNS) <= filled, set(CSV_COLUMNS) - filled
 
 
