@@ -6,10 +6,10 @@ fixation from ancestral-line counts, and the spiked-paintbox violation
 check.
 
 Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
-Philox stream keyed by (seed, b), blocks are mapped over workers and
-their tallies folded with integer counters only, so results are
-bit-identical for every worker count and any trial can be replayed by
-re-running its block.
+SFC64 stream keyed by (seed, b) (see `streams`), blocks are mapped over
+workers and their tallies folded with integer counters only, so results
+are bit-identical for every worker count and any trial can be replayed
+by re-running its block.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from typing import Sequence
 from .branching import haldane_ref
 from .cannings import CanningsConfig, ConfigurationError, Tally, run_ensemble
 from .paintbox import SpikedSpec
-from .streams import TrialStreams
+from .streams import TrialStreams, layout
 
 DEFAULT_LEVEL = 0.99
 BLOCK_TRIALS = 16384
 """Trials per lockstep block, and so per random stream; fixed, whatever the worker count."""
-STREAM_LAYOUT = f"philox(seed, block={BLOCK_TRIALS})"
+STREAM_LAYOUT = layout(f"block={BLOCK_TRIALS}")
 
 
 def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):

@@ -5,9 +5,10 @@ experiment to the output (JSON lines by default, CSV on request), with
 a one-line summary on stderr.  Records embed the fully resolved
 configuration, the seed, all estimates with intervals, the 2s/variance
 reference and ratio, the wall-clock seconds of that experiment alone,
-the artifact and numpy versions and the layout of the random streams
-(NEP 19 lets numpy change `Generator` streams between versions), so a
-results file is self-describing and re-runnable.
+the artifact, numpy and Python versions and the layout of the random
+streams (the bit generator and what keys each stream; NEP 19 lets numpy
+change `Generator` streams between versions), so a results file is
+self-describing and re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 The HALDANE_PARALLELISM environment variable sets the default worker
@@ -24,6 +25,7 @@ import io
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 
@@ -32,10 +34,11 @@ import numpy as np
 from . import __version__, analysis, branching
 from .cannings import CanningsConfig, ConfigurationError
 from .paintbox import YLaw, estimate_weight_moment, parse_source
-from .streams import trial_rng
+from .streams import layout, trial_rng
 
 CSV_COLUMNS = [
-    "command", "version", "numpy_version", "stream_layout", "seed", "trials", "parallelism",
+    "command", "version", "numpy_version", "python_version", "stream_layout",
+    "seed", "trials", "parallelism",
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
     "model", "y", "m", "M", "beta_s", "p", "tol", "k", "samples_file",
     "moment_p", "level",
@@ -173,6 +176,7 @@ def _record(args, config: CanningsConfig | None = None,
         "command": args.command,
         "version": __version__,
         "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         # fixation estimates come from the block farm; other records that
         # draw say how, and records that draw nothing have no layout
         "stream_layout": analysis.STREAM_LAYOUT if estimate is not None else None,
@@ -277,7 +281,7 @@ def _cmd_moments(args):
         est = estimate_weight_moment(law, N, p, args.trials, trial_rng(args.seed, i))
         yield _record(args, N=N, paintbox=law.tag(), moment_p=p,
                       moment_value=est.value, moment_stderr=est.stderr,
-                      ref_variance=law.rho_squared(N), stream_layout="philox(seed, cell)")
+                      ref_variance=law.rho_squared(N), stream_layout=layout("cell"))
 
 
 _HANDLERS = {

@@ -294,14 +294,15 @@ def test_tally_identities():
 
 
 class _DrawLog:
-    """Random stream that records the size of every lognormal call."""
+    """Random stream that records the size of every normal call (lognormal
+    potentials are drawn as exp(mu + sigma z))."""
 
     def __init__(self, rng):
         self._rng, self.sizes = rng, []
 
-    def lognormal(self, mean, sigma, size):
+    def standard_normal(self, size):
         self.sizes.append(int(np.prod(size)))
-        return self._rng.lognormal(mean, sigma, size)
+        return self._rng.standard_normal(size)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import haldane
 from haldane import analysis, cli
 from haldane.analysis import BLOCK_TRIALS
 from haldane.cli import CSV_COLUMNS, run_command
+from haldane.streams import trial_rng
 
 
 def run_jsonl(capsys, argv):
@@ -178,14 +180,14 @@ GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (GOLDEN_ARGV + ["deterministic"], (2397, 56387, 52)),
-    (GOLDEN_ARGV + ["gamma:1"], (1581, 37324, 45)),
-    (GOLDEN_ARGV + ["gamma:2.5"], (1989, 46737, 48)),
-    (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2131, 50172, 44)),
-    (GOLDEN_ARGV + ["lognormal:0.7"], (1908, 44761, 48)),
-    (GOLDEN_ARGV + ["spiked:0.2"], (332, 18060, 53)),
+    (GOLDEN_ARGV + ["deterministic"], (2424, 57019, 43)),
+    (GOLDEN_ARGV + ["gamma:1"], (1583, 37582, 47)),
+    (GOLDEN_ARGV + ["gamma:2.5"], (2037, 48512, 45)),
+    (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2099, 49873, 45)),
+    (GOLDEN_ARGV + ["lognormal:0.7"], (1891, 44910, 51)),
+    (GOLDEN_ARGV + ["spiked:0.2"], (413, 19157, 61)),
     (["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
-      "--trials", "30000", "--seed", "7"], (30, 54643, 23)),
+      "--trials", "30000", "--seed", "7"], (35, 54805, 32)),
 ], ids=["deterministic", "gamma:1", "gamma:2.5", "two-point", "lognormal:0.7",
         "spiked:0.2", "counterexample"])
 def test_golden_records(capsys, argv, expected):
@@ -289,17 +291,35 @@ def test_moments_cells_draw_from_their_own_streams(capsys):
         "moments", "--N", "100", "100", "--p", "2", "--trials", "500", "--seed", "2"])
     assert code == 0
     assert records[0]["moment_value"] != records[1]["moment_value"]
-    assert {rec["stream_layout"] for rec in records} == {"philox(seed, cell)"}
+    assert {rec["stream_layout"] for rec in records} == {"sfc64(seed, cell)"}
 
 
 def test_records_name_numpy_and_stream_layout(capsys):
     _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0.1",
                                    "--trials", "50", "--seed", "1"])
     assert rec["numpy_version"] == np.__version__
-    assert rec["stream_layout"] == f"philox(seed, block={BLOCK_TRIALS})"
+    assert rec["python_version"] == platform.python_version()
+    assert rec["stream_layout"] == f"sfc64(seed, block={BLOCK_TRIALS})"
     _, (rec,) = run_jsonl(capsys, ["gw-survival", "--model", "binary", "--p", "0.6"])
     assert rec["numpy_version"] == np.__version__
+    assert rec["python_version"] == platform.python_version()
     assert rec["stream_layout"] is None  # draws nothing
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixation", "--N", "20", "--s", "0.1"],
+    ["sweep", "--N", "20", "30", "--b", "0.3"],
+    ["phases", "--N", "1000", "--b", "0.2", "--delta", "0.15", "--eps", "0.1"],
+    ["counterexample", "--N", "200", "--gamma", "0.1", "--b", "0.45"],
+    ["moments", "--N", "100", "200"],
+], ids=lambda argv: argv[0])
+def test_monte_carlo_layouts_name_the_bit_generator(capsys, argv):
+    # the layout names the bit generator the streams are actually built on
+    name = type(trial_rng(0, 0).bit_generator).__name__.lower()
+    code, records = run_jsonl(capsys, argv + ["--trials", "50", "--seed", "1"])
+    assert code == 0 and records
+    for rec in records:
+        assert rec["stream_layout"].startswith(name + "("), rec["stream_layout"]
 
 
 def test_moments_runs_serially(capsys):
@@ -439,15 +459,17 @@ def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
 
 def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
     # a fresh interpreter, since the test process has both loaded: either
-    # import would cost every run's start-up
+    # import would cost every run's start-up; so would numpy's lazily
+    # loaded numpy.random for a solve, which draws nothing
     script = (
         "import sys\n"
         "from haldane.cli import run_command\n"
         "codes = [run_command(['gw-survival', '--model', 'mixed-poisson',"
-        " '--y', 'gamma:1', '--m', '1.1']),\n"
-        "         run_command(['fixation', '--N', '20', '--s', '0.1', '--trials', '50',"
-        " '--seed', '1', '--parallelism', '2'])]\n"
-        "print(codes, [m for m in ('scipy', 'concurrent.futures', 'multiprocessing')"
+        " '--y', 'gamma:1', '--m', '1.1'])]\n"
+        "loaded = ['numpy.random'] if 'numpy.random' in sys.modules else []\n"
+        "codes.append(run_command(['fixation', '--N', '20', '--s', '0.1', '--trials', '50',"
+        " '--seed', '1', '--parallelism', '2']))\n"
+        "print(codes, loaded + [m for m in ('scipy', 'concurrent.futures', 'multiprocessing')"
         " if m in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": str(Path(haldane.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -1,5 +1,10 @@
-import numpy as np
+import ast
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import haldane
 from haldane.streams import TrialStreams, make_rng, trial_rng
 
 
@@ -14,10 +19,29 @@ def test_same_key_reproduces():
 
 
 def test_seed_and_index_do_not_collide():
-    # (seed, index) packs into disjoint 64-bit halves
+    # seed and index enter SeedSequence as entropy and spawn key, so
+    # swapping them names a different stream
     a = trial_rng(1, 0).random(4)
     b = trial_rng(0, 1).random(4)
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 0), (7, 5), (2**63 + 11, 3)])
+def test_stream_is_the_spawned_child_sequence(seed, index):
+    # numpy's documented parallel streams: child `index` of SeedSequence(seed)
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+    expected = np.random.Generator(np.random.SFC64(child))
+    assert trial_rng(seed, index).integers(0, 2**63, 16).tolist() == \
+        expected.integers(0, 2**63, 16).tolist()
+
+
+def test_negative_seed_is_masked_to_64_bits():
+    assert trial_rng(-3, 2).random(8).tolist() == trial_rng(2**64 - 3, 2).random(8).tolist()
+
+
+def test_first_draws_of_a_thousand_streams_are_distinct():
+    first = [int(trial_rng(7, i).integers(0, 2**63)) for i in range(1000)]
+    assert len(set(first)) == 1000
 
 
 def test_trial_streams_matches_trial_rng():
@@ -32,3 +56,26 @@ def test_trial_streams_matches_trial_rng():
 
 def test_make_rng_is_stream_zero():
     assert make_rng(5).random(4).tolist() == trial_rng(5, 0).random(4).tolist()
+
+
+_CONSTRUCTORS = {"Generator", "RandomState", "default_rng"} | {
+    name for name, obj in vars(np.random).items()
+    if isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)
+}
+
+
+def test_only_streams_constructs_generators():
+    # every random stream of the package comes from `streams`, so its
+    # layout is the one the records name
+    package = Path(haldane.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _CONSTRUCTORS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, offenders
