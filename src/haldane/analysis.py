@@ -9,7 +9,10 @@ Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
 SFC64 stream keyed by (seed, b) (see `streams`), blocks are mapped over
 workers and their tallies folded with integer counters only, so results
 are bit-identical for every worker count and any trial can be replayed
-by re-running its block.
+by re-running its block.  A block runs until its slowest trial is
+absorbed, some (2/s) ln N generations when one fixes, and each of those
+generations costs numpy's fixed per-call overhead however few trials
+are left; so fewer, larger blocks pay for fewer of these tails.
 """
 
 from __future__ import annotations
@@ -26,8 +29,12 @@ from .paintbox import SpikedSpec
 from .streams import TrialStreams, layout
 
 DEFAULT_LEVEL = 0.99
-BLOCK_TRIALS = 16384
-"""Trials per lockstep block, and so per random stream; fixed, whatever the worker count."""
+BLOCK_TRIALS = 32768
+"""Trials per lockstep block, and so per random stream; fixed, whatever the worker count.
+
+2^15 runs half the tails of 2^14; 2^16 would leave every run of fewer
+than 65,536 trials on one worker.
+"""
 STREAM_LAYOUT = layout(f"block={BLOCK_TRIALS}")
 
 

@@ -216,7 +216,10 @@ def run_ensemble(
     fixations = losses = tau_total = g = 0
     while k.size:
         head, tail = block_sums((k,), N, rng)
-        k = rng.binomial(N, head / (head + one_minus_s * tail))
+        # head / (head + (1-s) tail), operation for operation, in place
+        tail *= one_minus_s
+        tail += head
+        k = rng.binomial(N, np.divide(head, tail, out=tail))
         g += 1
         if above:
             np.maximum(peak, k, out=peak)

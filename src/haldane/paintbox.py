@@ -92,10 +92,14 @@ class YLaw(abc.ABC):
         are the masses over their total.
         """
         edges = (*cuts, N)
-        masses = [self.sample_sum(edges[0], rng)]
-        for lo, hi in pairwise(edges):
-            masses.append(self.sample_sum(hi - lo, rng))
-        return masses
+        # one draw for every block: all first blocks, then all second
+        # blocks, ..., the order of one sample_sum call per block (a
+        # lognormal sum split by a MAX_DRAW slice edge may round apart)
+        sizes = np.empty((len(edges), *np.shape(edges[0])), dtype=np.int64)
+        sizes[0, ...] = edges[0]
+        for i, (lo, hi) in enumerate(pairwise(edges), 1):
+            np.subtract(hi, lo, out=sizes[i, ...])
+        return list(self.sample_sum(sizes, rng))
 
     @abc.abstractmethod
     def tag(self) -> str:
@@ -146,7 +150,9 @@ class Gamma(YLaw):
 
     def sample_sum(self, n, rng):
         # Gamma additivity: sum of n iid Gamma(kappa, 1/kappa) is Gamma(n*kappa, 1/kappa).
-        return rng.standard_gamma(n * self.kappa) / self.kappa
+        x = rng.standard_gamma(n * self.kappa)
+        x /= self.kappa
+        return x
 
     def raw_moment(self, r):
         out = 1.0

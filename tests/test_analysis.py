@@ -106,6 +106,15 @@ def test_tally_identical_across_worker_counts(trials):
     assert tallies[0].trials == trials
 
 
+def test_run_of_at_most_one_block_is_one_lockstep_run():
+    # the benchmark's 25,000-trial counterexample pass: one block, one stream
+    trials = 25000
+    assert trials <= BLOCK_TRIALS
+    est = counterexample_check(1000, gamma=0.1, b=0.45, trials=trials, seed=7).estimate
+    assert est.trials == trials
+    assert est.lockstep_generations == est.max_tau
+
+
 def test_block_replays_alone():
     # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
     cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)

@@ -277,6 +277,24 @@ def test_block_sums_with_two_cuts(source):
         assert [m.tolist() for m in masses] == [lo.tolist(), (hi - lo).tolist(), (N - hi).tolist()]
 
 
+@pytest.mark.parametrize("law", [s for s in SOURCES if not isinstance(s, SpikedSpec)],
+                         ids=lambda law: law.tag())
+def test_block_sums_draw_the_blocks_in_turn(law):
+    # one fused draw is one sample_sum per block on the same stream, first
+    # blocks first (exact while a lognormal draw fits in one MAX_DRAW slice)
+    N = 40
+    lo = np.array([[0, 5, 39], [20, 2, 7]])
+    hi = np.array([[1, 5, 40], [30, 40, 7]])
+    for cuts, sizes in (((lo, hi), (lo, hi - lo, N - hi)), ((3, 10), (3, 7, 30))):
+        for seed in (44, 45):
+            fused_rng, rng = make_rng(seed), make_rng(seed)
+            fused = law.block_sums(cuts, N, fused_rng)
+            apart = [law.sample_sum(size, rng) for size in sizes]
+            assert [np.asarray(m).tolist() for m in fused] == [
+                np.asarray(m).tolist() for m in apart]
+            assert fused_rng.random() == rng.random()
+
+
 def test_spiked_block_sums_hold_the_spike_in_one_block():
     spec, N, n = SpikedSpec(0.2), 40, 1000
     ws, wo = spec.spike_weight(N), spec.other_weight(N)
