@@ -97,8 +97,12 @@ def test_estimate_matches_gamma1_closed_form(N, x0):
     assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
 
 
-@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
-                                    2 * BLOCK_TRIALS + 3])
+@pytest.mark.parametrize("trials", [
+    # around half a block (the former block size) and just past one block
+    BLOCK_TRIALS // 2 - 1, BLOCK_TRIALS // 2, BLOCK_TRIALS // 2 + 1, BLOCK_TRIALS + 3,
+    # around one block and just past two
+    BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3,
+])
 def test_tally_identical_across_worker_counts(trials):
     cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
     tallies = [_farm(cfg, (5, 15), trials, 32, parallelism) for parallelism in (1, 2, 3)]
