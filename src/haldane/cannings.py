@@ -30,11 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .paintbox import (
-    Deterministic,
     PaintboxSource,
-    SpikedSpec,
+    QnEstimate,
     UnsupportedLawError,
     WeightVector,
+    YLaw,
     block_weight_sums,
 )
 
@@ -267,29 +267,6 @@ def run_to_absorption(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QnEstimate:
-    """Per-generation mean growth factor of the comparison process."""
-
-    value: float
-    stderr: float
-    exact: bool
-
-
-def _spiked_qn(spec: SpikedSpec, N: int, s: float, j0: int) -> float:
-    # E[W_1 / (1 - s * tail)] over the uniform spike position; three cases:
-    # spike at index 1, spike elsewhere in the head, spike in the tail.
-    ws, wo = spec.spike_weight(N), spec.other_weight(N)
-    tail_plain = (N - j0) * wo
-    tail_spiked = (N - j0 - 1) * wo + ws
-    val = (
-        ws / (1.0 - s * tail_plain) / N
-        + (j0 - 1) / N * wo / (1.0 - s * tail_plain)
-        + (N - j0) / N * wo / (1.0 - s * tail_spiked)
-    )
-    return N * val
-
-
 def growth_factor_qn(
     config: CanningsConfig,
     eps: float,
@@ -298,8 +275,8 @@ def growth_factor_qn(
 ) -> QnEstimate:
     """q_N = N * E[W_1 / (1 - s * sum of weights past floor(eps*N))].
 
-    Closed form for sourceless randomness (Deterministic, Spiked); Monte
-    Carlo with a standard error otherwise.
+    Exact at s = 0 and when floor(eps*N) = 0; otherwise the paintbox's
+    `qn` gives it, in closed form or by Monte Carlo with a standard error.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -312,20 +289,7 @@ def growth_factor_qn(
     if j0 == 0:
         # discounted tail is the whole population: q_N = N E[W_1]/(1-s)
         return QnEstimate(1.0 / (1.0 - s), 0.0, True)
-    if isinstance(config.paintbox, Deterministic):
-        return QnEstimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
-    if isinstance(config.paintbox, SpikedSpec):
-        return QnEstimate(_spiked_qn(config.paintbox, N, s, j0), 0.0, True)
-    law = config.paintbox
-    y1 = law.sample(trials, rng)
-    mid = law.sample_sum(np.full(trials, j0 - 1), rng)
-    tail = law.sample_sum(np.full(trials, N - j0), rng)
-    vals = N * y1 / (y1 + mid + tail - s * tail)
-    return QnEstimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / math.sqrt(trials)),
-        False,
-    )
+    return config.paintbox.qn(N, s, j0, trials, rng)
 
 
 def step_tilde(
@@ -337,11 +301,11 @@ def step_tilde(
 ) -> int:
     """One transition of the lower comparison process.
 
-    Below floor(eps*N) the selection discount is frozen at the weight mass
+    Up to floor(eps*N) the selection discount is frozen at the weight mass
     past that level: Bin(N, head / (1 - s * tail)).  Above it the process
-    branches, each line leaving Pois(Y * q_N) offspring; pass a
-    precomputed `q_n` there to keep repeated calls cheap and on one
-    stream discipline (it is estimated from `rng` otherwise).
+    branches, each line leaving Pois(Y * q_N) offspring.  That regime needs
+    a Y law and `q_n`, computed once with `growth_factor_qn`; without it
+    the step raises ValueError.
     """
     if k < 0:
         raise ValueError(f"count must be >= 0, got {k}")
@@ -353,10 +317,10 @@ def step_tilde(
         sums = block_weight_sums(config.paintbox, N, (k, j0 - k, N - j0), rng)
         p = sums[0] / (1.0 - s * sums[2])
         return int(rng.binomial(N, p))
-    if isinstance(config.paintbox, SpikedSpec):
+    if not isinstance(config.paintbox, YLaw):
         raise UnsupportedLawError(
             "the branching regime of the comparison process needs a Dirichlet-type paintbox"
         )
     if q_n is None:
-        q_n = growth_factor_qn(config, eps, 4096, rng).value
+        raise ValueError(f"count {k} is past floor(eps*N) = {j0}: pass q_n from growth_factor_qn")
     return int(rng.poisson(q_n * config.paintbox.sample_sum(k, rng)))

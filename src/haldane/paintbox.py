@@ -39,6 +39,21 @@ MAX_DRAW = 1 << 20
 """Most variates one call draws when a law sums its potentials one by one."""
 
 
+@dataclass(frozen=True)
+class QnEstimate:
+    """Per-generation mean growth factor of the comparison process."""
+
+    value: float
+    stderr: float
+    exact: bool
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; one value has an infinite one."""
+    stderr = vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else math.inf
+    return float(vals.mean()), float(stderr)
+
+
 # ---------------------------------------------------------------------------
 # Offspring-potential laws
 # ---------------------------------------------------------------------------
@@ -82,6 +97,15 @@ class YLaw(abc.ABC):
     def mixing_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
         raise UnsupportedLawError(f"no closed-form mixing representation for {self.tag()}")
+
+    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> QnEstimate:
+        """q_N = N E[W_1 / (1 - s * sum(W_i, i > j0))] for 1 <= j0 < N, by Monte Carlo.
+
+        Each of `trials` paintboxes takes Y_1, then the head's other Y, then the tail's."""
+        y1 = self.sample(trials, rng)
+        mid = self.sample_sum(np.full(trials, j0 - 1), rng)
+        tail = self.sample_sum(np.full(trials, N - j0), rng)
+        return QnEstimate(*_mean_stderr(N * y1 / (y1 + mid + tail - s * tail)), False)
 
     def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
         """Weight mass of the index blocks [0, c_1), [c_1, c_2), ..., [c_last, N).
@@ -130,6 +154,10 @@ class Deterministic(YLaw):
 
     def mixing_atoms(self):
         return np.array([1.0]), np.array([1.0])
+
+    def qn(self, N, s, j0, trials, rng):
+        # every weight is 1/N
+        return QnEstimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
 
     def tag(self):
         return f"deterministic:{self.value:g}"
@@ -362,6 +390,18 @@ class SpikedSpec:
         wo = self.other_weight(N)
         return N * (N - 1) * (ws**2 / N + (1.0 - 1.0 / N) * wo**2)
 
+    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> QnEstimate:
+        """q_N in closed form: the spike at index 1, elsewhere in the head, or in the tail."""
+        ws, wo = self.spike_weight(N), self.other_weight(N)
+        tail_plain = (N - j0) * wo
+        tail_spiked = (N - j0 - 1) * wo + ws
+        val = (
+            ws / (1.0 - s * tail_plain) / N
+            + (j0 - 1) / N * wo / (1.0 - s * tail_plain)
+            + (N - j0) / N * wo / (1.0 - s * tail_spiked)
+        )
+        return QnEstimate(N * val, 0.0, True)
+
     def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
         """Weight mass of the index blocks [0, c_1), ..., [c_last, N), as for Y laws.
 
@@ -474,33 +514,28 @@ def estimate_weight_moment(
     the moment asymptotics are stated for); W_1 = Y_1/(Y_1 + rest) needs
     just Y_1 and the block sum of the other N-1 potentials.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if p not in (2, 3):
         raise ValueError(f"supported exponents are 2 and 3, got {p}")
     y1 = law.sample(trials, rng)
     rest = law.sample_sum(np.full(trials, N - 1), rng)
-    vals = (y1 / (y1 + rest)) ** p
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return WeightMomentEstimate(mean, stderr, trials, N, p)
+    return WeightMomentEstimate(*_mean_stderr((y1 / (y1 + rest)) ** p), trials, N, p)
+
+
+_SOURCES = {"deterministic": Deterministic, "gamma": Gamma, "two-point": TwoPoint,
+            "lognormal": LogNormal, "spiked": SpikedSpec}
 
 
 def parse_source(text: str) -> PaintboxSource:
     """Parse a `name:params` tag (as emitted by .tag()) into a source."""
     name, _, params = text.partition(":")
     args = [float(x) for x in params.split(",")] if params else []
+    if name not in _SOURCES:
+        raise ValueError(f"unknown paintbox {text!r}")
     try:
-        if name == "deterministic":
-            return Deterministic(*args) if args else Deterministic()
-        if name == "gamma":
-            return Gamma(*args) if args else Gamma()
-        if name == "two-point":
-            return TwoPoint(*args) if args else TwoPoint()
-        if name == "lognormal":
-            return LogNormal(*args) if args else LogNormal()
-        if name == "spiked":
-            return SpikedSpec(*args)
+        return _SOURCES[name](*args)
     except TypeError as exc:
         raise ValueError(f"bad parameters for paintbox {text!r}: {exc}") from None
-    raise ValueError(f"unknown paintbox {text!r}")

@@ -24,6 +24,7 @@ from haldane.paintbox import (
     LogNormal,
     SpikedSpec,
     TwoPoint,
+    UnsupportedLawError,
     spiked_weights,
     weights_from_y,
 )
@@ -361,6 +362,14 @@ def test_qn_spiked_closed_form_matches_monte_carlo():
     assert abs(exact.value - mc) <= 4 * se
 
 
+def test_qn_one_trial_has_infinite_stderr():
+    # one value has no sample variance: an infinite standard error, no warning
+    cfg = CanningsConfig.from_s(1000, 0.05, Gamma(1.0), 1)
+    est = growth_factor_qn(cfg, 0.1, 1, make_rng(10))
+    assert not est.exact and math.isfinite(est.value)
+    assert est.stderr == math.inf
+
+
 def test_step_tilde_zero_absorbing():
     cfg = CanningsConfig.from_s(100, 0.1, Gamma(1.0), 1)
     assert step_tilde(0, cfg, 0.2, make_rng(13)) == 0
@@ -397,6 +406,20 @@ def test_step_tilde_branching_regime_above_eps():
     draws = np.array([step_tilde(30, cfg, 0.1, rng, q_n=qn) for _ in range(20000)])
     # mixed Poisson mean 30*q_n
     assert abs(draws.mean() - 30 * qn) <= 4 * draws.std() / math.sqrt(draws.size)
+
+
+def test_step_tilde_past_eps_needs_qn():
+    # floor(0.1 * 100) = 10: from 11 on the process branches with q_N
+    cfg = CanningsConfig.from_s(100, 0.1, Gamma(1.0), 1)
+    assert step_tilde(10, cfg, 0.1, make_rng(20)) >= 0
+    with pytest.raises(ValueError, match="q_n"):
+        step_tilde(11, cfg, 0.1, make_rng(20))
+
+
+def test_step_tilde_branching_regime_needs_a_y_law():
+    cfg = CanningsConfig.from_s(100, 0.1, SpikedSpec(0.2), 1)
+    with pytest.raises(UnsupportedLawError):
+        step_tilde(11, cfg, 0.1, make_rng(21), q_n=1.1)
 
 
 def test_step_tilde_stochastically_below_step():

@@ -286,6 +286,16 @@ def test_moments_table(capsys):
         assert rec["moment_value"] > 0 and rec["moment_stderr"] > 0
 
 
+@pytest.mark.parametrize("paintbox", ["deterministic", "gamma:1", "two-point:0.5,1.5,0.3"])
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_moments_nonpositive_population_exits_2(capsys, paintbox, N):
+    assert run_command(["moments", "--paintbox", paintbox, "--N", N,
+                        "--trials", "10", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: need N >= 1, got {N}")
+
+
 def test_moments_cells_draw_from_their_own_streams(capsys):
     code, records = run_jsonl(capsys, [
         "moments", "--N", "100", "100", "--p", "2", "--trials", "500", "--seed", "2"])

@@ -354,6 +354,12 @@ def test_weight_moment_gamma_third_scale():
     assert 5.0 <= N**3 * est.value <= 7.0
 
 
+def test_weight_moment_one_trial_has_infinite_stderr():
+    est = estimate_weight_moment(Gamma(1.0), 1000, 2, 1, make_rng(10))
+    assert math.isfinite(est.value)
+    assert est.stderr == math.inf
+
+
 def test_weight_moment_bad_exponent():
     with pytest.raises(ValueError):
         estimate_weight_moment(Gamma(1.0), 100, 4, 10, make_rng(0))
@@ -464,6 +470,20 @@ def test_block_weight_sums_match_explicit_paintbox():
 )
 def test_parse_source_roundtrip(source):
     assert parse_source(source.tag()) == source
+
+
+@pytest.mark.parametrize("text, message", [
+    ("foo", "unknown paintbox 'foo'"),
+    ("foo:1", "unknown paintbox 'foo:1'"),
+    ("gamma:x", "could not convert string to float: 'x'"),
+    ("spiked", "bad parameters for paintbox 'spiked': "),
+    ("gamma:1,2", "bad parameters for paintbox 'gamma:1,2': "),
+    ("gamma:-1", "Gamma shape must be > 0, got -1.0"),
+])
+def test_parse_source_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_source(text)
+    assert str(info.value).startswith(message)
 
 
 def test_parse_source_rejects_unknown():

@@ -64,18 +64,42 @@ _CONSTRUCTORS = {"Generator", "RandomState", "default_rng"} | {
 }
 
 
+def _name(expr):
+    return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+
+def _calls_outside(module):
+    """(file name, Call node) for every call in the package outside `module`."""
+    package = Path(haldane.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != module:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    yield path.name, node
+
+
 def test_only_streams_constructs_generators():
     # every random stream of the package comes from `streams`, so its
     # layout is the one the records name
-    package = Path(haldane.__file__).parent
     offenders = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "streams.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in _CONSTRUCTORS:
-                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    for fname, node in _calls_outside("streams.py"):
+        name = _name(node.func)
+        if name in _CONSTRUCTORS:
+            offenders.append(f"{fname}:{node.lineno} {name}")
+    assert not offenders, offenders
+
+
+_SOURCE_CLASSES = {"Deterministic", "Gamma", "TwoPoint", "LogNormal", "SpikedSpec"}
+
+
+def test_only_paintbox_tests_source_classes():
+    # each source owns its laws (block sums, rho^2, q_N), so no other
+    # module branches on which concrete source it holds; YLaw checks stay
+    offenders = []
+    for fname, node in _calls_outside("paintbox.py"):
+        if _name(node.func) == "isinstance" and len(node.args) == 2:
+            classes = node.args[1]
+            for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                if _name(cls) in _SOURCE_CLASSES:
+                    offenders.append(f"{fname}:{node.lineno} {_name(cls)}")
     assert not offenders, offenders
