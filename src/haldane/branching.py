@@ -7,9 +7,10 @@ mixed binomial below -- plus the immortal two-point law, a binary law
 and a plain Poisson for calibration.  Survival probabilities are the
 largest root of the survival map S(phi) = 1 - f(1 - phi), f the
 offspring PGF.  Each law writes S without cancellation near phi = 0, so
-Newton's method from phi = 1 brackets the root to an absolute width
-even at offspring means of 1 + 1e-4; bisection routes on the PGF exist
-in the tests as the independent oracle.
+Newton's method from Haldane's 2(mean - 1)/variance (or from phi = 1)
+brackets the root to an absolute width even at offspring means of
+1 + 1e-4; bisection routes on the PGF exist in the tests as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import abc
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,11 +78,18 @@ class MixedPoisson(GWModel):
     def pgf(self, q):
         return float(self.law.mgf(self.m * (q - 1.0)))
 
-    def survival_map(self, phi):
+    @cached_property
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        # (Poisson rates m*v, weights), fixed for the model's life
         vals, wts = self.law.mixing_atoms()
-        rate = self.m * vals
-        return (float(-np.dot(wts, np.expm1(-rate * phi))),
-                float(np.dot(wts, rate * np.exp(-rate * phi))))
+        return self.m * vals, wts
+
+    def survival_map(self, phi):
+        rate, wts = self._atoms
+        miss = np.expm1(rate * -phi)
+        # exp(-rate * phi) = miss + 1, so one pass over the atoms gives both
+        slope = (miss + 1.0) * rate
+        return -float(np.dot(wts, miss)), float(np.dot(wts, slope))
 
     def sample_total(self, z, rng):
         if z == 0:
@@ -120,21 +129,30 @@ class MixedBinomial(GWModel):
         ey2 = self.law.raw_moment(2)
         return self.M * r - self.M * r**2 * ey2 + self.M**2 * r**2 * (ey2 - 1.0)
 
-    def pgf(self, q):
+    @cached_property
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (success probabilities p, weights w, w*p), fixed for the model's life
         vals, wts = self.law.mixing_atoms()
         p = np.minimum(vals * self.m / self.N, 1.0)
+        return p, wts, wts * p
+
+    def pgf(self, q):
+        p, wts, _ = self._atoms
         with np.errstate(divide="ignore"):
-            log_terms = self.M * np.log1p(-p * (1.0 - q))
+            log_terms = self.M * np.log1p(p * (q - 1.0))
         return float(np.dot(wts, np.exp(log_terms)))
 
     def survival_map(self, phi):
-        vals, wts = self.law.mixing_atoms()
-        p = np.minimum(vals * self.m / self.N, 1.0)
+        p, wts, wp = self._atoms
         with np.errstate(divide="ignore"):
-            miss = np.expm1(self.M * np.log1p(-p * phi))
-        # numpy's 0**0 is 1, which M = 1 needs at p * phi = 1
-        slope = self.M * p * np.power(1.0 - p * phi, self.M - 1)
-        return float(-np.dot(wts, miss)), float(np.dot(wts, slope))
+            log_hit = np.log1p(p * -phi)  # log(1 - p*phi), -inf at p*phi = 1
+        miss = np.expm1(self.M * log_hit)
+        if self.M == 1:
+            # (1 - p*phi)^0 = 1 even at p*phi = 1, where 0 * log_hit is nan
+            slope = float(np.sum(wp))
+        else:
+            slope = self.M * float(np.dot(wp, np.exp((self.M - 1) * log_hit)))
+        return -float(np.dot(wts, miss)), slope
 
     def sample_total(self, z, rng):
         if z == 0:
@@ -248,12 +266,22 @@ class PlainPoisson(GWModel):
 MAX_NEWTON = 100
 """Default budget of survival-map evaluations for `extinction_q`.
 
-Newton's method from phi = 1 roughly halves phi until it nears the root
-and then converges quadratically, so a root at 1e-8 takes about 30.
+A Haldane start puts the first point of a slightly supercritical solve
+just above its root, and Newton converges quadratically from there:
+each of the five near-critical benchmark solves takes 6.  From phi = 1
+(a dropped start) Newton roughly halves phi until it nears the root, so
+a root at 1e-8 takes about 30.
 """
 
 _SIGN_MARGIN = 8.0 * sys.float_info.epsilon
 """Relative rounding error allowed for S(phi) - phi before its sign counts."""
+
+_HALDANE_START = 1.2
+"""Multiple of Haldane's 2(mean - 1)/variance at which `extinction_q` starts.
+
+Near criticality the root is Haldane's value times 1 + O(mean - 1), so a
+start 20% above it is an upper end that Newton leaves quadratically.
+"""
 
 
 @dataclass(frozen=True)
@@ -277,13 +305,19 @@ def extinction_q(
 
     1 - q is the largest root of the survival map S(phi) = 1 - f(1 - phi),
     which is concave with S(0) = 0 and S'(0) = the offspring mean.  So
-    Newton's method from phi = 1 falls monotonically onto it, and every
-    Newton point is an upper end of a bracket: S(phi) < phi.  Once the
-    steps are small, a probe two steps (plus a rounding margin) below
-    the upper end looks for a lower end, where S(phi) > phi; until one
-    is found the lower end is 0, below the root since the mean exceeds
-    1.  A sign that contradicts what a step expected widens the rounding
-    margin those steps keep from the root.  The solver stops when the
+    Newton's method from any phi with S(phi) < phi falls monotonically
+    onto it, and every Newton point is an upper end of a bracket.  The
+    first point is the Haldane start g = 1.2 * 2(mean - 1)/variance when
+    the variance is positive, g < 1/2 and `max_iter` allows two
+    evaluations: if S(g) < g beyond a rounding margin, g is the upper
+    end and S(1) is never evaluated; if S(g) > g beyond it, g is the
+    lower end and Newton starts from phi = 1; otherwise g is dropped.
+    Once the steps are small, a probe two steps (plus a rounding margin)
+    below the upper end looks for a lower end, where S(phi) > phi; until
+    one is found the lower end is 0, below the root since the mean
+    exceeds 1.  A sign that contradicts what a step expected widens the
+    rounding margin those steps keep from the root.  So each end is
+    certified by a sign of S(phi) - phi.  The solver stops when the
     bracket is at most `tol` wide, so `tol` is absolute in phi; it
     returns the upper end as `phi` and the width as `bound`.  If
     `max_iter` evaluations run out first, `bound > tol` says so.
@@ -297,14 +331,26 @@ def extinction_q(
     probe = model.pgf(1.0)  # raises UnsupportedLawError for MGF-less mixing laws
     if abs(probe - 1.0) > 1e-9:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")
-    if model.mean() <= 1.0:
+    mean = model.mean()
+    if mean <= 1.0:
         return SurvivalResult(0.0, 0, 0.0)
     lo, hi = 0.0, 1.0
-    s, slope = model.survival_map(hi)
-    iterations = 1
-    if s >= hi:
-        return SurvivalResult(1.0, iterations, 0.0)
+    iterations = 0
     margin = _SIGN_MARGIN
+    variance = model.variance()
+    guess = _HALDANE_START * 2.0 * (mean - 1.0) / variance if variance > 0 else 1.0
+    if 0.0 < guess < 0.5 and max_iter > 1:  # a low start leaves S(1) to evaluate
+        s, slope = model.survival_map(guess)
+        iterations += 1
+        if s < guess * (1.0 - margin):
+            hi = guess
+        elif s > guess * (1.0 + margin):
+            lo = guess
+    if hi == 1.0:  # no Haldane upper end
+        s, slope = model.survival_map(hi)
+        iterations += 1
+        if s >= hi:
+            return SurvivalResult(1.0, iterations, 0.0)
     while hi - lo > tol and iterations < max_iter:
         descent = 1.0 - slope  # -(S(phi) - phi)' > 0 above the root, by concavity
         step = (hi - s) / descent

@@ -24,6 +24,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -300,16 +301,31 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _finite(rec: dict) -> dict:
+    """`rec` with each non-finite float (an infinite error bar, an undefined
+    ratio) replaced by None, which RFC 8259 JSON and CSV can both write."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in rec.items()}
+
+
+def _json_line(rec: dict) -> str:
+    try:
+        text = json.dumps(rec, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or Infinity, which are not JSON
+        text = json.dumps(_finite(rec), sort_keys=True, allow_nan=False)
+    return text + "\n"
+
+
 def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
     if fmt == "jsonl":
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        text = "".join(map(_json_line, records))
     else:
         buf = io.StringIO()
         # inapplicable cells stay empty; a field missing from CSV_COLUMNS raises
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for rec in records:
-            writer.writerow({k: v for k, v in rec.items() if v is not None})
+            writer.writerow({k: v for k, v in _finite(rec).items() if v is not None})
         text = buf.getvalue()
     if out_path is None:
         sys.stdout.write(text)

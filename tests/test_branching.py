@@ -1,11 +1,13 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import lambertw
 
+from haldane import branching
 from haldane.branching import (
     Binary,
     MixedBinomial,
@@ -50,6 +52,91 @@ def smallest_root_bisect(pgf, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _decimal_pgf(model):
+    """The offspring PGF of `model` in Decimal arithmetic.
+
+    A mixed law is the discrete law of its float atoms: the rates or
+    success probabilities as the model forms them from its law's
+    `mixing_atoms`, with the weights normalized exactly, so f(1) = 1.
+    A weight sum off 1 by 1e-16 would move a near-critical root by
+    1e-16 / (mean - 1).
+    """
+    if isinstance(model, PlainPoisson):
+        m = Decimal(model.m)
+        return lambda q: (m * (q - 1)).exp()
+    if isinstance(model, Binary):
+        p = Decimal(model.p)
+        return lambda q: 1 - p + p * q * q
+    vals, wts = model.law.mixing_atoms()
+    total = sum(map(Decimal, wts))
+    wts = [Decimal(w) / total for w in wts]
+    if isinstance(model, MixedPoisson):
+        rates = [Decimal(r) for r in model.m * vals]
+        return lambda q: sum(w * (r * (q - 1)).exp() for w, r in zip(wts, rates))
+    hits = [Decimal(p) for p in np.minimum(vals * model.m / model.N, 1.0)]
+    return lambda q: sum(w * (1 - p * (1 - q)) ** model.M for w, p in zip(wts, hits))
+
+
+def survival_bracket_decimal(model, digits=50, iters=80):
+    """Independent oracle: bisect 1 - f(1 - phi) - phi on (0, 1] at `digits` digits.
+
+    Returns Decimal ends (a, b) with the survival map above the diagonal at
+    a and not above it at b; the largest root lies in [a, b], and b - a is
+    2^-iters.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pgf = _decimal_pgf(model)
+        a, b = Decimal(0), Decimal(1)
+        for _ in range(iters):
+            mid = (a + b) / 2
+            if 1 - pgf(1 - mid) - mid > 0:
+                a = mid
+            else:
+                b = mid
+    return a, b
+
+
+def _w_branch_series(n):
+    """First `n` coefficients mu_k of W_0(z) = sum_k mu_k p^k, p = sqrt(2(1 + e z)).
+
+    The recurrence of Corless et al. (1996), "On the Lambert W function",
+    eqs. 4.23-4.24, in exact fractions.
+    """
+    mu, alpha = [Fraction(-1), Fraction(1)], [Fraction(2), Fraction(-1)]
+    for k in range(2, n):
+        alpha.append(sum((mu[j] * mu[k + 1 - j] for j in range(2, k)), Fraction(0)))
+        mu.append(Fraction(k - 1, k + 1) * (mu[k - 2] / 2 + alpha[k - 2] / 4)
+                  - alpha[k] / 2 - mu[k - 1] / (k + 1))
+    return [float(c) for c in mu]
+
+
+_W_BRANCH = _w_branch_series(60)
+
+
+def plain_poisson_survival(m):
+    """Survival probability 1 + W_0(-m e^-m) / m of Pois(m) offspring, 1 < m <= 2.
+
+    As m -> 1 the argument -m e^-m nears W's branch point -1/e, where W
+    magnifies the argument's rounding: scipy's `lambertw` misses the root
+    by 1.1e-10 relative at m = 1.001.  So the series of W in
+    p = sqrt(2(1 + e z)) is summed instead, with
+    1 + e z = -expm1(log1p(eps) - eps) and eps = m - 1.  The difference
+    log1p(eps) - eps is 2 atanh(u) - eps for u = eps / (2 + eps), whose
+    leading term 2u - eps = -eps u is taken in closed form, so nothing
+    cancels.
+    Sixty terms reach 1e-17 relative up to m = 2.
+    """
+    eps = m - 1.0
+    u = eps / (2.0 + eps)
+    log_ratio = -eps * u + 2.0 * sum(u ** (2 * j + 1) / (2 * j + 1) for j in range(1, 30))
+    p = math.sqrt(-2.0 * math.expm1(log_ratio))
+    w_plus_1 = 0.0
+    for mu in reversed(_W_BRANCH[1:]):
+        w_plus_1 = (w_plus_1 + mu) * p
+    return (eps + w_plus_1) / m
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +217,7 @@ def test_extinction_mixed_poisson_gamma_quadratic():
     "model, exact",
     [
         *[(Binary(p), (2 * p - 1) / p) for p in (0.51, 0.6, 0.9)],
-        *[(PlainPoisson(m), 1.0 + float(lambertw(-m * math.exp(-m)).real) / m)
-          for m in (1.001, 1.01, 1.1, 2.0)],
+        *[(PlainPoisson(m), plain_poisson_survival(m)) for m in (1.001, 1.01, 1.1, 2.0)],
     ],
 )
 def test_extinction_bracket_holds_closed_form(model, exact):
@@ -146,6 +232,18 @@ def test_extinction_budget_exhausted_is_reported():
     assert res.iterations == 1
 
 
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("model", [
+    PlainPoisson(1.001),  # the Haldane start is an upper end
+    MixedPoisson(Gamma(1.0), 1.5),  # the Haldane start is a lower end
+    Binary(0.7),  # the Haldane start lies past 1/2 and is dropped
+])
+def test_extinction_budget_counts_the_haldane_start(model, max_iter):
+    res = extinction_q(model, max_iter=max_iter)
+    assert res.iterations <= max_iter
+    assert res.bound > 1e-12
+
+
 def test_extinction_plain_poisson_vs_bisection():
     model = PlainPoisson(1.1)
     res = extinction_q(model)
@@ -154,19 +252,84 @@ def test_extinction_plain_poisson_vs_bisection():
     assert res.phi == pytest.approx(0.1761341436, abs=1e-9)
 
 
+def newton_from_one(model, monkeypatch):
+    """Survival-map evaluations of `model`'s solve without the Haldane start."""
+    with monkeypatch.context() as patch:
+        patch.setattr(branching, "_HALDANE_START", math.inf)
+        return extinction_q(model).iterations
+
+
 @pytest.mark.parametrize("model", SUPERCRITICAL)
-def test_extinction_matches_bisection(model):
+def test_extinction_matches_bisection(model, monkeypatch):
     res = extinction_q(model)
     oracle = 1.0 - smallest_root_bisect(model.pgf)
     assert abs(res.phi - oracle) <= 1e-9
     assert res.bound <= 1e-12
     assert res.iterations <= 30
+    # the Haldane start never costs evaluations
+    assert res.iterations <= newton_from_one(model, monkeypatch)
+
+
+def test_benchmark_solves_take_at_most_32_evaluations(monkeypatch):
+    # the last five SUPERCRITICAL laws; Newton from phi = 1 took 68
+    solves = SUPERCRITICAL[-5:]
+    assert sum(newton_from_one(m, monkeypatch) for m in solves) == 68
+    assert sum(extinction_q(m).iterations for m in solves) <= 32
+
+
+def test_haldane_start_below_the_root(monkeypatch):
+    # Gamma(1) mixing: the root 1 - 1/m = 1/3 lies above the start 1.2 * 2(m - 1)/variance = 0.32
+    model = MixedPoisson(Gamma(1.0), 1.5)
+    start = branching._HALDANE_START * 2.0 * (model.mean() - 1.0) / model.variance()
+    a, b = survival_bracket_decimal(model)
+    assert start < a
+    res = extinction_q(model)
+    assert Decimal(res.phi) - Decimal(res.bound) <= b and a <= Decimal(res.phi)
+    assert res.bound <= 1e-12
+    # the start costs its one evaluation and no more
+    assert res.iterations <= newton_from_one(model, monkeypatch) + 1
+
+
+laws = st.one_of(
+    st.just(Deterministic()),
+    st.floats(0.3, 5.0).map(Gamma),
+    st.builds(TwoPoint, st.floats(0.1, 1.0), st.floats(1.0, 4.0), st.floats(0.05, 0.95)),
+)
+means = st.floats(1.0, 3.0, exclude_min=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    means.map(PlainPoisson),
+    st.floats(0.5, 1.0, exclude_min=True).map(Binary),  # mean 2p in (1, 2]
+    st.builds(MixedPoisson, laws, means),
+    st.builds(lambda law, m, N: MixedBinomial(law, N, m, N), laws, means,
+              st.integers(100, 10_000)),
+))
+def test_extinction_bracket_holds_decimal_oracle(model):
+    tol = 1e-12
+    res = extinction_q(model, tol=tol)
+    a, b = survival_bracket_decimal(model)
+    # the root lies in [a, b]; each check fails only if it is outside the bracket
+    assert Decimal(res.phi) - Decimal(res.bound) <= b
+    assert a <= Decimal(res.phi)
+    assert 0.0 <= res.bound <= tol
+
+
+def test_mixed_binomial_single_trial_slope_at_certain_success():
+    # M = 1: S'(phi) = E[p] even where p * phi = 1, so 1 - p * phi = 0
+    model = MixedBinomial(Deterministic(), 1, 4.0, 4)
+    assert model.survival_map(1.0) == (1.0, 1.0)
+    value, slope = MixedBinomial(TwoPoint(0.5, 1.5, 0.5), 1, 8.0, 12).survival_map(1.0)
+    assert math.isfinite(slope)
+    assert value == pytest.approx(0.5 * (1.0 / 3.0) + 0.5 * 1.0, abs=1e-15)
+    assert slope == pytest.approx(value, abs=1e-15)  # linear in phi for M = 1
 
 
 @pytest.mark.parametrize("model", SUPERCRITICAL)
 def test_survival_map_matches_pgf(model):
     h = 1e-6
-    for phi in (0.5, 0.99):
+    for phi in (1e-3, 0.5, 0.99):
         value, slope = model.survival_map(phi)
         assert value == pytest.approx(1.0 - model.pgf(1.0 - phi), abs=1e-12)
         central = (model.pgf(1.0 - phi + h) - model.pgf(1.0 - phi - h)) / (2 * h)

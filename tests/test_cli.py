@@ -417,6 +417,30 @@ def test_every_csv_column_is_filled(capsys, tmp_path):
     assert set(CSV_COLUMNS) <= filled, set(CSV_COLUMNS) - filled
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("argv, fields", [
+    # one trial: the standard error is infinite
+    (["moments", "--paintbox", "gamma:1", "--N", "10", "--trials", "1", "--seed", "1"],
+     ["moment_stderr"]),
+    # no trial reaches the first level, so p2 and p3 are 0/0
+    (["phases", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1", "--delta", "0.05",
+      "--eps", "0.1", "--trials", "3", "--seed", "1"],
+     ["p2", "p3"]),
+])
+def test_non_finite_fields_are_null(capsys, tmp_path, argv, fields):
+    assert run_command(argv) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    rec = json.loads(line, parse_constant=_reject_constant)
+    assert all(rec[f] is None for f in fields)
+    out = tmp_path / "res.csv"
+    assert run_command([*argv, "--format", "csv", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert all(row[f] == "" for f in fields)
+
+
 def test_jsonl_out_appends(capsys, tmp_path):
     out = tmp_path / "res.jsonl"
     argv = ["fixation", "--N", "20", "--s", "0", "--trials", "100",

@@ -236,6 +236,37 @@ def test_gamma_mixing_atoms_match_scipy(kappa):
     np.testing.assert_allclose(wts[big], w[big], rtol=1e-10, atol=0)
 
 
+def golub_welsch_atoms(kappa, n=160):
+    """Oracle: Gauss-Laguerre atoms of Gamma(kappa) from the Jacobi matrix's
+    eigenvectors, weights the squared first components (Golub-Welsch)."""
+    i = np.arange(n)
+    off = np.sqrt(i[1:] * (i[1:] + kappa - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * i + kappa) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    return nodes / kappa, weights / weights.sum()
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5, 100.0])
+def test_gamma_mixing_atoms_match_golub_welsch_moments(kappa):
+    vals, wts = Gamma(kappa).mixing_atoms()
+    ref_vals, ref_wts = golub_welsch_atoms(kappa)
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-11, atol=0)
+    for r, exact in ((1, 1.0), (2, 1.0 + 1.0 / kappa)):
+        moment = np.dot(wts, vals**r)
+        assert moment == pytest.approx(np.dot(ref_wts, ref_vals**r), rel=1e-13, abs=0)
+        assert moment == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+def test_gamma_mixing_atoms_finite_at_extreme_shapes(kappa):
+    # the smallest weights are near 1e-270, so the sums of squares they come
+    # from pass the rescaling threshold of 1e200
+    vals, wts = Gamma(kappa).mixing_atoms()
+    assert np.all(np.isfinite(wts)) and np.all(wts >= 0)
+    assert math.fsum(wts) == pytest.approx(1.0, rel=1e-15)
+    assert np.dot(wts, vals) == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # block_sums over counts and arrays of counts
 # ---------------------------------------------------------------------------
