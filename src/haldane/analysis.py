@@ -83,8 +83,7 @@ def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = -(-len(blocks) // (4 * workers))  # about four tasks per worker
-        return reduce(Tally.merge, pool.map(run, blocks, chunksize=chunksize))
+        return reduce(Tally.merge, pool.map(run, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +237,21 @@ def duality_fixation(N: int, k: int, aeq_samples: Sequence[int]) -> float:
     falling factorials evaluated as log-gamma differences; a sample
     larger than N-k forces a zero factor, i.e. certain fixation for that
     draw.
+
+    This is the chain's P(fix | k) when A is drawn from the equilibrium
+    of its ancestral selection process.  A child is beneficial with
+    chance p = X / (1 - s(1-X)), X the beneficial weight mass, and
+    1 - p = (1-s)(1-X) / (1 - s(1-X)) = E[(1-X)^J] for J ~ Geometric(1-s)
+    on {1, 2, ...}: the child draws J potential parents from the
+    paintbox and is wildtype exactly when all of them are.  Traced back,
+    an individual's potential ancestors in one generation are the
+    distinct potential parents of those in the next; far back their
+    number A is at equilibrium, and with the k beneficial individuals
+    placed at random all A are wildtype with chance (N-k)_A / (N)_A.
+    The two-parent rule of Boenkost, Gonzalez Casanova, Pokalyuk and
+    Wakolbinger (EJP 2021), J in {1, 2} with P(J = 2) = s, gives the
+    child chance X + sX(1-X), another chain: its line counts miss this
+    chain's fixation probability at O(s^2).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -264,8 +278,12 @@ def duality_fixation(N: int, k: int, aeq_samples: Sequence[int]) -> float:
 
 def read_aeq_samples(path) -> list[int]:
     """Ancestral-line sample file: one nonnegative integer per line."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read ancestral-line samples: {exc}") from None
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:

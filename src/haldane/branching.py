@@ -39,7 +39,7 @@ class GWModel(abc.ABC):
 
     @abc.abstractmethod
     def pgf(self, q: float) -> float:
-        """E[q^offspring]; UnsupportedLawError when no closed/quadrature form."""
+        """E[q^offspring]; UnsupportedLawError when the mixing law has no atoms."""
 
     @abc.abstractmethod
     def survival_map(self, phi: float) -> tuple[float, float]:
@@ -73,16 +73,17 @@ class MixedPoisson(GWModel):
 
     def variance(self):
         # law of total variance over the mixing potential
-        return self.m**2 * (self.law.raw_moment(2) - 1.0) + self.m
-
-    def pgf(self, q):
-        return float(self.law.mgf(self.m * (q - 1.0)))
+        return self.m**2 * (self.law.second_moment() - 1.0) + self.m
 
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # (Poisson rates m*v, weights), fixed for the model's life
         vals, wts = self.law.mixing_atoms()
         return self.m * vals, wts
+
+    def pgf(self, q):
+        rate, wts = self._atoms
+        return float(np.dot(wts, np.exp(rate * (q - 1.0))))
 
     def survival_map(self, phi):
         rate, wts = self._atoms
@@ -126,7 +127,7 @@ class MixedBinomial(GWModel):
 
     def variance(self):
         r = self.m / self.N
-        ey2 = self.law.raw_moment(2)
+        ey2 = self.law.second_moment()
         return self.M * r - self.M * r**2 * ey2 + self.M**2 * r**2 * (ey2 - 1.0)
 
     @cached_property
@@ -328,7 +329,7 @@ def extinction_q(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    probe = model.pgf(1.0)  # raises UnsupportedLawError for MGF-less mixing laws
+    probe = model.pgf(1.0)  # raises UnsupportedLawError for mixing laws without atoms
     if abs(probe - 1.0) > 1e-9:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")
     mean = model.mean()

@@ -361,7 +361,7 @@ def run_command(argv: list[str] | None = None) -> int:
             rec["wall_clock_seconds"] = round(now - last, 6)
             last = now
             records.append(rec)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -31,7 +31,7 @@ import numpy as np
 
 
 class UnsupportedLawError(ValueError):
-    """Raised when an operation needs closed-form transforms the law lacks."""
+    """Raised when an operation needs mixing atoms the law lacks."""
 
 
 _QUAD_NODES = 160
@@ -83,20 +83,16 @@ class YLaw(abc.ABC):
         """
 
     @abc.abstractmethod
-    def raw_moment(self, r: int) -> float:
-        """E[Y^r] in the canonical mean-1 parameterization."""
-
-    @abc.abstractmethod
-    def mgf(self, t: float) -> float:
-        """E[exp(t Y)] for the mean-1 law; UnsupportedLawError if not closed form."""
+    def second_moment(self) -> float:
+        """E[Y^2] in the canonical mean-1 parameterization."""
 
     def rho_squared(self, N: int) -> float:
         """Offspring variance of the 2s/rho^2 reference: the N-free limit E[Y^2]/E[Y]^2."""
-        return self.raw_moment(2)
+        return self.second_moment()
 
     def mixing_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
-        raise UnsupportedLawError(f"no closed-form mixing representation for {self.tag()}")
+        raise UnsupportedLawError(f"{self.tag()} has no mixing atoms")
 
     def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> QnEstimate:
         """q_N = N E[W_1 / (1 - s * sum(W_i, i > j0))] for 1 <= j0 < N, by Monte Carlo.
@@ -146,11 +142,8 @@ class Deterministic(YLaw):
     def sample_sum(self, n, rng):
         return n * 1.0
 
-    def raw_moment(self, r):
+    def second_moment(self):
         return 1.0
-
-    def mgf(self, t):
-        return math.exp(t)
 
     def mixing_atoms(self):
         return np.array([1.0]), np.array([1.0])
@@ -182,16 +175,8 @@ class Gamma(YLaw):
         x /= self.kappa
         return x
 
-    def raw_moment(self, r):
-        out = 1.0
-        for j in range(r):
-            out *= (self.kappa + j) / self.kappa
-        return out
-
-    def mgf(self, t):
-        if t >= self.kappa:
-            raise ValueError(f"Gamma MGF diverges at t={t} >= kappa={self.kappa}")
-        return (1.0 - t / self.kappa) ** (-self.kappa)
+    def second_moment(self):
+        return (self.kappa + 1.0) / self.kappa
 
     def mixing_atoms(self):
         return _gamma_atoms(self.kappa)
@@ -268,13 +253,9 @@ class TwoPoint(YLaw):
         j = rng.binomial(n, self.p)
         return j * a + (n - j) * b
 
-    def raw_moment(self, r):
+    def second_moment(self):
         a, b = self._ab
-        return self.p * a**r + (1 - self.p) * b**r
-
-    def mgf(self, t):
-        a, b = self._ab
-        return self.p * math.exp(t * a) + (1 - self.p) * math.exp(t * b)
+        return self.p * a**2 + (1 - self.p) * b**2
 
     def mixing_atoms(self):
         return np.array(self._ab), np.array([self.p, 1.0 - self.p])
@@ -315,11 +296,8 @@ class LogNormal(YLaw):
         sums = _segment_sums(np.ravel(n), lambda m: self.sample(m, rng))
         return float(sums[0]) if np.ndim(n) == 0 else sums.reshape(np.shape(n))
 
-    def raw_moment(self, r):
-        return math.exp(0.5 * (r * r - r) * self.sigma**2)
-
-    def mgf(self, t):
-        raise UnsupportedLawError("lognormal Y has no finite-closed-form MGF")
+    def second_moment(self):
+        return math.exp(self.sigma**2)
 
     def tag(self):
         return f"lognormal:{self.sigma:g}"

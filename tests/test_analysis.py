@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,48 @@ def test_duality_lower_bound_by_fraction(N, eps, samples):
     assert duality_fixation(N, k, samples) >= bound - 1e-12
 
 
+def _wright_fisher_fixation(N, s):
+    """h(1..N-1) of the Wright-Fisher chain, Bin(N, x / (1 - s(1-x))) at x = k/N, dense."""
+    x = np.arange(N + 1) / N
+    p = x / (1.0 - s * (1.0 - x))
+    P = np.array([[math.comb(N, j) * q**j * (1.0 - q) ** (N - j) for j in range(N + 1)]
+                  for q in p])
+    return np.linalg.solve(np.eye(N - 1) - P[1:N, 1:N], P[1:N, N])
+
+
+def _stationary_line_counts(N, s, rule):
+    """Equilibrium law of A on 1..N when each Wright-Fisher line draws J potential parents.
+
+    M is one uniform draw acting on the number of distinct parents hit so
+    far, so E[M^J] is one line's step and row A of the chain is e_0 E[M^J]^A.
+    """
+    M = np.diag(np.arange(N + 1) / N) + np.diag(1.0 - np.arange(N) / N, 1)
+    if rule == "geometric":  # P(J = j) = (1-s) s^(j-1), j >= 1
+        step = (1.0 - s) * M @ np.linalg.inv(np.eye(N + 1) - s * M)
+    else:  # two parents with chance s
+        step = (1.0 - s) * M + s * M @ M
+    P = np.array([np.linalg.matrix_power(step, a)[0, 1:] for a in range(1, N + 1)])
+    lhs = np.vstack([P.T - np.eye(N), np.ones(N)])
+    return np.linalg.lstsq(lhs, np.r_[np.zeros(N), 1.0], rcond=None)[0]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.3])
+def test_duality_holds_for_geometric_parent_draws_only(N, s):
+    # exact at small N: the chain's dense solve against the duality fed
+    # the equilibrium line count of each ancestral selection process
+    chain = _wright_fisher_fixation(N, s)
+
+    def dual(rule):
+        pi = _stationary_line_counts(N, s, rule)
+        return np.array([sum(pi[a - 1] * duality_fixation(N, k, [a]) for a in range(1, N + 1))
+                         for k in range(1, N)])
+
+    assert np.abs(dual("geometric") - chain).max() <= 1e-12
+    # the two-parent rule's child chance X + sX(1-X) is another chain
+    assert np.abs(dual("two-parent") - chain).max() >= 2e-3
+
+
 def test_read_aeq_samples(tmp_path):
     path = tmp_path / "aeq.txt"
     path.write_text("3\n1\n\n42\n")
@@ -252,6 +295,8 @@ def test_read_aeq_samples(tmp_path):
     bad.write_text("3\nxyz\n")
     with pytest.raises(ValueError):
         read_aeq_samples(bad)
+    with pytest.raises(ConfigurationError):
+        read_aeq_samples(tmp_path / "missing.txt")
 
 
 # ---------------------------------------------------------------------------

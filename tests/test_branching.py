@@ -28,9 +28,9 @@ SUPERCRITICAL = [
     MixedPoisson(Deterministic(), 1.2),
     MixedPoisson(Gamma(2.0), 1.15),
     MixedPoisson(TwoPoint(0.5, 1.5, 0.5), 1.2),
-    MixedBinomial(Deterministic(), 9000, 1.1, 10000),
-    MixedBinomial(Gamma(1.0), 9000, 1.1, 10000),
-    MixedBinomial(TwoPoint(0.5, 1.5, 0.5), 9000, 1.1, 10000),
+    MixedBinomial(Deterministic(), 10000, 1.1, 10000),
+    MixedBinomial(Gamma(1.0), 10000, 1.1, 10000),
+    MixedBinomial(TwoPoint(0.5, 1.5, 0.5), 10000, 1.1, 10000),
     # the five near-critical solves of the gw-survival benchmark workload
     MixedPoisson(Gamma(1.0), 1.001),
     MixedBinomial(Gamma(1.0), 10000, 1.01, 10000),
@@ -38,6 +38,11 @@ SUPERCRITICAL = [
     PlainPoisson(1.001),
     Binary(0.51),
 ]
+
+
+def test_supercritical_laws_have_mean_above_one():
+    # a mean <= 1 would return phi = 0 before any survival-map evaluation
+    assert all(model.mean() > 1 for model in SUPERCRITICAL)
 
 
 def smallest_root_bisect(pgf, iters=200):
@@ -344,6 +349,17 @@ def test_extinction_monotone_iterates():
         iterates.append(q)
     assert all(b >= a for a, b in zip(iterates, iterates[1:]))
     assert iterates[-1] <= 1.0
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5, 100.0])
+@pytest.mark.parametrize("m", [0.5, 1.001, 1.5, 3.0])
+def test_mixed_poisson_gamma_pgf_is_negative_binomial(kappa, m):
+    # Pois(m Y) with Y ~ Gamma(kappa, 1/kappa) is negative binomial; the
+    # atoms must reproduce its closed-form PGF
+    model = MixedPoisson(Gamma(kappa), m)
+    for q in np.linspace(0.0, 1.0, 21):
+        exact = (1.0 + m * (1.0 - q) / kappa) ** -kappa
+        assert model.pgf(q) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_mixed_binomial_gamma_pgf_vs_quadrature_oracle():

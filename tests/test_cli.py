@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -115,6 +116,33 @@ def test_failing_pool_worker_exits_1(capsys, monkeypatch, fault, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"failure: {name}")
+
+
+class _PoolThatCannotStart:
+    """Stands in for ProcessPoolExecutor when the system refuses new processes."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def test_pool_that_cannot_start_exits_1(capsys, monkeypatch):
+    # an OSError of the system, not of the input, is a runtime failure
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolThatCannotStart)
+    assert run_command(["fixation", "--N", "20", "--s", "0.1",
+                        "--trials", str(2 * BLOCK_TRIALS + 1), "--seed", "1",
+                        "--parallelism", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failure: BlockingIOError")
 
 
 def test_missing_samples_file_exits_2(capsys):

@@ -83,7 +83,7 @@ def test_lognormal_mean_one_and_flagged():
     draws = law.sample(2 * 10**5, make_rng(5))
     assert abs(draws.mean() - 1.0) < 0.01
     with pytest.raises(UnsupportedLawError):
-        law.mgf(0.1)
+        law.mixing_atoms()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,19 @@ def test_rho_squared_closed_forms():
         assert LogNormal(0.5).rho_squared(N) == pytest.approx(math.exp(0.25))
 
 
+def test_second_moment_bits():
+    # the expressions every ref_variance and offspring variance is built from
+    assert Deterministic(3.7).second_moment() == 1.0
+    for kappa in (1e-3, 0.3, 1.0, 2.5, 7.0, 100.0):
+        assert Gamma(kappa).second_moment() == (kappa + 1) / kappa
+    for sigma in (0.1, 0.5, 0.7, 1.0, 2.0):
+        assert LogNormal(sigma).second_moment() == math.exp(sigma**2)
+    for a, b, p in ((0.5, 1.5, 0.5), (0.2, 3.0, 0.7)):
+        mean = p * a + (1 - p) * b  # the law rescales to mean 1
+        expected = p * (a / mean) ** 2 + (1 - p) * (b / mean) ** 2
+        assert TwoPoint(a, b, p).second_moment() == expected
+
+
 # ---------------------------------------------------------------------------
 # mixing_atoms
 # ---------------------------------------------------------------------------
@@ -206,11 +219,11 @@ def test_rho_squared_closed_forms():
     Deterministic(), TwoPoint(), TwoPoint(0.2, 3, 0.7), Gamma(0.5), Gamma(1.0), Gamma(2.5),
 ], ids=lambda law: law.tag())
 def test_mixing_atoms_match_moments(law):
-    # E[1] = 1, E[Y] = 1 (mean-1 parameterization) and E[Y^2] = raw_moment(2)
+    # E[1] = 1, E[Y] = 1 (mean-1 parameterization) and E[Y^2] = second_moment()
     vals, wts = law.mixing_atoms()
     assert math.fsum(wts) == pytest.approx(1.0, rel=1e-10)
     assert math.fsum(wts * vals) == pytest.approx(1.0, rel=1e-10)
-    assert math.fsum(wts * vals**2) == pytest.approx(law.raw_moment(2), rel=1e-10)
+    assert math.fsum(wts * vals**2) == pytest.approx(law.second_moment(), rel=1e-10)
 
 
 def test_mixing_atoms_unsupported_for_lognormal():
