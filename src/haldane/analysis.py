@@ -26,7 +26,7 @@ from typing import Sequence
 from .branching import haldane_ref
 from .cannings import CanningsConfig, ConfigurationError, Tally, run_ensemble
 from .paintbox import SpikedSpec
-from .streams import TrialStreams, layout
+from .streams import layout, trial_rng
 
 DEFAULT_LEVEL = 0.99
 BLOCK_TRIALS = 32768
@@ -67,7 +67,7 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
 def _run_block(config, thresholds, seed, trials, b):
     """Tally of block b of a `trials`-trial run, drawn from stream (seed, b)."""
     size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-    return run_ensemble(config, size, TrialStreams(seed).stream(b), thresholds)
+    return run_ensemble(config, size, trial_rng(seed, b), thresholds)
 
 
 def _farm(config, thresholds, trials, seed, parallelism) -> Tally:

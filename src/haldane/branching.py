@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -265,7 +265,7 @@ class PlainPoisson(GWModel):
 
 
 MAX_NEWTON = 100
-"""Default budget of survival-map evaluations for `extinction_q`.
+"""Budget of survival-map evaluations for `extinction_q`, read at each call.
 
 A Haldane start puts the first point of a slightly supercritical solve
 just above its root, and Newton converges quadratically from there:
@@ -297,11 +297,7 @@ class SurvivalResult:
     bound: float
 
 
-def extinction_q(
-    model: GWModel,
-    tol: float = 1e-12,
-    max_iter: int = MAX_NEWTON,
-) -> SurvivalResult:
+def extinction_q(model: GWModel, tol: float = 1e-12) -> SurvivalResult:
     """Survival probability 1 - q, q the smallest root of q = f(q) in [0,1].
 
     1 - q is the largest root of the survival map S(phi) = 1 - f(1 - phi),
@@ -309,10 +305,10 @@ def extinction_q(
     Newton's method from any phi with S(phi) < phi falls monotonically
     onto it, and every Newton point is an upper end of a bracket.  The
     first point is the Haldane start g = 1.2 * 2(mean - 1)/variance when
-    the variance is positive, g < 1/2 and `max_iter` allows two
-    evaluations: if S(g) < g beyond a rounding margin, g is the upper
-    end and S(1) is never evaluated; if S(g) > g beyond it, g is the
-    lower end and Newton starts from phi = 1; otherwise g is dropped.
+    the variance is positive and g < 1/2: if S(g) < g beyond a rounding
+    margin, g is the upper end and S(1) is never evaluated; if S(g) > g
+    beyond it, g is the lower end and Newton starts from phi = 1;
+    otherwise g is dropped.
     Once the steps are small, a probe two steps (plus a rounding margin)
     below the upper end looks for a lower end, where S(phi) > phi; until
     one is found the lower end is 0, below the root since the mean
@@ -320,8 +316,8 @@ def extinction_q(
     rounding margin those steps keep from the root.  So each end is
     certified by a sign of S(phi) - phi.  The solver stops when the
     bracket is at most `tol` wide, so `tol` is absolute in phi; it
-    returns the upper end as `phi` and the width as `bound`.  If
-    `max_iter` evaluations run out first, `bound > tol` says so.
+    returns the upper end as `phi` and the width as `bound`.  If the
+    `MAX_NEWTON` evaluations run out first, `bound > tol` says so.
 
     An offspring mean <= 1 gives phi = 0 outright (sidestepping the
     critical case), and S(1) = 1 (no mass at 0 offspring) gives phi = 1;
@@ -340,7 +336,7 @@ def extinction_q(
     margin = _SIGN_MARGIN
     variance = model.variance()
     guess = _HALDANE_START * 2.0 * (mean - 1.0) / variance if variance > 0 else 1.0
-    if 0.0 < guess < 0.5 and max_iter > 1:  # a low start leaves S(1) to evaluate
+    if 0.0 < guess < 0.5:
         s, slope = model.survival_map(guess)
         iterations += 1
         if s < guess * (1.0 - margin):
@@ -352,7 +348,7 @@ def extinction_q(
         iterations += 1
         if s >= hi:
             return SurvivalResult(1.0, iterations, 0.0)
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol and iterations < MAX_NEWTON:
         descent = 1.0 - slope  # -(S(phi) - phi)' > 0 above the root, by concavity
         step = (hi - s) / descent
         noise = margin * hi / descent  # root shift a rounding error in S can fake
@@ -381,28 +377,20 @@ def haldane_ref(s: float, sigma2: float) -> float:
     return min(1.0, max(0.0, 2.0 * s / sigma2))
 
 
-def conditioned_pmf(
-    base: Mapping[int, float] | Sequence[float],
-    phi: float,
-    k: int,
-) -> float:
-    """Offspring pmf of the immortal skeleton at k, from a finite-support base.
+def conditioned_pmf(base: Sequence[float], phi: float, k: int) -> float:
+    """Offspring pmf of the immortal skeleton at k, from base[j] = P(Z = j).
 
-    P(Z* = k) = (1/phi) * sum_j base(j) * C(j,k) phi^k (1-phi)^(j-k).
+    P(Z* = k) = (1/phi) * sum_j base[j] * C(j,k) phi^k (1-phi)^(j-k).
     """
     if not 0.0 < phi <= 1.0:
         raise ValueError(f"survival probability must be in (0,1], got {phi}")
     if k < 1:
         raise ValueError(f"skeleton offspring count must be >= 1, got {k}")
-    if isinstance(base, Mapping):
-        items = list(base.items())
-    else:
-        items = list(enumerate(base))
-    total = math.fsum(p for _, p in items)
+    total = math.fsum(base)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"base pmf sums to {total}, not 1")
     acc = 0.0
-    for j, pj in items:
+    for j, pj in enumerate(base):
         if j >= k and pj > 0.0:
             acc += pj * math.comb(j, k) * phi**k * (1.0 - phi) ** (j - k)
     return acc / phi

@@ -78,10 +78,6 @@ class CanningsConfig:
                 )
 
     @classmethod
-    def from_s(cls, N, s, paintbox, initial_count):
-        return cls(N=N, s=float(s), paintbox=paintbox, initial_count=initial_count)
-
-    @classmethod
     def from_exponent(cls, N, b, paintbox, initial_count):
         return cls(
             N=N,

@@ -56,7 +56,8 @@ CSV_COLUMNS = [
 ]
 
 
-# each Galton-Watson model with the flags its constructor takes, in order
+# each Galton-Watson model with the flags its constructor takes, in order;
+# a model rejects every other model flag
 _GW_MODELS = {
     "mixed-poisson": (branching.MixedPoisson, ("y", "m")),
     "mixed-binomial": (branching.MixedBinomial, ("y", "M", "m", "N")),
@@ -64,6 +65,7 @@ _GW_MODELS = {
     "binary": (branching.Binary, ("p",)),
     "plain-poisson": (branching.PlainPoisson, ("m",)),
 }
+_GW_FLAGS = tuple(dict.fromkeys(f for _, flags in _GW_MODELS.values() for f in flags))
 
 
 def _add_output_args(sp):
@@ -95,12 +97,11 @@ def _default_parallelism() -> int:
         raise ConfigurationError(f"HALDANE_PARALLELISM={raw!r}: {exc}") from None
 
 
-def _add_mc_args(sp, parallel: bool = True):
+def _add_mc_args(sp):
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    if parallel:
-        sp.add_argument("--parallelism", type=_worker_count, default=None,
-                        help="worker processes (default: $HALDANE_PARALLELISM or 1)")
+    sp.add_argument("--parallelism", type=_worker_count, default=None,
+                    help="worker processes (default: $HALDANE_PARALLELISM or 1)")
     sp.add_argument("--level", type=float, default=analysis.DEFAULT_LEVEL,
                     help="confidence level for Wilson intervals")
 
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gw-survival", help="exact branching survival probability")
     p.add_argument("--model", required=True, choices=tuple(_GW_MODELS))
-    p.add_argument("--y", default="gamma:1", help="mixing law, name:params")
+    p.add_argument("--y", default=None, help="mixing law, name:params (default gamma:1)")
     p.add_argument("--m", type=float, default=None, help="mean factor")
     p.add_argument("--M", type=int, default=None, help="binomial trial count")
     p.add_argument("--N", type=int, default=None, help="binomial scale")
@@ -151,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paintbox", default="gamma:1")
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--p", type=int, nargs="+", default=[2], choices=(2, 3))
-    _add_mc_args(p, parallel=False)
+    # serial, and a standard error per cell rather than an interval
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("sweep", help="fixation across an N list at fixed exponent")
     p.add_argument("--N", type=int, nargs="+", required=True)
@@ -206,7 +209,7 @@ def _make_config(args, N: int) -> CanningsConfig:
     source = parse_source(args.paintbox)
     if args.b is not None:
         return CanningsConfig.from_exponent(N, args.b, source, args.x0)
-    return CanningsConfig.from_s(N, args.s, source, args.x0)
+    return CanningsConfig(N, args.s, source, args.x0)
 
 
 def _cmd_fixation(args):
@@ -229,32 +232,41 @@ def _cmd_phases(args):
         p1=rep.p1, p2=rep.p2, p3=rep.p3)
 
 
-def _gw_model(args) -> branching.GWModel:
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _gw_model(args) -> tuple[branching.GWModel, dict]:
+    """The chosen model and the record cell of every model flag (None if it takes none)."""
     model, flags = _GW_MODELS[args.model]
-    missing = [f"--{flag.replace('_', '-')}" for flag in flags
-               if getattr(args, flag) is None]
+    cells = {flag: getattr(args, flag) for flag in _GW_FLAGS}
+    if "y" in flags and cells["y"] is None:
+        cells["y"] = "gamma:1"  # the default mixing law
+    extra = [_option(f) for f in _GW_FLAGS if f not in flags and cells[f] is not None]
+    if extra:
+        raise ConfigurationError(f"{args.model} takes no {' or '.join(extra)}")
+    missing = [_option(f) for f in flags if cells[f] is None]
     if missing:
         raise ConfigurationError(f"{args.model} needs {' and '.join(missing)}")
-    values = [getattr(args, flag) for flag in flags]
+    values = [cells[flag] for flag in flags]
     if flags[0] == "y":
-        values[0] = parse_source(args.y)
+        values[0] = parse_source(cells["y"])
         if not isinstance(values[0], YLaw):
-            raise ConfigurationError(f"mixing law must be a Y law, got {args.y!r}")
-    return model(*values)
+            raise ConfigurationError(f"mixing law must be a Y law, got {cells['y']!r}")
+    return model(*values), cells
 
 
 def _cmd_gw_survival(args):
-    model = _gw_model(args)
+    model, cells = _gw_model(args)
     res = branching.extinction_q(model, tol=args.tol)
     mean = model.mean()
     var = model.variance()
+    # a law without variance has no 2s/variance reference
+    haldane = branching.haldane_ref(max(mean - 1.0, 0.0), var) if var > 0 else None
     yield _record(
-        args, model=model.tag(),
-        y=args.y if args.model.startswith("mixed") else None,
-        m=args.m, M=args.M, N=args.N, beta_s=args.beta_s, p=args.p, tol=args.tol,
+        args, model=model.tag(), **cells, tol=args.tol,
         phi=res.phi, iterations=res.iterations, phi_bound=res.bound,
-        offspring_mean=mean, offspring_variance=var,
-        haldane=branching.haldane_ref(max(mean - 1.0, 0.0), var))
+        offspring_mean=mean, offspring_variance=var, haldane=haldane)
 
 
 def _cmd_duality(args):
@@ -316,22 +328,26 @@ def _json_line(rec: dict) -> str:
     return text + "\n"
 
 
-def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
+def _text(records: list[dict], fmt: str, header: bool) -> str:
     if fmt == "jsonl":
-        text = "".join(map(_json_line, records))
-    else:
-        buf = io.StringIO()
-        # inapplicable cells stay empty; a field missing from CSV_COLUMNS raises
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+        return "".join(map(_json_line, records))
+    buf = io.StringIO()
+    # inapplicable cells stay empty; a field missing from CSV_COLUMNS raises
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    if header:
         writer.writeheader()
-        for rec in records:
-            writer.writerow({k: v for k, v in _finite(rec).items() if v is not None})
-        text = buf.getvalue()
+    for rec in records:
+        writer.writerow({k: v for k, v in _finite(rec).items() if v is not None})
+    return buf.getvalue()
+
+
+def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_text(records, fmt, header=True))
     else:
         with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(text)
+            # rows appended to a CSV file go under the header it already has
+            fh.write(_text(records, fmt, header=fh.tell() == 0))
 
 
 def _summary(rec: dict) -> str:

@@ -130,12 +130,6 @@ class YLaw(abc.ABC):
 class Deterministic(YLaw):
     """Point mass: every individual has the same potential (Wright-Fisher)."""
 
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"Deterministic value must be > 0, got {self.value}")
-
     def sample(self, n, rng):
         return np.ones(n)
 
@@ -153,7 +147,7 @@ class Deterministic(YLaw):
         return QnEstimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
 
     def tag(self):
-        return f"deterministic:{self.value:g}"
+        return "deterministic"
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ def layout(key: str) -> str:
 class TrialStreams:
     """The streams of one experiment: `stream(i)` is `trial_rng(seed, i)`.
 
-    Monte Carlo runs key stream i to their i-th block of trials, so a
-    block draws the same numbers whichever worker runs it.
+    The package draws from `trial_rng` directly; this class stays only
+    because the benchmark's span tracer binds `TrialStreams.stream`.
     """
 
     def __init__(self, seed: int):

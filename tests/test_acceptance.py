@@ -65,7 +65,7 @@ def phase_report():
 @pytest.fixture(scope="module")
 def n2_estimate():
     # shared by criteria 04 and 10
-    cfg = CanningsConfig.from_s(2, 0.5, Deterministic(), 1)
+    cfg = CanningsConfig(2, 0.5, Deterministic(), 1)
     return estimate_fixation(cfg, 10**6, seed=4, parallelism=1)
 
 
@@ -98,7 +98,7 @@ def test_criterion_02_haldane_ratio_trend_gw():
 
 
 def test_criterion_03_neutral_fixation():
-    cfg = CanningsConfig.from_s(100, 0.0, Deterministic(), 1)
+    cfg = CanningsConfig(100, 0.0, Deterministic(), 1)
     est = estimate_fixation(cfg, 10**6, seed=3, parallelism=1)
     ok = est.ci_low <= 0.01 <= est.ci_high
     report(3, "neutral-martingale-floor", ok,
@@ -223,7 +223,7 @@ def test_criterion_09_spiked_counterexample():
 
 
 def test_criterion_10_parallel_determinism(n2_estimate):
-    cfg = CanningsConfig.from_s(2, 0.5, Deterministic(), 1)
+    cfg = CanningsConfig(2, 0.5, Deterministic(), 1)
 
     def record(est, parallelism):
         args = build_parser().parse_args([

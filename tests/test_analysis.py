@@ -64,7 +64,7 @@ def test_wilson_orders_and_contains(successes, trials, level):
 
 
 def test_estimate_neutral_small():
-    cfg = CanningsConfig.from_s(50, 0.0, Deterministic(), 1)
+    cfg = CanningsConfig(50, 0.0, Deterministic(), 1)
     est = estimate_fixation(cfg, 10**5, seed=21)
     assert est.ci_low <= 1 / 50 <= est.ci_high
     assert est.haldane == 0.0 and est.ratio is None
@@ -72,7 +72,7 @@ def test_estimate_neutral_small():
 
 
 def test_estimate_two_state_oracle():
-    cfg = CanningsConfig.from_s(2, 0.5, Deterministic(), 1)
+    cfg = CanningsConfig(2, 0.5, Deterministic(), 1)
     est = estimate_fixation(cfg, 10**5, seed=22)
     band = 3 * math.sqrt(0.8 * 0.2 / est.trials)
     assert abs(est.p_hat - 0.8) <= band
@@ -80,7 +80,7 @@ def test_estimate_two_state_oracle():
 
 
 def test_estimate_deterministic_across_parallelism():
-    cfg = CanningsConfig.from_s(2, 0.5, Deterministic(), 1)
+    cfg = CanningsConfig(2, 0.5, Deterministic(), 1)
     serial = estimate_fixation(cfg, 20000, seed=23, parallelism=1)
     par = estimate_fixation(cfg, 20000, seed=23, parallelism=4)
     assert serial == par
@@ -105,7 +105,7 @@ def test_estimate_matches_gamma1_closed_form(N, x0):
     BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3,
 ])
 def test_tally_identical_across_worker_counts(trials):
-    cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
+    cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
     tallies = [_farm(cfg, (5, 15), trials, 32, parallelism) for parallelism in (1, 2, 3)]
     assert tallies[0] == tallies[1] == tallies[2]
     assert tallies[0].trials == trials
@@ -122,7 +122,7 @@ def test_run_of_at_most_one_block_is_one_lockstep_run():
 
 def test_block_replays_alone():
     # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
-    cfg = CanningsConfig.from_s(30, 0.1, Gamma(1.0), 2)
+    cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
     trials = 2 * BLOCK_TRIALS + 3
     alone = [_run_block(cfg, (5,), 33, trials, b) for b in range(3)]
     for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
@@ -131,10 +131,10 @@ def test_block_replays_alone():
 
 
 def test_estimate_monotone_in_selection():
-    cfg0 = CanningsConfig.from_s(1000, 0.0, Gamma(1.0), 1)
+    cfg0 = CanningsConfig(1000, 0.0, Gamma(1.0), 1)
     prev = None
     for s in (0.0, 0.05, 0.1):
-        cfg = CanningsConfig.from_s(1000, s, Gamma(1.0), 1)
+        cfg = CanningsConfig(1000, s, Gamma(1.0), 1)
         est = estimate_fixation(cfg, 10**5, seed=24)
         if prev is not None:
             slack = (prev.ci_high - prev.ci_low) / 2 + (est.ci_high - est.ci_low) / 2
@@ -174,7 +174,7 @@ def test_phase_preconditions():
         phase_diagnostics(cfg, delta=0.3, eps=0.1, trials=10, seed=0)
     with pytest.raises(ConfigurationError):
         phase_diagnostics(cfg, delta=0.05, eps=0.6, trials=10, seed=0)
-    neutral = CanningsConfig.from_s(100, 0.0, Gamma(1.0), 1)
+    neutral = CanningsConfig(100, 0.0, Gamma(1.0), 1)
     with pytest.raises(ConfigurationError):
         phase_diagnostics(neutral, delta=0.05, eps=0.1, trials=10, seed=0)
 

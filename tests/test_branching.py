@@ -231,21 +231,24 @@ def test_extinction_bracket_holds_closed_form(model, exact):
     assert res.bound <= 1e-12
 
 
-def test_extinction_budget_exhausted_is_reported():
-    res = extinction_q(PlainPoisson(1.001), max_iter=1)
+def test_extinction_budget_exhausted_is_reported(monkeypatch):
+    # the Haldane start is an upper end, so one evaluation already brackets
+    monkeypatch.setattr(branching, "MAX_NEWTON", 1)
+    res = extinction_q(PlainPoisson(1.001))
     assert res.bound > 1e-12
     assert res.iterations == 1
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("budget", [2, 3])
 @pytest.mark.parametrize("model", [
     PlainPoisson(1.001),  # the Haldane start is an upper end
     MixedPoisson(Gamma(1.0), 1.5),  # the Haldane start is a lower end
     Binary(0.7),  # the Haldane start lies past 1/2 and is dropped
 ])
-def test_extinction_budget_counts_the_haldane_start(model, max_iter):
-    res = extinction_q(model, max_iter=max_iter)
-    assert res.iterations <= max_iter
+def test_extinction_budget_counts_the_haldane_start(model, budget, monkeypatch):
+    monkeypatch.setattr(branching, "MAX_NEWTON", budget)
+    res = extinction_q(model)
+    assert res.iterations <= budget
     assert res.bound > 1e-12
 
 
@@ -450,14 +453,14 @@ def test_offspring_variance_mixed_binomial_vs_simulation():
 
 def test_conditioned_pmf_deterministic_two():
     # base = delta_2 survives surely: the skeleton keeps both lines
-    assert conditioned_pmf({2: 1.0}, 1.0, 2) == pytest.approx(1.0)
-    assert conditioned_pmf({2: 1.0}, 1.0, 1) == 0.0
+    assert conditioned_pmf([0.0, 0.0, 1.0], 1.0, 2) == pytest.approx(1.0)
+    assert conditioned_pmf([0.0, 0.0, 1.0], 1.0, 1) == 0.0
 
 
 def test_conditioned_pmf_binary_closed_form():
     p = 0.6
     phi = (2 * p - 1) / p
-    base = {0: 1 - p, 2: p}
+    base = [1 - p, 0.0, p]
     assert conditioned_pmf(base, phi, 1) == pytest.approx(2 * (1 - p), rel=1e-12)
     assert conditioned_pmf(base, phi, 2) == pytest.approx(2 * p - 1, rel=1e-12)
 
@@ -466,18 +469,18 @@ def test_conditioned_pmf_mean_preserved_binary():
     # E[Z*] = E[Z] exactly for the binary law
     for p in (0.55, 0.6, 0.75, 0.9):
         phi = (2 * p - 1) / p
-        base = {0: 1 - p, 2: p}
+        base = [1 - p, 0.0, p]
         mean = sum(k * conditioned_pmf(base, phi, k) for k in (1, 2))
         assert abs(mean - 2 * p) <= 1e-12
 
 
 def test_conditioned_pmf_domain():
     with pytest.raises(ValueError):
-        conditioned_pmf({1: 1.0}, 0.0, 1)
+        conditioned_pmf([0.0, 1.0], 0.0, 1)
     with pytest.raises(ValueError):
-        conditioned_pmf({1: 1.0}, 0.5, 0)
+        conditioned_pmf([0.0, 1.0], 0.5, 0)
     with pytest.raises(ValueError):
-        conditioned_pmf({1: 0.7}, 0.5, 1)
+        conditioned_pmf([0.0, 0.7], 0.5, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,7 +32,7 @@ from haldane.streams import make_rng, trial_rng
 
 
 def wf(N, s, x0=1):
-    return CanningsConfig.from_s(N, s, Deterministic(), x0)
+    return CanningsConfig(N, s, Deterministic(), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +42,13 @@ def wf(N, s, x0=1):
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        CanningsConfig.from_s(1, 0.1, Deterministic(), 0)
+        CanningsConfig(1, 0.1, Deterministic(), 0)
     with pytest.raises(ConfigurationError):
-        CanningsConfig.from_s(10, 1.0, Deterministic(), 0)
+        CanningsConfig(10, 1.0, Deterministic(), 0)
     with pytest.raises(ConfigurationError):
-        CanningsConfig.from_s(10, -0.1, Deterministic(), 0)
+        CanningsConfig(10, -0.1, Deterministic(), 0)
     with pytest.raises(ConfigurationError):
-        CanningsConfig.from_s(10, 0.1, Deterministic(), 11)
+        CanningsConfig(10, 0.1, Deterministic(), 11)
 
 
 def test_exponent_round_trip():
@@ -137,7 +137,7 @@ def test_step_neutral_wright_fisher_moments():
     [Deterministic(), Gamma(1.0), Gamma(2.0), TwoPoint(0.5, 1.5, 0.5)],
 )
 def test_step_stays_in_range(source):
-    cfg = CanningsConfig.from_s(30, 0.1, source, 1)
+    cfg = CanningsConfig(30, 0.1, source, 1)
     rng = make_rng(2)
     k = 7
     for _ in range(300):
@@ -149,9 +149,9 @@ def test_step_stays_in_range(source):
 
 def test_step_lognormal_and_spiked_paths():
     rng = make_rng(3)
-    cfg = CanningsConfig.from_s(40, 0.1, LogNormal(0.5), 5)
+    cfg = CanningsConfig(40, 0.1, LogNormal(0.5), 5)
     assert 0 <= step(5, cfg, rng) <= 40
-    cfg = CanningsConfig.from_s(40, 0.1, SpikedSpec(0.3), 5)
+    cfg = CanningsConfig(40, 0.1, SpikedSpec(0.3), 5)
     assert 0 <= step(5, cfg, rng) <= 40
 
 
@@ -166,7 +166,7 @@ def test_step_matches_explicit_paintbox(source):
     # counts at once, vs Bin(N, success_probability(W, k, s)) with W built
     # weight by weight; two-sample KS at alpha = 0.001
     N, k, s, n = 12, 3, 0.2, 10**5
-    cfg = CanningsConfig.from_s(N, s, source, k)
+    cfg = CanningsConfig(N, s, source, k)
     rng = make_rng(30)
     fast = np.array([step(k, cfg, rng) for _ in range(n)])
     head, tail = source.block_sums((np.full(n, k),), N, rng)
@@ -207,7 +207,7 @@ def test_two_state_chain_oracle():
 
 
 def test_first_passage_recording():
-    cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
+    cfg = CanningsConfig(100, 0.3, Gamma(1.0), 3)
     rng = make_rng(6)
     for _ in range(50):
         rec = run_to_absorption(cfg, rng, (2, 10, 50, 100))
@@ -225,7 +225,7 @@ def test_first_passage_recording():
 
 def test_neutral_martingale_fixation_frequency():
     # with s=0, fixation probability from k is exactly k/N; 3 sigma Wilson band
-    cfg = CanningsConfig.from_s(20, 0.0, Gamma(1.0), 4)
+    cfg = CanningsConfig(20, 0.0, Gamma(1.0), 4)
     trials = 10**5
     fixed = run_ensemble(cfg, trials, trial_rng(1234, 0)).fixations
     from haldane.analysis import wilson_interval
@@ -243,7 +243,7 @@ def test_neutral_martingale_fixation_frequency():
 def test_single_trajectory_follows_step_on_the_same_stream():
     # the record holds the trajectory built step by step: its length,
     # end, maximum and first passages
-    cfg = CanningsConfig.from_s(100, 0.2, Gamma(1.0), 3)
+    cfg = CanningsConfig(100, 0.2, Gamma(1.0), 3)
     thresholds = (2, 10, 50)
     for i in range(50):
         rec = run_to_absorption(cfg, trial_rng(9, i), thresholds)
@@ -261,7 +261,7 @@ def test_single_trajectory_follows_step_on_the_same_stream():
 def test_one_trial_tally_is_the_trajectory(source):
     # on one stream a one-trial ensemble draws what the step-by-step
     # trajectory draws, so its tally holds that trajectory's counts
-    cfg = CanningsConfig.from_s(100, 0.2, source, 3)
+    cfg = CanningsConfig(100, 0.2, source, 3)
     thresholds = (2, 3, 10, 50, 100)
     seen = set()
     for i in range(300):
@@ -276,7 +276,7 @@ def test_one_trial_tally_is_the_trajectory(source):
 
 
 def test_tally_identities():
-    cfg = CanningsConfig.from_s(100, 0.3, Gamma(1.0), 3)
+    cfg = CanningsConfig(100, 0.3, Gamma(1.0), 3)
     levels = (1, 3, 10, 50, 100)
     tally = run_ensemble(cfg, 3000, make_rng(6), levels)
     assert tally.trials == 3000  # every trial fixed or was lost
@@ -288,7 +288,7 @@ def test_tally_identities():
     assert tally.tau_max == tally.lockstep_generations
     assert tally.tau_max <= tally.tau_total <= tally.tau_max * 3000
     for k0, fixations in ((0, 0), (100, 3000)):  # absorbing starts
-        start = CanningsConfig.from_s(100, 0.3, Gamma(1.0), k0)
+        start = CanningsConfig(100, 0.3, Gamma(1.0), k0)
         assert run_ensemble(start, 3000, make_rng(6), levels) == Tally(
             fixations, 3000 - fixations, 0, 0,
             {t: 3000 if k0 >= t else 0 for t in levels}, 0)
@@ -337,7 +337,7 @@ def test_qn_deterministic_closed_form():
 
 def test_qn_gamma_first_order():
     # q_N = 1 + (1-eps) s + O(s^2)
-    cfg = CanningsConfig.from_s(1000, 0.05, Gamma(1.0), 1)
+    cfg = CanningsConfig(1000, 0.05, Gamma(1.0), 1)
     est = growth_factor_qn(cfg, 0.1, 10**5, make_rng(10))
     assert not est.exact
     assert abs(est.value - 1.045) <= 3 * est.stderr + 3e-3  # O(s^2) allowance
@@ -345,7 +345,7 @@ def test_qn_gamma_first_order():
 
 def test_qn_spiked_closed_form_matches_monte_carlo():
     spec = SpikedSpec(0.2)
-    cfg = CanningsConfig.from_s(50, 0.2, spec, 1)
+    cfg = CanningsConfig(50, 0.2, spec, 1)
     exact = growth_factor_qn(cfg, 0.2, 1, make_rng(11))
     assert exact.exact
     # brute force over explicit spiked paintboxes
@@ -364,20 +364,20 @@ def test_qn_spiked_closed_form_matches_monte_carlo():
 
 def test_qn_one_trial_has_infinite_stderr():
     # one value has no sample variance: an infinite standard error, no warning
-    cfg = CanningsConfig.from_s(1000, 0.05, Gamma(1.0), 1)
+    cfg = CanningsConfig(1000, 0.05, Gamma(1.0), 1)
     est = growth_factor_qn(cfg, 0.1, 1, make_rng(10))
     assert not est.exact and math.isfinite(est.value)
     assert est.stderr == math.inf
 
 
 def test_step_tilde_zero_absorbing():
-    cfg = CanningsConfig.from_s(100, 0.1, Gamma(1.0), 1)
+    cfg = CanningsConfig(100, 0.1, Gamma(1.0), 1)
     assert step_tilde(0, cfg, 0.2, make_rng(13)) == 0
 
 
 def test_step_tilde_neutral_matches_neutral_step_law():
     # at s=0 the two transition laws coincide; compare 1e5-sample ECDFs
-    cfg = CanningsConfig.from_s(200, 0.0, Gamma(1.0), 1)
+    cfg = CanningsConfig(200, 0.0, Gamma(1.0), 1)
     rng = make_rng(14)
     k, eps, n = 15, 0.2, 10**5
     a = np.array([step_tilde(k, cfg, eps, rng) for _ in range(n)])
@@ -400,7 +400,7 @@ def test_step_tilde_deterministic_mean():
 
 
 def test_step_tilde_branching_regime_above_eps():
-    cfg = CanningsConfig.from_s(100, 0.1, Gamma(1.0), 1)
+    cfg = CanningsConfig(100, 0.1, Gamma(1.0), 1)
     qn = growth_factor_qn(cfg, 0.1, 10**4, make_rng(17)).value
     rng = make_rng(18)
     draws = np.array([step_tilde(30, cfg, 0.1, rng, q_n=qn) for _ in range(20000)])
@@ -410,21 +410,21 @@ def test_step_tilde_branching_regime_above_eps():
 
 def test_step_tilde_past_eps_needs_qn():
     # floor(0.1 * 100) = 10: from 11 on the process branches with q_N
-    cfg = CanningsConfig.from_s(100, 0.1, Gamma(1.0), 1)
+    cfg = CanningsConfig(100, 0.1, Gamma(1.0), 1)
     assert step_tilde(10, cfg, 0.1, make_rng(20)) >= 0
     with pytest.raises(ValueError, match="q_n"):
         step_tilde(11, cfg, 0.1, make_rng(20))
 
 
 def test_step_tilde_branching_regime_needs_a_y_law():
-    cfg = CanningsConfig.from_s(100, 0.1, SpikedSpec(0.2), 1)
+    cfg = CanningsConfig(100, 0.1, SpikedSpec(0.2), 1)
     with pytest.raises(UnsupportedLawError):
         step_tilde(11, cfg, 0.1, make_rng(21), q_n=1.1)
 
 
 def test_step_tilde_stochastically_below_step():
     # same k <= eps*N and same s: ECDF of step_tilde sits above ECDF of step
-    cfg = CanningsConfig.from_s(1000, 0.05, Gamma(1.0), 1)
+    cfg = CanningsConfig(1000, 0.05, Gamma(1.0), 1)
     rng = make_rng(19)
     k, eps, n = 30, 0.1, 10**5
     tilde = np.array([step_tilde(k, cfg, eps, rng) for _ in range(n)])

@@ -164,7 +164,7 @@ def test_fixation_neutral_record(capsys):
     assert rec["haldane"] == 0.0
     assert rec["ratio"] is None
     assert rec["N"] == 100 and rec["s"] == 0.0 and rec["x0"] == 1
-    assert rec["paintbox"] == "deterministic:1"
+    assert rec["paintbox"] == "deterministic"
     assert rec["trials"] == 1000 and rec["seed"] == 7
     assert rec["version"]
     assert "wall_clock_seconds" in rec
@@ -282,6 +282,55 @@ def test_gw_survival_bad_law_or_tolerance_exits_2(capsys, flags):
     assert captured.err.startswith("error:")
 
 
+# a valid value for each gw-survival model flag
+GW_FLAG_VALUES = {"y": "gamma:1", "m": "1.1", "M": "90", "N": "100", "beta_s": "0.1", "p": "0.6"}
+
+
+def _gw_argv(model, flags):
+    argv = ["gw-survival", "--model", model]
+    for flag in flags:
+        argv += ["--" + flag.replace("_", "-"), GW_FLAG_VALUES[flag]]
+    return argv
+
+
+@pytest.mark.parametrize("model, flag", [
+    (model, flag) for model, (_, flags) in cli._GW_MODELS.items()
+    for flag in GW_FLAG_VALUES if flag not in flags])
+def test_gw_survival_flag_outside_the_model_exits_2(capsys, model, flag):
+    flags = cli._GW_MODELS[model][1]
+    assert run_command(_gw_argv(model, [*flags, flag])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model} takes no --{flag.replace('_', '-')}\n"
+
+
+def test_gw_survival_records_the_flags_of_its_model(capsys):
+    # a mixed model without --y mixes over gamma:1 and says so
+    for model in ("mixed-poisson", "mixed-binomial"):
+        flags = [f for f in cli._GW_MODELS[model][1] if f != "y"]
+        _, (bare,) = run_jsonl(capsys, _gw_argv(model, flags))
+        _, (given,) = run_jsonl(capsys, _gw_argv(model, ["y", *flags]))
+        assert bare["y"] == "gamma:1"
+        assert strip_clock([bare]) == strip_clock([given])
+    _, (rec,) = run_jsonl(capsys, _gw_argv("binary", ["p"]))
+    assert rec["p"] == 0.6
+    assert all(rec[f] is None for f in ("y", "m", "M", "N", "beta_s"))
+
+
+@pytest.mark.parametrize("flags, phi", [
+    (["--model", "two-point-immortal", "--beta-s", "1"], 1.0),
+    (["--model", "binary", "--p", "1"], 1.0),
+    (["--model", "plain-poisson", "--m", "0"], 0.0),
+    (["--model", "binary", "--p", "0"], 0.0),
+], ids=["immortal-doubling", "binary-doubling", "poisson-barren", "binary-barren"])
+def test_gw_survival_zero_variance_has_no_haldane_reference(capsys, flags, phi):
+    code, (rec,) = run_jsonl(capsys, ["gw-survival", *flags])
+    assert code == 0
+    assert rec["offspring_variance"] == 0.0
+    assert rec["phi"] == phi and rec["phi_bound"] == 0.0
+    assert rec["haldane"] is None
+
+
 def test_duality_from_file(capsys, tmp_path):
     path = tmp_path / "aeq.txt"
     path.write_text("2\n2\n")
@@ -368,6 +417,16 @@ def test_moments_runs_serially(capsys):
     assert rec["parallelism"] is None
 
 
+def test_moments_takes_no_confidence_level(capsys):
+    # a moments cell reports a standard error, not an interval
+    argv = ["moments", "--N", "100", "--trials", "500", "--seed", "2"]
+    assert run_command(argv + ["--level", "0.5"]) == 2
+    assert capsys.readouterr().out == ""
+    code, (rec,) = run_jsonl(capsys, argv)
+    assert code == 0
+    assert rec["level"] is None
+
+
 def test_sweep_streams_records(capsys):
     code, records = run_jsonl(capsys, [
         "sweep", "--N", "50", "100", "--b", "0.3", "--paintbox", "gamma:1",
@@ -417,6 +476,19 @@ def test_csv_output(capsys, tmp_path):
     assert rows[0]["N"] == "50"
     assert rows[0]["p_hat"] != ""
     assert rows[0]["phi"] == ""  # inapplicable column left empty
+
+
+def test_csv_out_appends_rows_under_one_header(capsys, tmp_path):
+    out = tmp_path / "res.csv"
+    argv = ["gw-survival", "--model", "plain-poisson", "--m", "1.1",
+            "--format", "csv", "--out", str(out)]
+    assert run_command(argv) == 0
+    assert run_command(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines.count(",".join(CSV_COLUMNS)) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 2
+    assert rows[0] == rows[1] | {"wall_clock_seconds": rows[0]["wall_clock_seconds"]}
 
 
 def test_every_csv_column_is_filled(capsys, tmp_path):

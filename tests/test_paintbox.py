@@ -32,7 +32,7 @@ from haldane.streams import make_rng
 
 
 def test_sample_y_deterministic_point_mass():
-    out = sample_y(Deterministic(1.0), 4, make_rng(0))
+    out = sample_y(Deterministic(), 4, make_rng(0))
     assert out.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
@@ -64,8 +64,6 @@ def test_invalid_parameters_rejected_at_construction():
         TwoPoint(0.5, 1.5, 1.0)
     with pytest.raises(ValueError):
         TwoPoint(-0.5, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        Deterministic(0.0)
     with pytest.raises(ValueError):
         LogNormal(0.0)
 
@@ -190,7 +188,7 @@ def test_spiked_second_moment_closed_form():
 def test_rho_squared_closed_forms():
     # Y laws give the N-free limit E[Y^2]/E[Y]^2 at every N
     for N in (10, 10**6):
-        assert Deterministic(3.7).rho_squared(N) == 1.0
+        assert Deterministic().rho_squared(N) == 1.0
         assert Gamma(1.0).rho_squared(N) == pytest.approx(2.0)
         assert Gamma(2.0).rho_squared(N) == pytest.approx(1.5)
         assert TwoPoint(0.5, 1.5, 0.5).rho_squared(N) == pytest.approx(1.25)
@@ -199,7 +197,7 @@ def test_rho_squared_closed_forms():
 
 def test_second_moment_bits():
     # the expressions every ref_variance and offspring variance is built from
-    assert Deterministic(3.7).second_moment() == 1.0
+    assert Deterministic().second_moment() == 1.0
     for kappa in (1e-3, 0.3, 1.0, 2.5, 7.0, 100.0):
         assert Gamma(kappa).second_moment() == (kappa + 1) / kappa
     for sigma in (0.1, 0.5, 0.7, 1.0, 2.0):
@@ -504,7 +502,7 @@ def test_block_weight_sums_match_explicit_paintbox():
     "source",
     [
         Deterministic(),
-        Deterministic(2.0),
+        TwoPoint(0.2, 3.0, 0.7),
         Gamma(1.0),
         Gamma(2.5),
         TwoPoint(0.5, 1.5, 0.5),
@@ -523,6 +521,7 @@ def test_parse_source_roundtrip(source):
     ("spiked", "bad parameters for paintbox 'spiked': "),
     ("gamma:1,2", "bad parameters for paintbox 'gamma:1,2': "),
     ("gamma:-1", "Gamma shape must be > 0, got -1.0"),
+    ("deterministic:2", "bad parameters for paintbox 'deterministic:2': "),
 ])
 def test_parse_source_error_messages(text, message):
     with pytest.raises(ValueError) as info:
