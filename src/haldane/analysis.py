@@ -24,8 +24,8 @@ from statistics import NormalDist
 from typing import Sequence
 
 from .branching import haldane_ref
-from .cannings import CanningsConfig, ConfigurationError, Tally, run_ensemble
-from .paintbox import SpikedSpec
+from .cannings import CanningsConfig, Tally, run_ensemble
+from .paintbox import ConfigurationError, SpikedSpec
 from .streams import layout, trial_rng
 
 DEFAULT_LEVEL = 0.99

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .paintbox import (
+    ConfigurationError,
     PaintboxSource,
     QnEstimate,
     UnsupportedLawError,
@@ -39,10 +40,6 @@ from .paintbox import (
 )
 
 EXPONENT_TOL = 1e-12
-
-
-class ConfigurationError(ValueError):
-    """Invalid experiment configuration (CLI maps this to exit code 2)."""
 
 
 @dataclass(frozen=True)

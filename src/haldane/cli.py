@@ -18,7 +18,6 @@ count; it is read on every call, so one parser serves the process.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import io
@@ -32,10 +31,11 @@ import time
 
 import numpy as np
 
-from . import __version__, analysis, branching
-from .cannings import CanningsConfig, ConfigurationError
-from .paintbox import YLaw, estimate_weight_moment, parse_source
-from .streams import layout, trial_rng
+from . import __version__, branching
+from .paintbox import ConfigurationError, YLaw, estimate_weight_moment, parse_source
+
+# handlers import the Monte Carlo layers and `csv` themselves, so a
+# `gw-survival` solve loads only this module, `paintbox` and `branching`
 
 CSV_COLUMNS = [
     "command", "version", "numpy_version", "python_version", "stream_layout",
@@ -89,6 +89,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"confidence level must be in (0,1), got {value}")
+    return value
+
+
 def _default_parallelism() -> int:
     raw = os.environ.get("HALDANE_PARALLELISM", "1")
     try:
@@ -102,8 +109,9 @@ def _add_mc_args(sp):
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--parallelism", type=_worker_count, default=None,
                     help="worker processes (default: $HALDANE_PARALLELISM or 1)")
-    sp.add_argument("--level", type=float, default=analysis.DEFAULT_LEVEL,
-                    help="confidence level for Wilson intervals")
+    sp.add_argument("--level", type=_level, default=None,
+                    help="confidence level for Wilson intervals "
+                         "(default: haldane.analysis.DEFAULT_LEVEL)")
 
 
 @functools.cache
@@ -173,17 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _record(args, config: CanningsConfig | None = None,
-            estimate: analysis.FixationEstimate | None = None, **fields) -> dict:
+def _record(args, config=None, estimate=None, **fields) -> dict:
     """One output record: run settings, config, every estimate field, extra fields."""
     rec = {
         "command": args.command,
         "version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
-        # fixation estimates come from the block farm; other records that
-        # draw say how, and records that draw nothing have no layout
-        "stream_layout": analysis.STREAM_LAYOUT if estimate is not None else None,
+        # records that draw say how (fixation estimates: the block farm);
+        # records that draw nothing have no layout
+        "stream_layout": None,
         "seed": getattr(args, "seed", None),
         "trials": getattr(args, "trials", None),
         "parallelism": getattr(args, "parallelism", None),
@@ -200,12 +207,14 @@ def _record(args, config: CanningsConfig | None = None,
             "paintbox_conforming": config.paintbox.conforming,
         })
     if estimate is not None:
-        rec.update(dataclasses.asdict(estimate))
+        from .analysis import STREAM_LAYOUT
+        rec.update(dataclasses.asdict(estimate), stream_layout=STREAM_LAYOUT)
     rec.update(fields)
     return rec
 
 
-def _make_config(args, N: int) -> CanningsConfig:
+def _make_config(args, N: int):
+    from .cannings import CanningsConfig
     source = parse_source(args.paintbox)
     if args.b is not None:
         return CanningsConfig.from_exponent(N, args.b, source, args.x0)
@@ -213,6 +222,7 @@ def _make_config(args, N: int) -> CanningsConfig:
 
 
 def _cmd_fixation(args):
+    from . import analysis
     # a sweep is one fixation estimate per N at a fixed exponent
     for N in args.N if args.command == "sweep" else [args.N]:
         config = _make_config(args, N)
@@ -222,6 +232,7 @@ def _cmd_fixation(args):
 
 
 def _cmd_phases(args):
+    from . import analysis
     config = _make_config(args, args.N)
     rep = analysis.phase_diagnostics(
         config, args.delta, args.eps, args.trials, args.seed,
@@ -270,6 +281,7 @@ def _cmd_gw_survival(args):
 
 
 def _cmd_duality(args):
+    from . import analysis
     samples = analysis.read_aeq_samples(args.samples)
     value = analysis.duality_fixation(args.N, args.k, samples)
     yield _record(args, N=args.N, k=args.k, samples_file=args.samples,
@@ -277,6 +289,7 @@ def _cmd_duality(args):
 
 
 def _cmd_counterexample(args):
+    from . import analysis
     rep = analysis.counterexample_check(
         args.N, args.gamma, args.b, args.trials, args.seed,
         args.parallelism, args.level)
@@ -287,6 +300,7 @@ def _cmd_counterexample(args):
 
 
 def _cmd_moments(args):
+    from .streams import layout, trial_rng
     law = parse_source(args.paintbox)
     if not isinstance(law, YLaw):
         raise ConfigurationError("moments needs a Dirichlet-type paintbox")
@@ -331,6 +345,7 @@ def _json_line(rec: dict) -> str:
 def _text(records: list[dict], fmt: str, header: bool) -> str:
     if fmt == "jsonl":
         return "".join(map(_json_line, records))
+    import csv
     buf = io.StringIO()
     # inapplicable cells stay empty; a field missing from CSV_COLUMNS raises
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
@@ -371,6 +386,9 @@ def run_command(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "parallelism", 0) is None:  # moments takes no --parallelism
             args.parallelism = _default_parallelism()
+        if getattr(args, "level", 0) is None:  # moments takes no --level
+            from .analysis import DEFAULT_LEVEL
+            args.level = DEFAULT_LEVEL
         last = time.perf_counter()
         for rec in _HANDLERS[args.command](args):
             now = time.perf_counter()

@@ -30,6 +30,10 @@ from typing import Sequence
 import numpy as np
 
 
+class ConfigurationError(ValueError):
+    """Invalid experiment configuration (CLI maps this to exit code 2)."""
+
+
 class UnsupportedLawError(ValueError):
     """Raised when an operation needs mixing atoms the law lacks."""
 

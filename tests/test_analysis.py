@@ -17,8 +17,8 @@ from haldane.analysis import (
     read_aeq_samples,
     wilson_interval,
 )
-from haldane.cannings import CanningsConfig, ConfigurationError, run_ensemble
-from haldane.paintbox import Deterministic, Gamma, SpikedSpec
+from haldane.cannings import CanningsConfig, run_ensemble
+from haldane.paintbox import ConfigurationError, Deterministic, Gamma, SpikedSpec
 from haldane.streams import TrialStreams
 
 

@@ -365,6 +365,31 @@ def test_mixed_poisson_gamma_pgf_is_negative_binomial(kappa, m):
         assert model.pgf(q) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
+def negative_binomial_survival(kappa, m, iters=200):
+    """Independent oracle: bisect S(phi) - phi on (0, 1] for the closed-form
+    survival map S(phi) = 1 - (1 + m phi / kappa)^-kappa of Pois(m Y),
+    Y ~ Gamma(kappa, 1/kappa); S(phi) > phi below the root."""
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if -math.expm1(-kappa * math.log1p(m * mid / kappa)) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5, 100.0, 2000.0])
+@pytest.mark.parametrize("m", [1.001, 1.01, 1.1, 1.5, 3.0, 10.0])
+def test_mixed_poisson_gamma_survival_is_the_negative_binomial_root(kappa, m):
+    # where the 160-atom quadrature is exact to rounding, the solved phi is
+    # the root of 1 - phi = (1 + m phi / kappa)^-kappa; `phi_bound` brackets
+    # the root of the atom law, not the quadrature's own error
+    exact = negative_binomial_survival(kappa, m)
+    res = extinction_q(MixedPoisson(Gamma(kappa), m))
+    assert res.phi == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
 def test_mixed_binomial_gamma_pgf_vs_quadrature_oracle():
     # the generalized Gauss-Laguerre route against direct numerical integration
     from scipy.integrate import quad

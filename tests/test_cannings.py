@@ -8,7 +8,6 @@ from scipy.stats import ks_2samp
 
 from haldane.cannings import (
     CanningsConfig,
-    ConfigurationError,
     Tally,
     growth_factor_qn,
     run_ensemble,
@@ -19,6 +18,7 @@ from haldane.cannings import (
 )
 from haldane.paintbox import (
     MAX_DRAW,
+    ConfigurationError,
     Deterministic,
     Gamma,
     LogNormal,

@@ -70,6 +70,35 @@ def test_parallelism_below_one_exits_2(capsys, workers):
     assert capsys.readouterr().out == ""
 
 
+_MC_ARGV = {
+    "fixation": ["fixation", "--N", "20", "--s", "0.1"],
+    "sweep": ["sweep", "--N", "20", "30", "--b", "0.3"],
+    "phases": ["phases", "--N", "10000", "--b", "0.25", "--delta", "0.05", "--eps", "0.1"],
+    "counterexample": ["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45"],
+}
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "1", "nan"])
+@pytest.mark.parametrize("command", sorted(_MC_ARGV))
+def test_level_outside_the_unit_interval_exits_2_before_any_trial(capsys, monkeypatch,
+                                                                  command, level):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "run_ensemble", no_trials)
+    assert run_command(_MC_ARGV[command] + ["--trials", "10", "--seed", "1",
+                                            "--level", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--level" in captured.err
+
+
+def test_default_level_is_recorded(capsys):
+    code, [rec] = run_jsonl(capsys, _MC_ARGV["fixation"] + ["--trials", "10", "--seed", "1"])
+    assert code == 0
+    assert rec["level"] == analysis.DEFAULT_LEVEL == 0.99
+
+
 def test_lognormal_sigma_overflowing_the_second_moment_exits_2(capsys):
     # E[Y^2] = exp(27^2) overflows a float: rejected before any trial runs
     assert run_command(["fixation", "--N", "100", "--s", "0.1", "--paintbox", "lognormal:27",
@@ -592,21 +621,38 @@ def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
 
 
 def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
-    # a fresh interpreter, since the test process has both loaded: either
-    # import would cost every run's start-up; so would numpy's lazily
-    # loaded numpy.random for a solve, which draws nothing
+    # a fresh interpreter, since the test process has everything loaded.
+    # Each command loads only the layers it runs: a solve needs neither
+    # the Monte Carlo layers nor numpy's lazily loaded numpy.random, a
+    # moments table adds only the streams, CSV output adds `csv`, and a
+    # one-block run imports neither scipy nor a process pool
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from haldane.cli import run_command\n"
-        "codes = [run_command(['gw-survival', '--model', 'mixed-poisson',"
-        " '--y', 'gamma:1', '--m', '1.1'])]\n"
-        "loaded = ['numpy.random'] if 'numpy.random' in sys.modules else []\n"
-        "codes.append(run_command(['fixation', '--N', '20', '--s', '0.1', '--trials', '50',"
-        " '--seed', '1', '--parallelism', '2']))\n"
-        "print(codes, loaded + [m for m in ('scipy', 'concurrent.futures', 'multiprocessing')"
-        " if m in sys.modules])\n")
+        "def run(*argv):\n"
+        "    before = set(sys.modules)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = run_command(list(argv))\n"
+        "    new = set(sys.modules) - before\n"
+        "    watched = ('statistics', 'csv', 'numpy.random', 'scipy', 'concurrent.futures',"
+        " 'multiprocessing')\n"
+        "    print(code, sorted(m for m in new if m.startswith('haldane.') or m in watched))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('haldane')))\n"
+        "run('gw-survival', '--model', 'mixed-poisson', '--y', 'gamma:1', '--m', '1.1')\n"
+        "run('gw-survival', '--model', 'binary', '--p', '0.51')\n"
+        "run('moments', '--N', '10', '--trials', '5', '--seed', '1')\n"
+        "run('gw-survival', '--model', 'binary', '--p', '0.51', '--format', 'csv')\n"
+        "run('fixation', '--N', '20', '--s', '0.1', '--trials', '50', '--seed', '1',"
+        " '--parallelism', '2')\n")
     env = {**os.environ, "PYTHONPATH": str(Path(haldane.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines() == [
+        "['haldane', 'haldane.branching', 'haldane.cli', 'haldane.paintbox']",
+        "0 []",
+        "0 []",
+        "0 ['haldane.streams', 'numpy.random']",
+        "0 ['csv']",
+        "0 ['haldane.analysis', 'haldane.cannings', 'statistics']",
+    ]
