@@ -72,7 +72,7 @@ def _run_block(config, thresholds, seed, trials, b):
 
 def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
     run = partial(_run_block, config, tuple(sorted(set(thresholds))), seed, trials)
     blocks = range(-(-trials // BLOCK_TRIALS))
     workers = min(parallelism, len(blocks))
@@ -96,6 +96,7 @@ class FixationEstimate:
     trials: int
     fixations: int
     p_hat: float
+    p_hat_stderr: float
     ci_low: float
     ci_high: float
     level: float
@@ -127,6 +128,7 @@ def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
         trials=tally.trials,
         fixations=tally.fixations,
         p_hat=p_hat,
+        p_hat_stderr=math.sqrt(p_hat * (1.0 - p_hat) / tally.trials),
         ci_low=lo,
         ci_high=hi,
         level=level,
@@ -254,16 +256,16 @@ def duality_fixation(N: int, k: int, aeq_samples: Sequence[int]) -> float:
     chain's fixation probability at O(s^2).
     """
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+        raise ConfigurationError(f"need N >= 1, got {N}")
     if not 0 <= k <= N:
-        raise ValueError(f"beneficial count {k} outside [0, {N}]")
+        raise ConfigurationError(f"beneficial count {k} outside [0, {N}]")
     samples = list(aeq_samples)
     if not samples:
-        raise ValueError("need at least one ancestral-line sample")
+        raise ConfigurationError("need at least one ancestral-line sample")
     acc = 0.0
     for a in samples:
         if not 1 <= a <= N:
-            raise ValueError(f"ancestral-line count {a} outside [1, {N}]")
+            raise ConfigurationError(f"ancestral-line count {a} outside [1, {N}]")
         if a > N - k:
             continue  # avoidance impossible
         log_ratio = (
@@ -291,7 +293,7 @@ def read_aeq_samples(path) -> list[int]:
             try:
                 samples.append(int(text))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer: {text!r}") from None
+                raise ConfigurationError(f"{path}:{lineno}: not an integer: {text!r}") from None
     return samples
 
 

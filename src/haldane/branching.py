@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paintbox import YLaw
+from .paintbox import ConfigurationError, YLaw
 
 
 class GWModel(abc.ABC):
@@ -55,7 +55,7 @@ class GWModel(abc.ABC):
 
 def _check_mean_factor(m: float) -> None:
     if not 0.0 <= m < math.inf:
-        raise ValueError(f"mean factor must be finite and >= 0, got {m}")
+        raise ConfigurationError(f"mean factor must be finite and >= 0, got {m}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ class MixedBinomial(GWModel):
     def __post_init__(self):
         _check_mean_factor(self.m)
         if not self.M >= 0:
-            raise ValueError(f"binomial trial count must be >= 0, got {self.M}")
+            raise ConfigurationError(f"binomial trial count must be >= 0, got {self.M}")
         if not self.N >= 1:
-            raise ValueError(f"binomial scale must be >= 1, got {self.N}")
+            raise ConfigurationError(f"binomial scale must be >= 1, got {self.N}")
 
     def mean(self):
         return self.M * self.m / self.N
@@ -173,7 +173,7 @@ class TwoPointImmortal(GWModel):
 
     def __post_init__(self):
         if not 0.0 <= self.beta_s <= 1.0:
-            raise ValueError(f"branching probability must be in [0,1], got {self.beta_s}")
+            raise ConfigurationError(f"branching probability must be in [0,1], got {self.beta_s}")
 
     def mean(self):
         return 1.0 + self.beta_s
@@ -206,7 +206,7 @@ class Binary(GWModel):
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"branching probability must be in [0,1], got {self.p}")
+            raise ConfigurationError(f"branching probability must be in [0,1], got {self.p}")
 
     def mean(self):
         return 2.0 * self.p
@@ -324,7 +324,7 @@ def extinction_q(model: GWModel, tol: float = 1e-12) -> SurvivalResult:
     both come with bound 0.
     """
     if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+        raise ConfigurationError(f"tolerance must be > 0, got {tol}")
     probe = model.pgf(1.0)  # raises UnsupportedLawError for mixing laws without atoms
     if abs(probe - 1.0) > 1e-9:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")

@@ -34,7 +34,6 @@ from .paintbox import (
     PaintboxSource,
     QnEstimate,
     UnsupportedLawError,
-    WeightVector,
     YLaw,
     block_weight_sums,
 )
@@ -76,6 +75,8 @@ class CanningsConfig:
 
     @classmethod
     def from_exponent(cls, N, b, paintbox, initial_count):
+        if N < 2:  # checked before 0 ** -b can raise
+            raise ConfigurationError(f"need N >= 2, got {N}")
         return cls(
             N=N,
             s=float(N) ** (-float(b)),
@@ -151,20 +152,6 @@ class Tally:
 # ---------------------------------------------------------------------------
 # One-generation transitions
 # ---------------------------------------------------------------------------
-
-
-def success_probability(weights: WeightVector, k: int, s: float) -> float:
-    """Chance a single child is beneficial, given the weights and count k."""
-    N = len(weights)
-    if not 0 <= k <= N:
-        raise ValueError(f"beneficial count {k} outside [0, {N}]")
-    if k == 0:
-        return 0.0
-    if k == N:
-        return 1.0
-    head = weights.head_sum(k)
-    tail = float(np.add.reduce(weights.w[k:]))
-    return head / (head + (1.0 - s) * tail)
 
 
 def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:

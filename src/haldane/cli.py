@@ -43,10 +43,11 @@ CSV_COLUMNS = [
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
     "model", "y", "m", "M", "beta_s", "p", "tol", "k", "samples_file",
     "moment_p", "level",
-    "p_hat", "fixations", "ci_low", "ci_high",
+    "p_hat", "p_hat_stderr", "fixations", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
     "trial_generations", "lockstep_generations",
-    "p1", "p2", "p3", "threshold_1", "threshold_2",
+    "p1", "p1_ci_low", "p1_ci_high", "p2", "p2_ci_low", "p2_ci_high",
+    "p3", "p3_ci_low", "p3_ci_high", "threshold_1", "threshold_2",
     "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
     "naive_prediction", "neutral_floor", "violation",
     "duality_fixation", "n_samples",
@@ -240,7 +241,10 @@ def _cmd_phases(args):
     yield _record(
         args, config, rep.estimate, delta=args.delta, eps=args.eps,
         threshold_1=rep.threshold_1, threshold_2=rep.threshold_2,
-        p1=rep.p1, p2=rep.p2, p3=rep.p3)
+        p1=rep.p1, p2=rep.p2, p3=rep.p3,
+        p1_ci_low=rep.p1_ci[0], p1_ci_high=rep.p1_ci[1],
+        p2_ci_low=rep.p2_ci[0], p2_ci_high=rep.p2_ci[1],
+        p3_ci_low=rep.p3_ci[0], p3_ci_high=rep.p3_ci[1])
 
 
 def _option(flag: str) -> str:
@@ -395,7 +399,7 @@ def run_command(argv: list[str] | None = None) -> int:
             rec["wall_clock_seconds"] = round(now - last, 6)
             last = now
             records.append(rec)
-    except (ConfigurationError, ValueError) as exc:
+    except ConfigurationError as exc:  # bad input; ValueErrors from a run are failures
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

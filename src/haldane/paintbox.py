@@ -34,7 +34,7 @@ class ConfigurationError(ValueError):
     """Invalid experiment configuration (CLI maps this to exit code 2)."""
 
 
-class UnsupportedLawError(ValueError):
+class UnsupportedLawError(ConfigurationError):
     """Raised when an operation needs mixing atoms the law lacks."""
 
 
@@ -162,7 +162,9 @@ class Gamma(YLaw):
 
     def __post_init__(self):
         if not self.kappa > 0:
-            raise ValueError(f"Gamma shape must be > 0, got {self.kappa}")
+            raise ConfigurationError(f"Gamma shape must be > 0, got {self.kappa}")
+        if self.kappa == math.inf:
+            raise ConfigurationError("Gamma shape must be finite, got inf")
 
     def sample(self, n, rng):
         return rng.standard_gamma(self.kappa, size=n) / self.kappa
@@ -232,10 +234,11 @@ class TwoPoint(YLaw):
     p: float = 0.5
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"TwoPoint values must be > 0, got a={self.a}, b={self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ConfigurationError(
+                f"TwoPoint values must be finite and > 0, got a={self.a}, b={self.b}")
         if not 0 < self.p < 1:
-            raise ValueError(f"TwoPoint probability must be in (0,1), got {self.p}")
+            raise ConfigurationError(f"TwoPoint probability must be in (0,1), got {self.p}")
 
     @cached_property
     def _ab(self) -> tuple[float, float]:
@@ -273,9 +276,10 @@ class LogNormal(YLaw):
 
     def __post_init__(self):
         if not self.sigma > 0:
-            raise ValueError(f"LogNormal sigma must be > 0, got {self.sigma}")
+            raise ConfigurationError(f"LogNormal sigma must be > 0, got {self.sigma}")
         if not self.sigma**2 < math.log(sys.float_info.max):
-            raise ValueError(f"LogNormal sigma={self.sigma:g} overflows E[Y^2] = exp(sigma^2)")
+            raise ConfigurationError(
+                f"LogNormal sigma={self.sigma:g} overflows E[Y^2] = exp(sigma^2)")
 
     @property
     def _mu(self) -> float:
@@ -325,38 +329,6 @@ def _segment_sums(counts: np.ndarray, draw) -> np.ndarray:
     return sums
 
 
-# ---------------------------------------------------------------------------
-# Weight vectors
-# ---------------------------------------------------------------------------
-
-SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """One generation's normalized weights; entries >= 0, summing to 1."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        total = math.fsum(w.tolist())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1 within {SUM_TOL}")
-
-    def __len__(self) -> int:
-        return self.w.size
-
-    def head_sum(self, k: int) -> float:
-        """Sum of the first k weights."""
-        return float(np.add.reduce(self.w[:k]))
-
-
 @dataclass(frozen=True)
 class SpikedSpec:
     """One uniformly chosen index gets weight N**-gamma; the rest split evenly."""
@@ -367,7 +339,7 @@ class SpikedSpec:
 
     def __post_init__(self):
         if not 0 < self.gamma < 0.5:
-            raise ValueError(f"spike exponent must be in (0, 1/2), got {self.gamma}")
+            raise ConfigurationError(f"spike exponent must be in (0, 1/2), got {self.gamma}")
 
     def spike_weight(self, N: int) -> float:
         return N ** (-self.gamma)
@@ -436,23 +408,23 @@ def sample_y(law: YLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     return law.sample(n, rng)
 
 
-def weights_from_y(y: Sequence[float] | np.ndarray) -> WeightVector:
-    """Normalize positive potentials into a weight vector: W_i = y_i / sum(y)."""
+def weights_from_y(y: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Normalize positive potentials into weights: W_i = y_i / sum(y)."""
     arr = np.asarray(y, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot normalize an empty vector")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("all potentials must be finite and strictly positive")
-    return WeightVector(arr / math.fsum(arr.tolist()))
+    return arr / math.fsum(arr.tolist())
 
 
-def spiked_weights(N: int, spec: SpikedSpec, rng: np.random.Generator) -> WeightVector:
+def spiked_weights(N: int, spec: SpikedSpec, rng: np.random.Generator) -> np.ndarray:
     """Spiked paintbox draw: the heavy index is uniform on 0..N-1."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     w = np.full(N, spec.other_weight(N))
     w[rng.integers(N)] = spec.spike_weight(N)
-    return WeightVector(w)
+    return w
 
 
 def block_weight_sums(
@@ -490,9 +462,6 @@ class WeightMomentEstimate:
 
     value: float
     stderr: float
-    trials: int
-    N: int
-    p: int
 
 
 def estimate_weight_moment(
@@ -509,14 +478,14 @@ def estimate_weight_moment(
     just Y_1 and the block sum of the other N-1 potentials.
     """
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+        raise ConfigurationError(f"need N >= 1, got {N}")
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
     if p not in (2, 3):
         raise ValueError(f"supported exponents are 2 and 3, got {p}")
     y1 = law.sample(trials, rng)
     rest = law.sample_sum(np.full(trials, N - 1), rng)
-    return WeightMomentEstimate(*_mean_stderr((y1 / (y1 + rest)) ** p), trials, N, p)
+    return WeightMomentEstimate(*_mean_stderr((y1 / (y1 + rest)) ** p))
 
 
 _SOURCES = {"deterministic": Deterministic, "gamma": Gamma, "two-point": TwoPoint,
@@ -526,10 +495,13 @@ _SOURCES = {"deterministic": Deterministic, "gamma": Gamma, "two-point": TwoPoin
 def parse_source(text: str) -> PaintboxSource:
     """Parse a `name:params` tag (as emitted by .tag()) into a source."""
     name, _, params = text.partition(":")
-    args = [float(x) for x in params.split(",")] if params else []
+    try:
+        args = [float(x) for x in params.split(",")] if params else []
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     if name not in _SOURCES:
-        raise ValueError(f"unknown paintbox {text!r}")
+        raise ConfigurationError(f"unknown paintbox {text!r}")
     try:
         return _SOURCES[name](*args)
     except TypeError as exc:
-        raise ValueError(f"bad parameters for paintbox {text!r}: {exc}") from None
+        raise ConfigurationError(f"bad parameters for paintbox {text!r}: {exc}") from None

@@ -152,7 +152,7 @@ def test_estimate_spiked_uses_finite_n_variance():
 
 def test_fixation_estimate_invariants_raise():
     # exceptions, not asserts, so that `python -O` keeps the checks
-    fields = dict(trials=10, fixations=3, p_hat=0.3, ci_low=0.1,
+    fields = dict(trials=10, fixations=3, p_hat=0.3, p_hat_stderr=0.145, ci_low=0.1,
                   ci_high=0.6, level=0.99, s=0.1, ref_variance=2.0, haldane=0.1,
                   ratio=3.0, mean_tau=2.0, max_tau=5, trial_generations=20,
                   lockstep_generations=5)

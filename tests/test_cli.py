@@ -179,6 +179,66 @@ def test_missing_samples_file_exits_2(capsys):
                         "--samples", "/nonexistent/aeq.txt"]) == 2
 
 
+_FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, samples, message", [
+    (_FIX_ARGV + ["--paintbox", "gamma:-1"], None, "Gamma shape must be > 0, got -1.0"),
+    (_FIX_ARGV + ["--paintbox", "nope"], None, "unknown paintbox 'nope'"),
+    (_FIX_ARGV + ["--paintbox", "two-point:1,1,1.5"], None,
+     "TwoPoint probability must be in (0,1), got 1.5"),
+    (["fixation", "--N", "100", "--s", "0.1", "--trials", "0", "--seed", "1"], None,
+     "need trials >= 1, got 0"),
+    (["gw-survival", "--model", "plain-poisson", "--m", "-1"], None,
+     "mean factor must be finite and >= 0, got -1.0"),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "lognormal:1", "--m", "1.5"], None,
+     "lognormal:1 has no mixing atoms"),
+    (["gw-survival", "--model", "binary", "--p", "0.6", "--tol", "0"], None,
+     "tolerance must be > 0, got 0.0"),
+    (["duality", "--N", "10", "--k", "2"], "1\n2\nx\n", "{path}:3: not an integer: 'x'"),
+    (["duality", "--N", "10", "--k", "2"], "1\n30\n", "ancestral-line count 30 outside [1, 10]"),
+    (["duality", "--N", "10", "--k", "11"], "1\n2\n", "beneficial count 11 outside [0, 10]"),
+    (["moments", "--N", "0", "--trials", "10", "--seed", "1"], None, "need N >= 1, got 0"),
+    (["moments", "--N", "10", "--trials", "0", "--seed", "1"], None,
+     "need trials >= 1, got 0"),
+    # inputs whose checks a run would otherwise trip as a ZeroDivisionError,
+    # a numpy ValueError or a non-converging eigensolve
+    (["fixation", "--N", "0", "--b", "0.25", "--trials", "10", "--seed", "1"], None,
+     "need N >= 2, got 0"),
+    (_FIX_ARGV + ["--paintbox", "gamma:abc"], None,
+     "could not convert string to float: 'abc'"),
+    (_FIX_ARGV + ["--paintbox", "two-point:inf,1,0.5"], None,
+     "TwoPoint values must be finite and > 0, got a=inf, b=1.0"),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"], None,
+     "Gamma shape must be finite, got inf"),
+], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
+        "mean-negative", "no-atoms", "tol-zero", "samples-not-integer", "samples-too-large",
+        "k-too-large", "moments-N-zero", "moments-trials-zero", "N-zero-with-exponent",
+        "paintbox-not-a-number", "two-point-infinite", "gamma-infinite"])
+def test_bad_input_exits_2_with_its_message(capsys, tmp_path, argv, samples, message):
+    if samples is not None:
+        path = tmp_path / "aeq.txt"
+        path.write_text(samples)
+        argv = argv + ["--samples", str(path)]
+        message = message.format(path=path)
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_value_error_inside_a_run_exits_1(capsys, monkeypatch):
+    # only a ConfigurationError is bad input; any other ValueError is a failure
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(analysis, "run_ensemble", boom)
+    assert run_command(_FIX_ARGV) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: ValueError: boom\n"
+
+
 # ---------------------------------------------------------------------------
 # fixation records
 # ---------------------------------------------------------------------------
@@ -379,6 +439,39 @@ def test_counterexample_record(capsys):
     assert rec["gamma"] == 0.1
     assert rec["neutral_floor"] == pytest.approx(1 / 200)
     assert isinstance(rec["violation"], bool)
+
+
+@pytest.mark.parametrize("command", sorted(_MC_ARGV))
+def test_fixation_records_carry_the_standard_error(capsys, command):
+    code, records = run_jsonl(capsys, _MC_ARGV[command] + ["--trials", "5000", "--seed", "3"])
+    assert code == 0
+    for rec in records:
+        p, n = rec["p_hat"], rec["trials"]
+        assert 0 < p < 1
+        assert rec["p_hat_stderr"] == math.sqrt(p * (1.0 - p) / n)
+
+
+def test_phases_record_carries_each_phase_interval(capsys, tmp_path):
+    argv = ["phases", "--N", "1000", "--b", "0.2", "--delta", "0.15", "--eps", "0.1",
+            "--trials", "2000", "--seed", "4", "--level", "0.9"]
+    code, (rec,) = run_jsonl(capsys, argv)
+    assert code == 0
+    # the counts behind each phase ratio, back from the record
+    n = rec["trials"]
+    n1 = round(rec["p1"] * n)
+    n2 = round(rec["p2"] * n1)
+    nfix = rec["fixations"]
+    assert 0 < nfix <= n2 < n1 < n
+    assert rec["p3"] == nfix / n2
+    for i, (hits, tries) in enumerate([(n1, n), (n2, n1), (nfix, n2)], 1):
+        lo, hi = analysis.wilson_interval(hits, tries, 0.9)
+        assert (rec[f"p{i}_ci_low"], rec[f"p{i}_ci_high"]) == (lo, hi)
+        assert lo <= rec[f"p{i}"] <= hi
+    out = tmp_path / "phases.csv"
+    assert run_command(argv + ["--format", "csv", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    new = ["p_hat_stderr"] + [f"p{i}_ci_{end}" for i in (1, 2, 3) for end in ("low", "high")]
+    assert [float(row[k]) for k in new] == [rec[k] for k in new]
 
 
 def test_moments_table(capsys):

@@ -15,7 +15,6 @@ from haldane.paintbox import (
     SpikedSpec,
     TwoPoint,
     UnsupportedLawError,
-    WeightVector,
     block_weight_sums,
     estimate_weight_moment,
     parse_source,
@@ -85,13 +84,13 @@ def test_lognormal_mean_one_and_flagged():
 
 
 # ---------------------------------------------------------------------------
-# weights_from_y / WeightVector
+# weights_from_y
 # ---------------------------------------------------------------------------
 
 
 def test_weights_from_y_examples():
-    assert weights_from_y([1, 1, 1, 1]).w.tolist() == [0.25, 0.25, 0.25, 0.25]
-    assert weights_from_y([2, 1, 1]).w.tolist() == [0.5, 0.25, 0.25]
+    assert weights_from_y([1, 1, 1, 1]).tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert weights_from_y([2, 1, 1]).tolist() == [0.5, 0.25, 0.25]
 
 
 def test_weights_from_y_rejects_nonpositive():
@@ -107,8 +106,9 @@ def test_weights_from_y_rejects_nonpositive():
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=64))
 def test_weights_normalize_within_tolerance(ys):
     w = weights_from_y(ys)
-    assert abs(math.fsum(w.w.tolist()) - 1.0) <= 1e-12
-    assert np.all(w.w > 0)
+    assert w.shape == (len(ys),) and w.dtype == float
+    assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-12
+    assert np.all(w > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,16 +119,9 @@ def test_weights_normalize_within_tolerance(ys):
 def test_normalization_commutes_with_permutation(ys, pyrandom):
     perm = list(range(len(ys)))
     pyrandom.shuffle(perm)
-    direct = weights_from_y([ys[i] for i in perm]).w
-    permuted = weights_from_y(ys).w[perm]
+    direct = weights_from_y([ys[i] for i in perm])
+    permuted = weights_from_y(ys)[perm]
     assert np.allclose(direct, permuted, rtol=0, atol=1e-15)
-
-
-def test_weight_vector_validates():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.5, -0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +130,9 @@ def test_weight_vector_validates():
 
 
 def test_spiked_weights_forced_arithmetic():
-    w = spiked_weights(5, SpikedSpec(0.2), make_rng(6)).w
+    w = spiked_weights(5, SpikedSpec(0.2), make_rng(6))
+    assert w.shape == (5,) and w.dtype == float
+    assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-12
     spike = 5.0**-0.2
     other = (1 - spike) / 4
     assert np.isclose(sorted(w)[-1], spike)  # ~0.724780
@@ -147,7 +142,7 @@ def test_spiked_weights_forced_arithmetic():
 
 
 def test_spiked_weights_n2():
-    w = spiked_weights(2, SpikedSpec(0.4999999), make_rng(7)).w
+    w = spiked_weights(2, SpikedSpec(0.4999999), make_rng(7))
     assert np.isclose(max(w), 2**-0.4999999)
 
 
@@ -168,7 +163,7 @@ def test_spike_position_uniform():
     spec = SpikedSpec(0.2)
     spike = spec.spike_weight(N)
     for _ in range(trials):
-        counts[int(np.argmax(spiked_weights(N, spec, rng).w))] += 1
+        counts[int(np.argmax(spiked_weights(N, spec, rng)))] += 1
     band = 3 * math.sqrt(0.1 * 0.9 / trials)
     assert np.all(np.abs(counts / trials - 0.1) <= band + 1e-12), counts
 
@@ -483,9 +478,9 @@ def test_block_weight_sums_match_explicit_paintbox():
     for source in SOURCES[1:]:
         fast = np.array([block_weight_sums(source, N, sizes, rng) for _ in range(n)])
         if isinstance(source, SpikedSpec):
-            w = np.array([spiked_weights(N, source, rng).w for _ in range(n)])
+            w = np.array([spiked_weights(N, source, rng) for _ in range(n)])
         else:
-            w = np.array([weights_from_y(source.sample(N, rng)).w for _ in range(n)])
+            w = np.array([weights_from_y(source.sample(N, rng)) for _ in range(n)])
         explicit = np.add.reduceat(w, [0, 3, 7], axis=1)
         fast, explicit = np.round(fast, 12), np.round(explicit, 12)
         for j in range(3):

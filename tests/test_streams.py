@@ -68,14 +68,18 @@ def _name(expr):
     return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
 
 
-def _calls_outside(module):
-    """(file name, Call node) for every call in the package outside `module`."""
+def _package_nodes(skip=None):
+    """(file name, node) for every syntax node of the package's modules but `skip`."""
     package = Path(haldane.__file__).parent
     for path in sorted(package.glob("*.py")):
-        if path.name != module:
+        if path.name != skip:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call):
-                    yield path.name, node
+                yield path.name, node
+
+
+def _calls_outside(module):
+    """(file name, Call node) for every call in the package outside `module`."""
+    return ((f, node) for f, node in _package_nodes(module) if isinstance(node, ast.Call))
 
 
 def test_only_streams_constructs_generators():
@@ -102,4 +106,25 @@ def test_only_paintbox_tests_source_classes():
             for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
                 if _name(cls) in _SOURCE_CLASSES:
                     offenders.append(f"{fname}:{node.lineno} {_name(cls)}")
+    assert not offenders, offenders
+
+
+def _imported(node):
+    """Top-level names of the modules an import statement loads; [] for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.partition(".")[0]]
+    return []
+
+
+def test_no_asserts_and_no_benchmark_imports():
+    # invariants raise exceptions, which `python -O` does not strip, and
+    # the package is measured from outside: it never imports the benchmark
+    offenders = []
+    for fname, node in _package_nodes():
+        if isinstance(node, ast.Assert):
+            offenders.append(f"{fname}:{node.lineno} assert")
+        if "perfbench" in _imported(node):
+            offenders.append(f"{fname}:{node.lineno} imports perfbench")
     assert not offenders, offenders
