@@ -31,8 +31,8 @@ import numpy as np
 
 from .paintbox import (
     ConfigurationError,
+    Estimate,
     PaintboxSource,
-    QnEstimate,
     UnsupportedLawError,
     YLaw,
     block_weight_sums,
@@ -252,7 +252,7 @@ def growth_factor_qn(
     eps: float,
     trials: int,
     rng: np.random.Generator,
-) -> QnEstimate:
+) -> Estimate:
     """q_N = N * E[W_1 / (1 - s * sum of weights past floor(eps*N))].
 
     Exact at s = 0 and when floor(eps*N) = 0; otherwise the paintbox's
@@ -265,10 +265,10 @@ def growth_factor_qn(
     N, s = config.N, config.s
     j0 = int(math.floor(eps * N))
     if s == 0.0:
-        return QnEstimate(1.0, 0.0, True)
+        return Estimate(1.0, 0.0, True)
     if j0 == 0:
         # discounted tail is the whole population: q_N = N E[W_1]/(1-s)
-        return QnEstimate(1.0 / (1.0 - s), 0.0, True)
+        return Estimate(1.0 / (1.0 - s), 0.0, True)
     return config.paintbox.qn(N, s, j0, trials, rng)
 
 

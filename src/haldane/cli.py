@@ -306,8 +306,6 @@ def _cmd_counterexample(args):
 def _cmd_moments(args):
     from .streams import layout, trial_rng
     law = parse_source(args.paintbox)
-    if not isinstance(law, YLaw):
-        raise ConfigurationError("moments needs a Dirichlet-type paintbox")
     for i, (N, p) in enumerate(itertools.product(args.N, args.p)):
         est = estimate_weight_moment(law, N, p, args.trials, trial_rng(args.seed, i))
         yield _record(args, N=N, paintbox=law.tag(), moment_p=p,

@@ -44,12 +44,12 @@ MAX_DRAW = 1 << 20
 
 
 @dataclass(frozen=True)
-class QnEstimate:
-    """Per-generation mean growth factor of the comparison process."""
+class Estimate:
+    """A paintbox statistic with its standard error; closed forms are exact."""
 
     value: float
     stderr: float
-    exact: bool
+    exact: bool = False
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -98,14 +98,13 @@ class YLaw(abc.ABC):
         """(values, weights) so that E[g(Y)] = sum(w * g(v)) exactly or to quadrature."""
         raise UnsupportedLawError(f"{self.tag()} has no mixing atoms")
 
-    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> QnEstimate:
+    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> Estimate:
         """q_N = N E[W_1 / (1 - s * sum(W_i, i > j0))] for 1 <= j0 < N, by Monte Carlo.
 
-        Each of `trials` paintboxes takes Y_1, then the head's other Y, then the tail's."""
-        y1 = self.sample(trials, rng)
-        mid = self.sample_sum(np.full(trials, j0 - 1), rng)
-        tail = self.sample_sum(np.full(trials, N - j0), rng)
-        return QnEstimate(*_mean_stderr(N * y1 / (y1 + mid + tail - s * tail)), False)
+        Each of `trials` paintboxes gives the masses of index 1, the rest of
+        the head and the tail, from one `block_sums` call."""
+        y1, mid, tail = self.block_sums((np.ones(trials, np.int64), np.full(trials, j0)), N, rng)
+        return Estimate(*_mean_stderr(N * y1 / (y1 + mid + tail - s * tail)))
 
     def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
         """Weight mass of the index blocks [0, c_1), [c_1, c_2), ..., [c_last, N).
@@ -148,7 +147,7 @@ class Deterministic(YLaw):
 
     def qn(self, N, s, j0, trials, rng):
         # every weight is 1/N
-        return QnEstimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
+        return Estimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
 
     def tag(self):
         return "deterministic"
@@ -201,7 +200,7 @@ def _gamma_atoms(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """
     i = np.arange(_QUAD_NODES)
     diag = 2.0 * i + kappa
-    off = np.sqrt(i[1:] * (i[1:] + kappa - 1.0))
+    off = np.sqrt(i[1:] * ((i[1:] - 1.0) + kappa))  # i + kappa - 1 loses a tiny kappa
     nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # p_{k+1} = (x - diag_k) / off_k * p_k - off_{k-1} / off_k * p_{k-1}
     ahead = (nodes - diag[:-1, None]) / off[:, None]
@@ -356,7 +355,7 @@ class SpikedSpec:
         wo = self.other_weight(N)
         return N * (N - 1) * (ws**2 / N + (1.0 - 1.0 / N) * wo**2)
 
-    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> QnEstimate:
+    def qn(self, N: int, s: float, j0: int, trials: int, rng: np.random.Generator) -> Estimate:
         """q_N in closed form: the spike at index 1, elsewhere in the head, or in the tail."""
         ws, wo = self.spike_weight(N), self.other_weight(N)
         tail_plain = (N - j0) * wo
@@ -366,7 +365,7 @@ class SpikedSpec:
             + (j0 - 1) / N * wo / (1.0 - s * tail_plain)
             + (N - j0) / N * wo / (1.0 - s * tail_spiked)
         )
-        return QnEstimate(N * val, 0.0, True)
+        return Estimate(N * val, 0.0, True)
 
     def block_sums(self, cuts: Sequence, N: int, rng: np.random.Generator) -> list:
         """Weight mass of the index blocks [0, c_1), ..., [c_last, N), as for Y laws.
@@ -456,36 +455,29 @@ def block_weight_sums(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightMomentEstimate:
-    """Monte Carlo estimate of E[(W_1)^p] with its standard error."""
-
-    value: float
-    stderr: float
-
-
 def estimate_weight_moment(
-    law: YLaw,
+    source: PaintboxSource,
     N: int,
     p: int,
     trials: int,
     rng: np.random.Generator,
-) -> WeightMomentEstimate:
+) -> Estimate:
     """Unbiased estimate of the p-th moment of a single weight.
 
     One paintbox is drawn per trial and only W_1 is used (the estimator
-    the moment asymptotics are stated for); W_1 = Y_1/(Y_1 + rest) needs
-    just Y_1 and the block sum of the other N-1 potentials.
+    the moment asymptotics are stated for); W_1 is the mass of index 1
+    over the total, both from one `block_sums` call.
     """
     if N < 1:
         raise ConfigurationError(f"need N >= 1, got {N}")
+    if isinstance(source, SpikedSpec) and N < 2:
+        raise ConfigurationError(f"the spiked paintbox needs N >= 2, got {N}")
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     if p not in (2, 3):
         raise ValueError(f"supported exponents are 2 and 3, got {p}")
-    y1 = law.sample(trials, rng)
-    rest = law.sample_sum(np.full(trials, N - 1), rng)
-    return WeightMomentEstimate(*_mean_stderr((y1 / (y1 + rest)) ** p))
+    y1, rest = source.block_sums((np.ones(trials, np.int64),), N, rng)
+    return Estimate(*_mean_stderr((y1 / (y1 + rest)) ** p))
 
 
 _SOURCES = {"deterministic": Deterministic, "gamma": Gamma, "two-point": TwoPoint,

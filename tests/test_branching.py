@@ -390,6 +390,23 @@ def test_mixed_poisson_gamma_survival_is_the_negative_binomial_root(kappa, m):
     assert res.phi == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [1e-16, 1e-20, 1e-300])
+def test_tiny_gamma_shape_solves(kappa):
+    # the Jacobi off-diagonal at i = 1 is sqrt(kappa); written i + kappa - 1
+    # it rounded to 0, and the solve spent its budget on a vacuous bracket
+    res = extinction_q(MixedPoisson(Gamma(kappa), 1.5))
+    assert abs(res.phi - negative_binomial_survival(kappa, 1.5)) <= 1e-12
+    assert res.bound <= 1e-12 and res.iterations <= 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_gamma_shape_solves_mixed_binomial():
+    res = extinction_q(MixedBinomial(Gamma(1e-300), 100, 1.5, 100))
+    assert 0.0 <= res.phi <= 1e-12
+    assert res.bound <= 1e-12 and res.iterations <= 10
+
+
 def test_mixed_binomial_gamma_pgf_vs_quadrature_oracle():
     # the generalized Gauss-Laguerre route against direct numerical integration
     from scipy.integrate import quad

@@ -201,6 +201,9 @@ _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed",
     (["moments", "--N", "0", "--trials", "10", "--seed", "1"], None, "need N >= 1, got 0"),
     (["moments", "--N", "10", "--trials", "0", "--seed", "1"], None,
      "need trials >= 1, got 0"),
+    # one index leaves no other to share the spike's remainder
+    (["moments", "--paintbox", "spiked:0.2", "--N", "1", "--trials", "10", "--seed", "1"], None,
+     "the spiked paintbox needs N >= 2, got 1"),
     # inputs whose checks a run would otherwise trip as a ZeroDivisionError,
     # a numpy ValueError or a non-converging eigensolve
     (["fixation", "--N", "0", "--b", "0.25", "--trials", "10", "--seed", "1"], None,
@@ -213,7 +216,8 @@ _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed",
      "Gamma shape must be finite, got inf"),
 ], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
         "mean-negative", "no-atoms", "tol-zero", "samples-not-integer", "samples-too-large",
-        "k-too-large", "moments-N-zero", "moments-trials-zero", "N-zero-with-exponent",
+        "k-too-large", "moments-N-zero", "moments-trials-zero", "moments-spiked-N-one",
+        "N-zero-with-exponent",
         "paintbox-not-a-number", "two-point-infinite", "gamma-infinite"])
 def test_bad_input_exits_2_with_its_message(capsys, tmp_path, argv, samples, message):
     if samples is not None:
@@ -493,6 +497,18 @@ def test_moments_nonpositive_population_exits_2(capsys, paintbox, N):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: need N >= 1, got {N}")
+
+
+def test_moments_spiked_runs(capsys):
+    code, records = run_jsonl(capsys, [
+        "moments", "--paintbox", "spiked:0.1", "--N", "100", "1000",
+        "--p", "2", "3", "--trials", "2000", "--seed", "1"])
+    assert code == 0
+    assert [(rec["N"], rec["moment_p"]) for rec in records] == [
+        (100, 2), (100, 3), (1000, 2), (1000, 3)]
+    for rec in records:
+        assert rec["paintbox"] == "spiked:0.1"
+        assert rec["moment_value"] > 0 and rec["moment_stderr"] > 0
 
 
 def test_moments_cells_draw_from_their_own_streams(capsys):

@@ -402,6 +402,34 @@ def test_weight_moment_bad_exponent():
         estimate_weight_moment(Gamma(1.0), 100, 4, 10, make_rng(0))
 
 
+@pytest.mark.parametrize("N", [50, 1000])
+@pytest.mark.parametrize("p", [2, 3])
+def test_weight_moment_spiked_closed_form(N, p):
+    # W_1 is the spike's weight with probability 1/N, else the others' share
+    spec = SpikedSpec(0.2)
+    exact = (spec.spike_weight(N) ** p + (N - 1) * spec.other_weight(N) ** p) / N
+    est = estimate_weight_moment(spec, N, p, 2 * 10**5, make_rng(20 + p))
+    assert abs(est.value - exact) <= 4 * est.stderr
+    if p == 2:
+        scale = N * (N - 1)
+        assert abs(scale * est.value - spec.rho_squared(N)) <= 4 * scale * est.stderr
+
+
+def test_qn_draws_what_the_three_block_draws_drew():
+    # one block_sums call takes index 1, the head's rest and the tail, in
+    # that order, so Gamma values match one sample and two sample_sum calls
+    law, N, s, j0, trials = Gamma(2.5), 1000, 0.05, 100, 5000
+    rng = make_rng(24)
+    y1 = law.sample(trials, rng)
+    mid = law.sample_sum(np.full(trials, j0 - 1), rng)
+    tail = law.sample_sum(np.full(trials, N - j0), rng)
+    vals = N * y1 / (y1 + mid + tail - s * tail)
+    est = law.qn(N, s, j0, trials, make_rng(24))
+    assert est.value == vals.mean()
+    assert est.stderr == vals.std(ddof=1) / math.sqrt(trials)
+    assert not est.exact
+
+
 # ---------------------------------------------------------------------------
 # module invariants
 # ---------------------------------------------------------------------------
