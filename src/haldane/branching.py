@@ -47,7 +47,7 @@ class GWModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_total(self, z: int, rng: np.random.Generator) -> int:
-        """Sum of z independent offspring counts."""
+        """Sum of z independent offspring counts; z = 0 gives 0 and draws nothing."""
 
     @abc.abstractmethod
     def tag(self) -> str: ...
@@ -93,8 +93,6 @@ class MixedPoisson(GWModel):
         return -float(np.dot(wts, miss)), float(np.dot(wts, slope))
 
     def sample_total(self, z, rng):
-        if z == 0:
-            return 0
         return int(rng.poisson(self.m * self.law.sample_sum(z, rng)))
 
     def tag(self):
@@ -156,8 +154,6 @@ class MixedBinomial(GWModel):
         return -float(np.dot(wts, miss)), slope
 
     def sample_total(self, z, rng):
-        if z == 0:
-            return 0
         p = np.minimum(self.law.sample(z, rng) * (self.m / self.N), 1.0)
         return int(rng.binomial(self.M, p).sum())
 
@@ -190,8 +186,6 @@ class TwoPointImmortal(GWModel):
         return phi + b * phi * (1.0 - phi), 1.0 + b - 2.0 * b * phi
 
     def sample_total(self, z, rng):
-        if z == 0:
-            return 0
         return z + int(rng.binomial(z, self.beta_s))
 
     def tag(self):
@@ -221,8 +215,6 @@ class Binary(GWModel):
         return self.p * phi * (2.0 - phi), 2.0 * self.p * (1.0 - phi)
 
     def sample_total(self, z, rng):
-        if z == 0:
-            return 0
         return 2 * int(rng.binomial(z, self.p))
 
     def tag(self):
@@ -251,8 +243,6 @@ class PlainPoisson(GWModel):
         return -math.expm1(-self.m * phi), self.m * math.exp(-self.m * phi)
 
     def sample_total(self, z, rng):
-        if z == 0:
-            return 0
         return int(rng.poisson(self.m * z))
 
     def tag(self):

@@ -11,8 +11,6 @@ change `Generator` streams between versions), so a results file is
 self-describing and re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
-The HALDANE_PARALLELISM environment variable sets the default worker
-count; it is read on every call, so one parser serves the process.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import io
 import itertools
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -97,19 +94,10 @@ def _level(text: str) -> float:
     return value
 
 
-def _default_parallelism() -> int:
-    raw = os.environ.get("HALDANE_PARALLELISM", "1")
-    try:
-        return _worker_count(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigurationError(f"HALDANE_PARALLELISM={raw!r}: {exc}") from None
-
-
 def _add_mc_args(sp):
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--parallelism", type=_worker_count, default=None,
-                    help="worker processes (default: $HALDANE_PARALLELISM or 1)")
+    sp.add_argument("--parallelism", type=_worker_count, default=1, help="worker processes")
     sp.add_argument("--level", type=_level, default=None,
                     help="confidence level for Wilson intervals "
                          "(default: haldane.analysis.DEFAULT_LEVEL)")
@@ -337,11 +325,7 @@ def _finite(rec: dict) -> dict:
 
 
 def _json_line(rec: dict) -> str:
-    try:
-        text = json.dumps(rec, sort_keys=True, allow_nan=False)
-    except ValueError:  # NaN or Infinity, which are not JSON
-        text = json.dumps(_finite(rec), sort_keys=True, allow_nan=False)
-    return text + "\n"
+    return json.dumps(_finite(rec), sort_keys=True, allow_nan=False) + "\n"
 
 
 def _text(records: list[dict], fmt: str, header: bool) -> str:
@@ -356,6 +340,19 @@ def _text(records: list[dict], fmt: str, header: bool) -> str:
     for rec in records:
         writer.writerow({k: v for k, v in _finite(rec).items() if v is not None})
     return buf.getvalue()
+
+
+def _check_csv_header(path: str) -> None:
+    """Refuse a CSV `--out` whose first row is not CSV_COLUMNS (another
+    version's header, or not CSV at all): the rows would land under it."""
+    import csv
+    try:
+        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+            first = next(csv.reader(fh), CSV_COLUMNS)  # an empty file takes the header
+    except FileNotFoundError:
+        return
+    if first != CSV_COLUMNS:
+        raise ConfigurationError(f"{path}: first row is not this version's CSV header")
 
 
 def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
@@ -386,11 +383,11 @@ def run_command(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     records = []
     try:
-        if getattr(args, "parallelism", 0) is None:  # moments takes no --parallelism
-            args.parallelism = _default_parallelism()
         if getattr(args, "level", 0) is None:  # moments takes no --level
             from .analysis import DEFAULT_LEVEL
             args.level = DEFAULT_LEVEL
+        if args.format == "csv" and args.out is not None:
+            _check_csv_header(args.out)
         last = time.perf_counter()
         for rec in _HANDLERS[args.command](args):
             now = time.perf_counter()

@@ -344,6 +344,8 @@ class SpikedSpec:
         return N ** (-self.gamma)
 
     def other_weight(self, N: int) -> float:
+        if N < 2:  # one index leaves no other to share the spike's remainder
+            raise ConfigurationError(f"the spiked paintbox needs N >= 2, got {N}")
         return (1.0 - self.spike_weight(N)) / (N - 1)
 
     def rho_squared(self, N: int) -> float:
@@ -419,8 +421,6 @@ def weights_from_y(y: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def spiked_weights(N: int, spec: SpikedSpec, rng: np.random.Generator) -> np.ndarray:
     """Spiked paintbox draw: the heavy index is uniform on 0..N-1."""
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
     w = np.full(N, spec.other_weight(N))
     w[rng.integers(N)] = spec.spike_weight(N)
     return w
@@ -470,8 +470,6 @@ def estimate_weight_moment(
     """
     if N < 1:
         raise ConfigurationError(f"need N >= 1, got {N}")
-    if isinstance(source, SpikedSpec) and N < 2:
-        raise ConfigurationError(f"the spiked paintbox needs N >= 2, got {N}")
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     if p not in (2, 3):

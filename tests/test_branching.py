@@ -149,17 +149,23 @@ def plain_poisson_survival(m):
 # ---------------------------------------------------------------------------
 
 
+_ZERO_MIXING = [Deterministic(), Gamma(1.0), Gamma(0.3), TwoPoint(0.5, 1.5, 0.3),
+                LogNormal(0.7), LogNormal(1.0)]
+
+
 def test_gw_step_zero_absorbing():
-    rng = make_rng(0)
+    # no guard: the draws themselves make 0 absorbing, and leave the stream where it was
     for model in (
         PlainPoisson(1.1),
         Binary(0.5),
         TwoPointImmortal(0.1),
-        MixedPoisson(Gamma(1.0), 1.1),
-        MixedPoisson(LogNormal(1.0), 1.1),
-        MixedBinomial(Gamma(1.0), 90, 1.1, 100),
+        *(MixedPoisson(law, 1.1) for law in _ZERO_MIXING),
+        *(MixedBinomial(law, 90, 1.1, 100) for law in _ZERO_MIXING),
     ):
-        assert model.sample_total(0, rng) == 0
+        rng = make_rng(0)
+        out = model.sample_total(0, rng)
+        assert type(out) is int and out == 0, model
+        assert rng.random() == make_rng(0).random(), model
         with pytest.raises(ValueError):
             model.sample_total(-1, rng)
 

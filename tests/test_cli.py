@@ -618,6 +618,7 @@ def test_csv_output(capsys, tmp_path):
 
 def test_csv_out_appends_rows_under_one_header(capsys, tmp_path):
     out = tmp_path / "res.csv"
+    out.touch()  # an empty file takes the header, like a missing one
     argv = ["gw-survival", "--model", "plain-poisson", "--m", "1.1",
             "--format", "csv", "--out", str(out)]
     assert run_command(argv) == 0
@@ -698,35 +699,31 @@ def test_summary_line_on_stderr(capsys):
     assert "p_hat=" in captured.err
 
 
-def test_parallelism_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("HALDANE_PARALLELISM", "3")
-    _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
-                                   "--trials", "50", "--seed", "1"])
-    assert rec["parallelism"] == 3
-    # a value that is not a worker count is a configuration error, like --parallelism 0
-    for junk in ("junk", "0"):
-        monkeypatch.setenv("HALDANE_PARALLELISM", junk)
-        assert run_command(["fixation", "--N", "20", "--s", "0",
-                            "--trials", "50", "--seed", "1"]) == 2
+def test_parallelism_env_ignored(capsys, monkeypatch):
+    # the worker count comes from --parallelism alone; a set variable changes nothing
+    monkeypatch.setenv("HALDANE_PARALLELISM", "junk")
+    code, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
+                                      "--trials", "50", "--seed", "1"])
+    assert code == 0
+    assert rec["parallelism"] == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_csv_out_under_a_foreign_header_exits_2_before_any_trial(capsys, tmp_path, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "run_ensemble", no_trials)
+    argv = ["fixation", "--N", "100", "--s", "0.1", "--trials", "100", "--seed", "1",
+            "--format", "csv", "--out"]
+    for text in ("command,version,N\nfixation,0.0.1,100\n", '{"command": "fixation"}\n'):
+        out = tmp_path / "old.csv"
+        out.write_text(text)
+        assert run_command([*argv, str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: HALDANE_PARALLELISM")
-    # the flag wins over a broken environment
-    _, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
-                                   "--trials", "50", "--seed", "1", "--parallelism", "2"])
-    assert rec["parallelism"] == 2
-
-
-def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
-    # the parser is built once per process, so its default must not freeze the environment
-    argv = ["fixation", "--N", "20", "--s", "0", "--trials", "50", "--seed", "1"]
-    seen = []
-    for workers in ("2", "1"):
-        monkeypatch.setenv("HALDANE_PARALLELISM", workers)
-        _, (rec,) = run_jsonl(capsys, argv)
-        seen.append(rec["parallelism"])
-    assert seen == [2, 1]
-    assert cli.build_parser() is cli.build_parser()
+        assert captured.err == f"error: {out}: first row is not this version's CSV header\n"
+        assert out.read_text() == text
 
 
 def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():

@@ -155,6 +155,22 @@ def test_spiked_spec_domain():
         spiked_weights(1, SpikedSpec(0.2), make_rng(0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec, rng: spec.other_weight(1),
+    lambda spec, rng: spec.rho_squared(1),
+    lambda spec, rng: spec.qn(1, 0.1, 1, 10, rng),
+    lambda spec, rng: spec.block_sums((np.ones(10, np.int64),), 1, rng),
+    lambda spec, rng: spiked_weights(1, spec, rng),
+    lambda spec, rng: estimate_weight_moment(spec, 1, 2, 10, rng),
+], ids=["other_weight", "rho_squared", "qn", "block_sums", "spiked_weights",
+        "estimate_weight_moment"])
+def test_spike_needs_two_indices_in_every_entry_point(call):
+    # the spec owns its domain: one index leaves no other to share the remainder
+    with pytest.raises(paintbox.ConfigurationError,
+                       match=r"^the spiked paintbox needs N >= 2, got 1$"):
+        call(SpikedSpec(0.2), make_rng(0))
+
+
 def test_spike_position_uniform():
     # each of N=10 indices should carry the spike with frequency 0.1 +- 3 sigma
     rng = make_rng(8)
