@@ -699,13 +699,27 @@ def test_summary_line_on_stderr(capsys):
     assert "p_hat=" in captured.err
 
 
-def test_parallelism_env_ignored(capsys, monkeypatch):
-    # the worker count comes from --parallelism alone; a set variable changes nothing
-    monkeypatch.setenv("HALDANE_PARALLELISM", "junk")
-    code, (rec,) = run_jsonl(capsys, ["fixation", "--N", "20", "--s", "0",
-                                      "--trials", "50", "--seed", "1"])
-    assert code == 0
-    assert rec["parallelism"] == 1
+def test_parallelism_env_default(capsys, monkeypatch):
+    # the worker count comes from --parallelism alone, default 1; a set variable changes nothing
+    argv = ["fixation", "--N", "20", "--s", "0", "--trials", "50", "--seed", "1"]
+    for value in ("3", "junk", "0"):
+        monkeypatch.setenv("HALDANE_PARALLELISM", value)
+        code, (rec,) = run_jsonl(capsys, argv)
+        assert code == 0
+        assert rec["parallelism"] == 1
+    _, (rec,) = run_jsonl(capsys, [*argv, "--parallelism", "2"])
+    assert rec["parallelism"] == 2
+
+
+def test_parallelism_env_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, and no call reads the environment
+    argv = ["fixation", "--N", "20", "--s", "0", "--trials", "50", "--seed", "1"]
+    seen = []
+    for workers in ("2", "junk"):
+        monkeypatch.setenv("HALDANE_PARALLELISM", workers)
+        _, (rec,) = run_jsonl(capsys, argv)
+        seen.append(rec["parallelism"])
+    assert seen == [1, 1]
     assert cli.build_parser() is cli.build_parser()
 
 
