@@ -73,7 +73,7 @@ def _run_block(config, thresholds, seed, trials, b):
 def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
-    run = partial(_run_block, config, tuple(sorted(set(thresholds))), seed, trials)
+    run = partial(_run_block, config, tuple(thresholds), seed, trials)
     blocks = range(-(-trials // BLOCK_TRIALS))
     workers = min(parallelism, len(blocks))
     if workers <= 1:
@@ -209,21 +209,15 @@ def phase_diagnostics(
             f"{config.initial_count} from N={config.N}"
         )
     tally = _farm(config, (lvl1, lvl2), trials, seed, parallelism)
-    n1 = tally.threshold_hits[lvl1]
-    n2 = tally.threshold_hits[lvl2]
-    nfix = tally.fixations
+    counts = (tally.trials, tally.threshold_hits[lvl1], tally.threshold_hits[lvl2],
+              tally.fixations)
+    phases = list(zip(counts, counts[1:]))  # (entered, passed) for each phase
     return PhaseReport(
-        threshold_1=lvl1,
-        threshold_2=lvl2,
-        reached_1=n1,
-        reached_2=n2,
-        p1=n1 / tally.trials,
-        p2=n2 / n1 if n1 else float("nan"),
-        p3=nfix / n2 if n2 else float("nan"),
-        p1_ci=wilson_interval(n1, tally.trials, level),
-        p2_ci=wilson_interval(n2, n1, level) if n1 else (0.0, 1.0),
-        p3_ci=wilson_interval(nfix, n2, level) if n2 else (0.0, 1.0),
-        estimate=_estimate_from_tally(tally, config, level),
+        lvl1, lvl2, counts[1], counts[2],
+        *(passed / entered if entered else float("nan") for entered, passed in phases),
+        *(wilson_interval(passed, entered, level) if entered else (0.0, 1.0)
+          for entered, passed in phases),
+        _estimate_from_tally(tally, config, level),
     )
 
 
@@ -334,7 +328,7 @@ def counterexample_check(
     spec = SpikedSpec(gamma)
     config = CanningsConfig.from_exponent(N, b, spec, initial_count=1)
     est = estimate_fixation(config, trials, seed, parallelism, level)
-    naive = 2.0 * config.s / spec.rho_squared(N)
+    naive = 2.0 * est.s / est.ref_variance
     return CounterexampleReport(
         naive_prediction=naive,
         neutral_floor=1.0 / N,

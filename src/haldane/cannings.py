@@ -38,22 +38,20 @@ from .paintbox import (
     block_weight_sums,
 )
 
-EXPONENT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CanningsConfig:
     """Population size, selection strength, paintbox and start count.
 
-    Selection can be specified directly (s) or through the decay exponent
-    b with s = N**-b; `exponent` recovers b = -ln(s)/ln(N).
+    `from_exponent` gives s = N**-b and keeps b as given in `b` (None for a
+    config built from s); `exponent` is b, or -ln(s)/ln(N) without it.
     """
 
     N: int
     s: float
     paintbox: PaintboxSource
     initial_count: int
-    b: float | None = None
+    b: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -64,26 +62,16 @@ class CanningsConfig:
             raise ConfigurationError(
                 f"initial count {self.initial_count} outside [0, {self.N}]"
             )
-        if self.b is not None:
-            if self.s == 0.0:
-                raise ConfigurationError("s = 0 has no finite exponent b")
-            implied = -math.log(self.s) / math.log(self.N)
-            if abs(implied - self.b) > EXPONENT_TOL:
-                raise ConfigurationError(
-                    f"s={self.s} does not match N^-b for b={self.b} (implied {implied})"
-                )
 
     @classmethod
     def from_exponent(cls, N, b, paintbox, initial_count):
         if N < 2:  # checked before 0 ** -b can raise
             raise ConfigurationError(f"need N >= 2, got {N}")
-        return cls(
-            N=N,
-            s=float(N) ** (-float(b)),
-            paintbox=paintbox,
-            initial_count=initial_count,
-            b=float(b),
-        )
+        config = cls(N, float(N) ** -float(b), paintbox, initial_count)
+        if config.s == 0.0:  # N**-b underflowed
+            raise ConfigurationError("s = 0 has no finite exponent b")
+        object.__setattr__(config, "b", float(b))  # as given: -ln(s)/ln(N) can miss a bit
+        return config
 
     @property
     def exponent(self) -> float | None:

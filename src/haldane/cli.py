@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -212,9 +213,10 @@ def _make_config(args, N: int):
 
 def _cmd_fixation(args):
     from . import analysis
-    # a sweep is one fixation estimate per N at a fixed exponent
-    for N in args.N if args.command == "sweep" else [args.N]:
-        config = _make_config(args, N)
+    # a sweep is one fixation estimate per N at a fixed exponent; every N
+    # is checked before the first trial
+    configs = [_make_config(args, N) for N in (args.N if args.command == "sweep" else [args.N])]
+    for config in configs:
         est = analysis.estimate_fixation(
             config, args.trials, args.seed, args.parallelism, args.level)
         yield _record(args, config, est)
@@ -342,17 +344,22 @@ def _text(records: list[dict], fmt: str, header: bool) -> str:
     return buf.getvalue()
 
 
-def _check_csv_header(path: str) -> None:
-    """Refuse a CSV `--out` whose first row is not CSV_COLUMNS (another
-    version's header, or not CSV at all): the rows would land under it."""
-    import csv
-    try:
-        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-            first = next(csv.reader(fh), CSV_COLUMNS)  # an empty file takes the header
-    except FileNotFoundError:
-        return
-    if first != CSV_COLUMNS:
+def _check_out(path: str, fmt: str) -> None:
+    """Refuse an `--out` that cannot take this run's records, before any trial:
+    a directory, a path in a missing directory, or a file whose first line is
+    not this version's CSV header (CSV) or a JSON record (JSON lines)."""
+    if os.path.isdir(path):
+        raise ConfigurationError(f"{path}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"{path}: no such directory")
+    if not os.path.isfile(path):
+        return  # a new file, or a device such as /dev/stdout, which a read may block
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline().rstrip("\r\n")
+    if fmt == "csv" and first not in ("", ",".join(CSV_COLUMNS)):
         raise ConfigurationError(f"{path}: first row is not this version's CSV header")
+    if fmt == "jsonl" and first[:1] not in ("", "{"):
+        raise ConfigurationError(f"{path}: first line is not a JSON record")
 
 
 def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
@@ -386,8 +393,8 @@ def run_command(argv: list[str] | None = None) -> int:
         if getattr(args, "level", 0) is None:  # moments takes no --level
             from .analysis import DEFAULT_LEVEL
             args.level = DEFAULT_LEVEL
-        if args.format == "csv" and args.out is not None:
-            _check_csv_header(args.out)
+        if args.out is not None:
+            _check_out(args.out, args.format)
         last = time.perf_counter()
         for rec in _HANDLERS[args.command](args):
             now = time.perf_counter()

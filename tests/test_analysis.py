@@ -190,6 +190,17 @@ def test_phase_thresholds_and_telescoping():
     assert 0 <= rep.p1 <= 1 and 0 <= rep.p2 <= 1 and 0 <= rep.p3 <= 1
 
 
+def test_phase_ratios_past_an_empty_phase_are_undefined():
+    # the three trials of the CLI's non-finite test: none reaches the first level
+    cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
+    rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=3, seed=1)
+    assert rep.reached_1 == rep.reached_2 == 0
+    assert rep.p1 == 0.0
+    assert rep.p1_ci == wilson_interval(0, 3)
+    assert math.isnan(rep.p2) and math.isnan(rep.p3)
+    assert rep.p2_ci == rep.p3_ci == (0.0, 1.0)
+
+
 def test_phase_determinism_matches_estimate():
     # same seed => same trajectories: overall p_hat agrees with estimate_fixation
     cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)

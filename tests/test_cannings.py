@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ def test_exponent_round_trip():
     weak = CanningsConfig.from_exponent(100, 0.75, Gamma(1.0), 1)
     assert not weak.moderately_strong
     assert wf(100, 0.0).exponent is None
+
+
+def test_exponent_enters_only_through_from_exponent():
+    with pytest.raises(TypeError):
+        CanningsConfig(10**4, 0.1, Gamma(1.0), 1, 0.25)
+    with pytest.raises(TypeError):
+        CanningsConfig(10**4, 0.1, Gamma(1.0), 1, b=0.25)
+    assert wf(100, 0.1).b is None
+
+
+def test_exponent_is_kept_as_given():
+    # -ln(s)/ln(N) misses b = 0.25 in its last bit at N = 1e8
+    cfg = CanningsConfig.from_exponent(10**8, 0.25, Gamma(1.0), 1)
+    assert -math.log(cfg.s) / math.log(cfg.N) != 0.25
+    assert cfg.b == cfg.exponent == 0.25
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg
+    assert again.b == 0.25
+    # an exponent whose N**-b underflows to 0 names no selection strength
+    with pytest.raises(ConfigurationError, match="s = 0"):
+        CanningsConfig.from_exponent(100, 400, Gamma(1.0), 1)
 
 
 def test_conformance_flags():

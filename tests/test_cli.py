@@ -740,6 +740,75 @@ def test_csv_out_under_a_foreign_header_exits_2_before_any_trial(capsys, tmp_pat
         assert out.read_text() == text
 
 
+def _refused_before_any_trial(capsys, monkeypatch, argv, *names):
+    def trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "run_ensemble", trial)
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert all(name in captured.err for name in names)
+
+
+_OUT_ARGV = ["fixation", "--N", "20", "--s", "0.1", "--trials", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("fmt, other", [("csv", "jsonl"), ("jsonl", "csv")])
+def test_out_in_the_other_format_exits_2_before_any_trial(capsys, tmp_path, monkeypatch,
+                                                          fmt, other):
+    out = tmp_path / f"res.{fmt}"
+    assert run_command([*_OUT_ARGV, "--format", fmt, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    _refused_before_any_trial(capsys, monkeypatch,
+                              [*_OUT_ARGV, "--format", other, "--out", str(out)], str(out))
+    assert out.read_bytes() == before
+
+
+def test_jsonl_out_into_an_empty_file(capsys, tmp_path):
+    # the CSV case is test_csv_out_appends_rows_under_one_header
+    out = tmp_path / "res.jsonl"
+    out.write_text("")
+    assert run_command([*_OUT_ARGV, "--out", str(out)]) == 0
+    (line,) = out.read_text().splitlines()
+    assert json.loads(line)["command"] == "fixation"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "under a file"])
+def test_out_path_that_cannot_be_written_exits_2_before_any_trial(capsys, tmp_path,
+                                                                  monkeypatch, fmt, where):
+    (tmp_path / "a_file").write_text("")
+    out = {"missing directory": tmp_path / "nodir" / "x.out",
+           "directory": tmp_path,
+           "under a file": tmp_path / "a_file" / "x.out"}[where]
+    _refused_before_any_trial(capsys, monkeypatch,
+                              [*_OUT_ARGV, "--format", fmt, "--out", str(out)], str(out))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+def test_out_that_fails_after_the_run_exits_1(capsys, tmp_path, monkeypatch):
+    # the directory of --out goes away while the trials run
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    run_ensemble = analysis.run_ensemble
+
+    def run_then_remove(*args, **kwargs):
+        sub.rmdir()
+        return run_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_ensemble", run_then_remove)
+    assert run_command([*_OUT_ARGV, "--out", str(sub / "x.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("failure: cannot write output")
+
+
+def test_sweep_checks_every_n_before_any_trial(capsys, monkeypatch):
+    argv = ["sweep", "--N", "100", "1", "--b", "0.3", "--trials", "50", "--seed", "1"]
+    _refused_before_any_trial(capsys, monkeypatch, argv, "N >= 2")
+
+
 def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
     # a fresh interpreter, since the test process has everything loaded.
     # Each command loads only the layers it runs: a solve needs neither
