@@ -11,14 +11,11 @@ exact binomial draw; 0 and N absorb.
 
 A transition consumes only the beneficial/wildtype weight sums, the two
 blocks split at k that each paintbox source's `block_sums` draws exactly
-without building the N-vector, for one count or for an array of counts
-at once.  Absorption runs advance a whole ensemble of independent trials
-in lockstep (`run_ensemble`), one `block_sums` call and one binomial
-draw per generation, so they stay cheap at N = 10^4 and beyond; they
-keep only the live counts and return integer counts of the outcomes
-(`Tally`).  A single trajectory with its first passages is
-`run_to_absorption`, a loop of `step`, which draws what a one-trial
-ensemble draws.
+without building the N-vector; `_next_counts` draws every generation,
+for one count or an array.  Absorption runs advance an ensemble of
+independent trials in lockstep (`run_ensemble`), keep only the live
+counts and return integer counts of the outcomes (`Tally`); a single
+trajectory with its first passages is `run_to_absorption`, `step` by step.
 """
 
 from __future__ import annotations
@@ -142,14 +139,22 @@ class Tally:
 # ---------------------------------------------------------------------------
 
 
+def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
+    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count; in place for an array."""
+    head, tail = config.paintbox.block_sums((k,), config.N, rng)
+    tail *= 1.0 - config.s
+    tail += head
+    return rng.binomial(config.N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+
+
+@np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
 def step(k: int, config: CanningsConfig, rng: np.random.Generator) -> int:
     """One generation: fresh paintbox, then an exact binomial of N children."""
     if not 0 <= k <= config.N:
         raise ValueError(f"beneficial count {k} outside [0, {config.N}]")
     if k == 0 or k == config.N:
         return k
-    head, tail = config.paintbox.block_sums((k,), config.N, rng)
-    return int(rng.binomial(config.N, head / (head + (1.0 - config.s) * tail)))
+    return int(_next_counts(k, config, rng))
 
 
 @np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
@@ -176,18 +181,12 @@ def run_ensemble(
     if not 0 < k0 < N:
         fixations = trials if k0 == N else 0
         return Tally(fixations, trials - fixations, 0, 0, hits)
-    block_sums = config.paintbox.block_sums
-    one_minus_s = 1.0 - config.s
     above = sorted(t for t in hits if t > k0)
     k = np.full(trials, k0, dtype=np.int64)
     peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
     while k.size:
-        head, tail = block_sums((k,), N, rng)
-        # head / (head + (1-s) tail), operation for operation, in place
-        tail *= one_minus_s
-        tail += head
-        k = rng.binomial(N, np.divide(head, tail, out=tail))
+        k = _next_counts(k, config, rng)
         g += 1
         if above:
             np.maximum(peak, k, out=peak)

@@ -367,8 +367,9 @@ def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
         sys.stdout.write(_text(records, fmt, header=True))
     else:
         with open(out_path, "a", encoding="utf-8") as fh:
-            # rows appended to a CSV file go under the header it already has
-            fh.write(_text(records, fmt, header=fh.tell() == 0))
+            # rows appended to a CSV file go under the header it already has;
+            # a pipe or a device cannot tell, so it gets one
+            fh.write(_text(records, fmt, header=not fh.seekable() or fh.tell() == 0))
 
 
 def _summary(rec: dict) -> str:

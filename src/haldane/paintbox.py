@@ -39,6 +39,8 @@ class UnsupportedLawError(ConfigurationError):
 
 
 _QUAD_NODES = 160
+_TINY = 2.0**-969
+"""A Gamma block mass at or above this keeps all 53 bits relative to any mass below it."""
 MAX_DRAW = 1 << 20
 """Most variates one call draws when a law sums its potentials one by one."""
 
@@ -114,19 +116,24 @@ class YLaw(abc.ABC):
         that shape.  Here they are sums of Y, so the weights' block sums
         are the masses over their total.
         """
-        edges = (*cuts, N)
         # one draw for every block: all first blocks, then all second
         # blocks, ..., the order of one sample_sum call per block (a
         # lognormal sum split by a MAX_DRAW slice edge may round apart)
-        sizes = np.empty((len(edges), *np.shape(edges[0])), dtype=np.int64)
-        sizes[0, ...] = edges[0]
-        for i, (lo, hi) in enumerate(pairwise(edges), 1):
-            np.subtract(hi, lo, out=sizes[i, ...])
-        return list(self.sample_sum(sizes, rng))
+        return list(self.sample_sum(_block_sizes(cuts, N), rng))
 
     @abc.abstractmethod
     def tag(self) -> str:
         """Compact `name:params` identifier used in CLI records."""
+
+
+def _block_sizes(cuts: Sequence, N: int) -> np.ndarray:
+    """Sizes of the blocks between cuts, stacked: all first blocks, then all second, ..."""
+    edges = (*cuts, N)
+    sizes = np.empty((len(edges), *np.shape(edges[0])), dtype=np.int64)
+    sizes[0, ...] = edges[0]
+    for i, (lo, hi) in enumerate(pairwise(edges), 1):
+        np.subtract(hi, lo, out=sizes[i, ...])
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,30 @@ class Gamma(YLaw):
         x = rng.standard_gamma(n * self.kappa)
         x /= self.kappa
         return x
+
+    def block_sums(self, cuts, N, rng):
+        """Block masses as for any Y law, with an exact split at tiny shapes.
+
+        Only a paintbox whose unit-scale Gamma draws all fall below _TINY
+        loses bits (or gives 0/0), and that takes every block shape below
+        1.  Such a paintbox is redrawn from its conditional law: below
+        _TINY a Gamma(a) density is a pure power law, so each draw is
+        _TINY * U**(1/a) with a fresh uniform U, and the paintbox comes
+        back as its weights, normalized in log space.
+        """
+        sizes = _block_sizes(cuts, N)
+        x = self.sample_sum(sizes, rng)
+        if N * self.kappa < len(sizes):  # else some block has shape >= 1
+            flat = x.reshape(len(sizes), -1)  # a view: one column per paintbox
+            tiny = np.all(flat < _TINY / self.kappa, axis=0)
+            if tiny.any():
+                shape = sizes.reshape(flat.shape)[:, tiny] * self.kappa
+                log_u = np.log1p(-rng.random(shape.shape))  # log U, U uniform on (0, 1]
+                log_m = np.divide(log_u, shape, out=np.full_like(log_u, -np.inf),
+                                  where=shape > 0)  # an empty block has no mass
+                m = np.exp(log_m - log_m.max(axis=0))
+                flat[:, tiny] = m / m.sum(axis=0)
+        return list(x)
 
     def second_moment(self):
         return (self.kappa + 1.0) / self.kappa

@@ -7,16 +7,20 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import haldane
 from haldane import analysis, cli
 from haldane.analysis import BLOCK_TRIALS
+from haldane.cannings import CanningsConfig, step
 from haldane.cli import CSV_COLUMNS, run_command
-from haldane.streams import trial_rng
+from haldane.paintbox import Gamma
+from haldane.streams import make_rng, trial_rng
 
 
 def run_jsonl(capsys, argv):
@@ -117,14 +121,68 @@ def test_lognormal_sigma_with_a_finite_second_moment_runs(capsys):
     assert records[0]["ref_variance"] == math.exp(26.0**2)
 
 
-def test_nan_success_probability_is_a_runtime_failure(capsys):
-    # at N = 2 both Gamma(0.001) block masses underflow to 0, so the
-    # chance a child is beneficial is 0/0: the run fails, its input is valid
-    assert run_command(["fixation", "--N", "2", "--s", "0.1", "--paintbox", "gamma:0.001",
-                        "--trials", "100", "--seed", "1"]) == 1
+class _ZeroMasses(Gamma):
+    """A paintbox source whose two block masses are both 0.0."""
+
+    def block_sums(self, cuts, N, rng):
+        zero = np.zeros(np.shape(cuts[0]))
+        return [zero, zero.copy()]
+
+
+def test_nan_success_probability_is_a_runtime_failure(capsys, monkeypatch):
+    # with both masses 0 the chance a child is beneficial is 0/0: one
+    # FloatingPointError on the scalar path and the ensemble path alike
+    with pytest.raises(FloatingPointError):
+        step(1, CanningsConfig(2, 0.1, _ZeroMasses(), 1), make_rng(1))
+    monkeypatch.setattr(cli, "parse_source", lambda text: _ZeroMasses())
+    assert run_command(["fixation", "--N", "2", "--s", "0.1", "--trials", "100",
+                        "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("failure: FloatingPointError")
+
+
+def _beta_fixation_n2(kappa, s):
+    """Exact fixation probability from one of N = 2 under a Beta(kappa, kappa) paintbox.
+
+    From count 1 the chain fixes with E[p^2] / (E[p^2] + E[(1-p)^2]),
+    p = x / (x + (1-s)(1-x)).  Near 0 (and near 1, for 1 - x) the
+    substitution x = t**(1/kappa) turns x**(kappa-1) dx into dt / kappa,
+    so quad sees a bounded integrand; the Beta function cancels.
+    """
+    def half(g, near_one):
+        def f(t):
+            u = t ** (1 / kappa)
+            x, y = (1 - u, u) if near_one else (u, 1 - u)
+            return g(x / (x + (1 - s) * y)) * (1 - u) ** (kappa - 1)
+        return quad(f, 0, 0.5**kappa, epsabs=0, epsrel=1e-12, limit=200)[0]
+
+    fix = half(lambda p: p * p, False) + half(lambda p: p * p, True)
+    loss = half(lambda p: (1 - p) ** 2, False) + half(lambda p: (1 - p) ** 2, True)
+    return fix / (fix + loss)
+
+
+def test_fixation_at_a_tiny_gamma_shape_is_exact(capsys):
+    # at N = 2 both Gamma(0.001) block masses often underflow; the exact
+    # split below 2**-969 keeps the run finite and on the law
+    code, (rec,) = run_jsonl(capsys, ["fixation", "--N", "2", "--s", "0.1", "--paintbox",
+                                      "gamma:0.001", "--trials", "20000", "--seed", "1"])
+    assert code == 0
+    exact = _beta_fixation_n2(0.001, 0.1)
+    assert exact == pytest.approx(0.500053, abs=1e-6)
+    stderr = math.sqrt(exact * (1 - exact) / rec["trials"])
+    assert abs(rec["p_hat"] - exact) <= 5 * stderr
+
+
+def test_moments_at_a_tiny_gamma_shape_are_finite(capsys):
+    # E[W_1^2] of Dirichlet(kappa, kappa) is (kappa + 1) / (2 (2 kappa + 1))
+    kappa = 0.001
+    code, (rec,) = run_jsonl(capsys, ["moments", "--paintbox", f"gamma:{kappa}", "--N", "2",
+                                      "--trials", "20000", "--seed", "1"])
+    assert code == 0
+    assert math.isfinite(rec["moment_value"])
+    exact = (kappa + 1) / (2 * (2 * kappa + 1))
+    assert abs(rec["moment_value"] - exact) <= 5 * rec["moment_stderr"]
 
 
 def _raise(*args):
@@ -802,6 +860,25 @@ def test_out_that_fails_after_the_run_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "run_ensemble", run_then_remove)
     assert run_command([*_OUT_ARGV, "--out", str(sub / "x.jsonl")]) == 1
     assert capsys.readouterr().err.startswith("failure: cannot write output")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_out_into_a_fifo(capsys, tmp_path, fmt):
+    # a pipe cannot seek: the records still go out, a CSV under one header
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_command([*_OUT_ARGV, "--format", fmt, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    (text,) = drained
+    lines = text.splitlines()
+    assert len(lines) == {"jsonl": 1, "csv": 2}[fmt]
+    if fmt == "csv":
+        assert lines[0] == ",".join(CSV_COLUMNS)
+    else:
+        assert json.loads(lines[0])["command"] == "fixation"
 
 
 def test_sweep_checks_every_n_before_any_trial(capsys, monkeypatch):

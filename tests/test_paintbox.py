@@ -446,6 +446,13 @@ def test_qn_draws_what_the_three_block_draws_drew():
     assert not est.exact
 
 
+def test_qn_is_finite_at_a_tiny_gamma_shape():
+    # every Gamma(0.001) block mass of a paintbox may underflow together;
+    # the exact split keeps each ratio finite
+    est = Gamma(0.001).qn(10, 0.1, 5, 5000, make_rng(25))
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
 # ---------------------------------------------------------------------------
 # module invariants
 # ---------------------------------------------------------------------------
