@@ -49,9 +49,6 @@ class GWModel(abc.ABC):
     def sample_total(self, z: int, rng: np.random.Generator) -> int:
         """Sum of z independent offspring counts; z = 0 gives 0 and draws nothing."""
 
-    @abc.abstractmethod
-    def tag(self) -> str: ...
-
 
 def _check_mean_factor(m: float) -> None:
     if not 0.0 <= m < math.inf:
@@ -94,9 +91,6 @@ class MixedPoisson(GWModel):
 
     def sample_total(self, z, rng):
         return int(rng.poisson(self.m * self.law.sample_sum(z, rng)))
-
-    def tag(self):
-        return f"mixed-poisson({self.law.tag()},m={self.m:g})"
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,6 @@ class MixedBinomial(GWModel):
         p = np.minimum(self.law.sample(z, rng) * (self.m / self.N), 1.0)
         return int(rng.binomial(self.M, p).sum())
 
-    def tag(self):
-        return f"mixed-binomial({self.law.tag()},M={self.M},m={self.m:g},N={self.N})"
-
 
 @dataclass(frozen=True)
 class TwoPointImmortal(GWModel):
@@ -188,9 +179,6 @@ class TwoPointImmortal(GWModel):
     def sample_total(self, z, rng):
         return z + int(rng.binomial(z, self.beta_s))
 
-    def tag(self):
-        return f"two-point-immortal(beta_s={self.beta_s:g})"
-
 
 @dataclass(frozen=True)
 class Binary(GWModel):
@@ -217,9 +205,6 @@ class Binary(GWModel):
     def sample_total(self, z, rng):
         return 2 * int(rng.binomial(z, self.p))
 
-    def tag(self):
-        return f"binary(p={self.p:g})"
-
 
 @dataclass(frozen=True)
 class PlainPoisson(GWModel):
@@ -244,9 +229,6 @@ class PlainPoisson(GWModel):
 
     def sample_total(self, z, rng):
         return int(rng.poisson(self.m * z))
-
-    def tag(self):
-        return f"plain-poisson(m={self.m:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +291,10 @@ def extinction_q(model: GWModel, tol: float = 1e-12) -> SurvivalResult:
     returns the upper end as `phi` and the width as `bound`.  If the
     `MAX_NEWTON` evaluations run out first, `bound > tol` says so.
 
-    An offspring mean <= 1 gives phi = 0 outright (sidestepping the
-    critical case), and S(1) = 1 (no mass at 0 offspring) gives phi = 1;
-    both come with bound 0.
+    S(1) = 1 - P(Z = 0) = 1 (no deaths) gives phi = 1, and otherwise an
+    offspring mean <= 1 gives phi = 0 (sidestepping the critical case),
+    both with bound 0.  The variance cannot decide a mean <= 1: that of
+    `MixedBinomial` ignores its clamp.
     """
     if not tol > 0:
         raise ConfigurationError(f"tolerance must be > 0, got {tol}")
@@ -320,7 +303,8 @@ def extinction_q(model: GWModel, tol: float = 1e-12) -> SurvivalResult:
         raise ValueError(f"offspring pgf evaluates to {probe} at 1, not 1")
     mean = model.mean()
     if mean <= 1.0:
-        return SurvivalResult(0.0, 0, 0.0)
+        s_one, _ = model.survival_map(1.0)
+        return SurvivalResult(1.0 if s_one >= 1.0 else 0.0, 1, 0.0)
     lo, hi = 0.0, 1.0
     iterations = 0
     margin = _SIGN_MARGIN

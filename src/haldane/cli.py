@@ -47,7 +47,7 @@ CSV_COLUMNS = [
     "p1", "p1_ci_low", "p1_ci_high", "p2", "p2_ci_low", "p2_ci_high",
     "p3", "p3_ci_low", "p3_ci_high", "threshold_1", "threshold_2",
     "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
-    "naive_prediction", "neutral_floor", "violation",
+    "neutral_floor", "violation",
     "duality_fixation", "n_samples",
     "moment_value", "moment_stderr",
     "moderately_strong", "paintbox_conforming",
@@ -242,7 +242,8 @@ def _option(flag: str) -> str:
 
 
 def _gw_model(args) -> tuple[branching.GWModel, dict]:
-    """The chosen model and the record cell of every model flag (None if it takes none)."""
+    """The chosen model and the record cell of every model flag (None if it
+    takes none; a mixing law by its canonical tag)."""
     model, flags = _GW_MODELS[args.model]
     cells = {flag: getattr(args, flag) for flag in _GW_FLAGS}
     if "y" in flags and cells["y"] is None:
@@ -255,9 +256,10 @@ def _gw_model(args) -> tuple[branching.GWModel, dict]:
         raise ConfigurationError(f"{args.model} needs {' and '.join(missing)}")
     values = [cells[flag] for flag in flags]
     if flags[0] == "y":
-        values[0] = parse_source(cells["y"])
-        if not isinstance(values[0], YLaw):
+        law = values[0] = parse_source(cells["y"])
+        if not isinstance(law, YLaw):
             raise ConfigurationError(f"mixing law must be a Y law, got {cells['y']!r}")
+        cells["y"] = law.tag()  # canonical, as a Monte Carlo record's paintbox
     return model(*values), cells
 
 
@@ -269,7 +271,7 @@ def _cmd_gw_survival(args):
     # a law without variance has no 2s/variance reference
     haldane = branching.haldane_ref(max(mean - 1.0, 0.0), var) if var > 0 else None
     yield _record(
-        args, model=model.tag(), **cells, tol=args.tol,
+        args, model=args.model, **cells, tol=args.tol,
         phi=res.phi, iterations=res.iterations, phi_bound=res.bound,
         offspring_mean=mean, offspring_variance=var, haldane=haldane)
 
@@ -289,8 +291,7 @@ def _cmd_counterexample(args):
         args.parallelism, args.level)
     yield _record(
         args, rep.config, rep.estimate, gamma=args.gamma,
-        naive_prediction=rep.naive_prediction, neutral_floor=rep.neutral_floor,
-        violation=rep.violation)
+        neutral_floor=rep.neutral_floor, violation=rep.violation)
 
 
 def _cmd_moments(args):

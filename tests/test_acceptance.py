@@ -211,13 +211,13 @@ def test_criterion_09_spiked_counterexample():
                                parallelism=1)
     floor = 0.9 / 1000
     est = rep.estimate
-    ok = (est.ci_low >= 2 * rep.naive_prediction and est.ci_low >= floor
+    ok = (est.ci_low >= 2 * est.haldane and est.ci_low >= floor
           and rep.violation)
     report(9, "spiked-counterexample", ok,
            f"p_hat={est.p_hat:.6f} ci_low={est.ci_low:.6f} "
-           f"2*naive={2 * rep.naive_prediction:.6f} floor={floor:.6f} "
+           f"2*haldane={2 * est.haldane:.6f} floor={floor:.6f} "
            f"violation={rep.violation}")
-    assert est.ci_low >= 2 * rep.naive_prediction
+    assert est.ci_low >= 2 * est.haldane
     assert est.ci_low >= floor
     assert rep.violation
 

@@ -329,5 +329,5 @@ def test_counterexample_small_run_fields():
     spec = SpikedSpec(0.1)
     s = 200.0**-0.45
     expected_naive = 2 * s / spec.rho_squared(200)
-    assert rep.naive_prediction == pytest.approx(expected_naive, rel=1e-12)
-    assert rep.violation == (est.ci_low > 2 * rep.naive_prediction)
+    assert est.haldane == pytest.approx(expected_naive, rel=1e-12)
+    assert rep.violation == (est.ci_low > 2 * est.haldane)

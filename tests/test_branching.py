@@ -13,6 +13,7 @@ from haldane.branching import (
     MixedBinomial,
     MixedPoisson,
     PlainPoisson,
+    SurvivalResult,
     TwoPointImmortal,
     conditioned_pmf,
     extinction_q,
@@ -41,7 +42,7 @@ SUPERCRITICAL = [
 
 
 def test_supercritical_laws_have_mean_above_one():
-    # a mean <= 1 would return phi = 0 before any survival-map evaluation
+    # a mean <= 1 would return phi = 0 or 1 from S(1) alone, without Newton
     assert all(model.mean() > 1 for model in SUPERCRITICAL)
 
 
@@ -205,6 +206,18 @@ def test_gw_step_mixed_binomial_clamps_p_at_one():
 def test_extinction_critical_poisson_is_zero():
     res = extinction_q(PlainPoisson(1.0))
     assert res.phi == 0.0 and res.bound == 0.0
+
+
+@pytest.mark.parametrize("model, phi", [
+    (TwoPointImmortal(0.0), 1.0),  # exactly one child per line
+    (MixedBinomial(Deterministic(), 1, 10.0, 10), 1.0),  # Bin(1, 1)
+    (Binary(0.5), 0.0),
+    (MixedBinomial(Gamma(1.0), 1, 10.0, 10), 0.0),  # clamped: analytic variance 0
+], ids=["immortal-single", "binomial-certain", "binary-critical", "binomial-clamped"])
+def test_extinction_at_mean_at_most_one_is_decided_by_deaths(model, phi):
+    # S(1) = 1 - P(Z = 0), one evaluation, decides: a line without deaths survives
+    assert model.mean() <= 1.0
+    assert extinction_q(model) == SurvivalResult(phi, 1, 0.0)
 
 
 def test_extinction_immortal_is_one():

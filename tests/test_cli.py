@@ -468,12 +468,59 @@ def test_gw_survival_records_the_flags_of_its_model(capsys):
     assert all(rec[f] is None for f in ("y", "m", "M", "N", "beta_s"))
 
 
+@pytest.mark.parametrize("model", sorted(cli._GW_MODELS))
+def test_gw_survival_model_is_the_flag_value(capsys, model):
+    # the parameters live in their own cells, not in the model name
+    flags = cli._GW_MODELS[model][1]
+    code, (rec,) = run_jsonl(capsys, _gw_argv(model, flags))
+    assert code == 0
+    assert rec["model"] == model
+    assert {f for f in cli._GW_FLAGS if rec[f] is not None} == set(flags)
+
+
+def test_gw_survival_records_the_canonical_mixing_law(capsys):
+    argv = ["gw-survival", "--model", "mixed-poisson", "--m", "1.1"]
+    _, (bare,) = run_jsonl(capsys, argv)
+    _, (spelled,) = run_jsonl(capsys, [*argv, "--y", "gamma:1.0"])
+    assert spelled["y"] == "gamma:1"
+    assert strip_clock([spelled]) == strip_clock([bare])
+    _, (rec,) = run_jsonl(capsys, [*argv, "--y", "two-point"])
+    assert rec["y"] == "two-point:0.5,1.5,0.5"
+
+
+def test_gw_survival_record_key_for_key(capsys):
+    code, (rec,) = run_jsonl(capsys, [
+        "gw-survival", "--model", "mixed-poisson", "--y", "two-point", "--m", "1.5"])
+    assert code == 0
+    for key in ("version", "numpy_version", "python_version", "wall_clock_seconds"):
+        del rec[key]
+    # offspring Pois(1.5 Y), Y in {0.5, 1.5}: variance 1.5^2 * 0.25 + 1.5
+    assert rec == {
+        "command": "gw-survival", "stream_layout": None, "seed": None, "trials": None,
+        "parallelism": None, "level": None,
+        "model": "mixed-poisson", "y": "two-point:0.5,1.5,0.5", "m": 1.5,
+        "M": None, "N": None, "beta_s": None, "p": None, "tol": 1e-12,
+        "phi": pytest.approx(0.48380674313597444, abs=1e-13), "iterations": 7,
+        "phi_bound": pytest.approx(0.0, abs=1e-12),
+        "offspring_mean": 1.5, "offspring_variance": 2.0625, "haldane": 1.0 / 2.0625,
+    }
+
+
 @pytest.mark.parametrize("flags, phi", [
     (["--model", "two-point-immortal", "--beta-s", "1"], 1.0),
     (["--model", "binary", "--p", "1"], 1.0),
     (["--model", "plain-poisson", "--m", "0"], 0.0),
     (["--model", "binary", "--p", "0"], 0.0),
-], ids=["immortal-doubling", "binary-doubling", "poisson-barren", "binary-barren"])
+    # mean 1 without deaths: every line has exactly one child
+    (["--model", "two-point-immortal", "--beta-s", "0"], 1.0),
+    (["--model", "mixed-binomial", "--y", "deterministic", "--M", "1", "--N", "10",
+      "--m", "10"], 1.0),
+    # the clamp min(Y m / N, 1) leaves Bin(1, .) mass at 0 that the
+    # analytic variance 0 does not see
+    (["--model", "mixed-binomial", "--y", "gamma:1", "--M", "1", "--N", "10",
+      "--m", "10"], 0.0),
+], ids=["immortal-doubling", "binary-doubling", "poisson-barren", "binary-barren",
+        "immortal-single", "binomial-certain", "binomial-clamped"])
 def test_gw_survival_zero_variance_has_no_haldane_reference(capsys, flags, phi):
     code, (rec,) = run_jsonl(capsys, ["gw-survival", *flags])
     assert code == 0
@@ -501,6 +548,20 @@ def test_counterexample_record(capsys):
     assert rec["gamma"] == 0.1
     assert rec["neutral_floor"] == pytest.approx(1 / 200)
     assert isinstance(rec["violation"], bool)
+    # the 2s/rho^2 prediction is the record's haldane alone
+    assert "naive_prediction" not in rec
+    assert rec["violation"] == (rec["ci_low"] > 2 * rec["haldane"])
+
+
+def test_counterexample_clamped_prediction_is_no_violation(capsys):
+    # at N = 2, 2s/rho^2 = 1.67 is clamped to haldane = 1, and twice that
+    # is beyond any interval
+    code, (rec,) = run_jsonl(capsys, [
+        "counterexample", "--N", "2", "--gamma", "0.1", "--b", "0.45",
+        "--trials", "2000", "--seed", "1"])
+    assert code == 0
+    assert 2 * rec["s"] / rec["ref_variance"] > 1.0 == rec["haldane"]
+    assert rec["violation"] is False
 
 
 @pytest.mark.parametrize("command", sorted(_MC_ARGV))
