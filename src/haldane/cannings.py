@@ -16,12 +16,25 @@ for one count or an array.  Absorption runs advance an ensemble of
 independent trials in lockstep (`run_ensemble`), keep only the live
 counts and return integer counts of the outcomes (`Tally`); a single
 trajectory with its first passages is `run_to_absorption`, `step` by step.
+
+For an array of counts under a `gamma:kappa` paintbox, `_next_counts`
+runs one native loop (`_generation.c`) over numpy's own C samplers on
+the generator's bit generator: the same variates in the same order, with
+the same float operations, without numpy's fixed per-call cost.  It is
+built once per user with the interpreter's C compiler against numpy's
+`libnpyrandom.a` and cached under `$XDG_CACHE_HOME/haldane` (by default
+`~/.cache/haldane`); where it cannot be built or loaded, every draw goes
+through numpy as before, with the same records.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +42,7 @@ import numpy as np
 from .paintbox import (
     ConfigurationError,
     Estimate,
+    Gamma,
     PaintboxSource,
     UnsupportedLawError,
     YLaw,
@@ -140,11 +154,92 @@ class Tally:
 
 
 def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
-    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count; in place for an array."""
-    head, tail = config.paintbox.block_sums((k,), config.N, rng)
+    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count.
+
+    An array of counts under exactly `Gamma` with N kappa >= 2 (so no
+    tiny-shape redraw) takes the native loop when it loaded; otherwise
+    numpy draws, and computes an array's probabilities in place.
+    """
+    box, N = config.paintbox, config.N
+    if np.ndim(k) and type(box) is Gamma and N * box.kappa >= 2 and (draw := _gamma_generation()):
+        out = np.array(k, dtype=np.int64)  # a fresh C-contiguous copy, advanced in place
+        if out.size and draw(rng.bit_generator.ctypes.bit_generator, out.size, _address(out),
+                             N, box.kappa, 1.0 - config.s, _address(np.empty(out.shape))):
+            raise FloatingPointError("invalid value encountered in divide")
+        return out
+    head, tail = box.block_sums((k,), N, rng)
     tail *= 1.0 - config.s
     tail += head
-    return rng.binomial(config.N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+    return rng.binomial(N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+
+
+def _address(a: np.ndarray):
+    """An array's address for ctypes, at a fraction of the cost of `a.ctypes.data`."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+_GENERATION_SOURCE = Path(__file__).with_name("_generation.c")
+
+
+def _build_generation(target: Path) -> None:
+    """Compile `_generation.c` into the shared library `target`, through a temporary file."""
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise OSError("no C compiler configured for this interpreter")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=target.suffix, dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [*shlex.split(cc), "-shared", "-fPIC", "-O2", "-ffp-contract=off",
+             "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+             str(_GENERATION_SOURCE),
+             str(Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"), "-lm",
+             "-o", tmp],
+            capture_output=True, text=True,
+        )
+        if proc.returncode:
+            raise OSError(f"{cc} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+        os.replace(tmp, target)  # atomic: workers building at once leave no torn file
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@cache
+def _gamma_generation():
+    """The native `gamma:kappa` generation of `_generation.c`, or None (tried once per process).
+
+    It draws with numpy's own C samplers on the generator's bit generator
+    and bypasses `Generator.lock`: a block's generator is private to
+    `run_ensemble`.  The first call builds the library into the per-user
+    cache, under a name keyed by the source, the numpy version and the
+    interpreter's extension suffix; any failure leaves numpy's path.
+    """
+    import hashlib
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    suffix = EXTENSION_SUFFIXES[0]
+    try:
+        key = _GENERATION_SOURCE.read_bytes() + f"\0{np.__version__}\0{suffix}".encode()
+        cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "haldane"
+        path = cache_dir / f"_generation-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
+        if not path.exists():
+            _build_generation(path)
+        draw = ctypes.CDLL(str(path)).haldane_gamma_generation
+    except (OSError, AttributeError, RuntimeError):
+        # no compiler, header or libnpyrandom.a, a failed build, an unwritable
+        # cache, a library without the function, no home directory
+        return None
+    draw.restype = ctypes.c_int
+    draw.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                     ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+    return draw
 
 
 @np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
@@ -172,7 +267,8 @@ def run_ensemble(
     counts are kept, plus their running maxima when a threshold lies above
     the start: a trial reached level t (count >= t) if its maximum did.
     Absorption is a.s. finite, so the run ends when every trial has fixed
-    or been lost.
+    or been lost.  Under `gamma:kappa` the native loop draws without
+    `Generator.lock`: `rng` must be this run's own, shared with no thread.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")

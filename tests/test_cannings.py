@@ -1,5 +1,6 @@
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from haldane import cannings
 from haldane.cannings import (
     CanningsConfig,
     Tally,
@@ -327,6 +329,44 @@ def test_tally_identities():
         assert run_ensemble(start, 3000, make_rng(6), levels) == Tally(
             fixations, 3000 - fixations, 0, 0,
             {t: 3000 if k0 >= t else 0 for t in levels}, 0)
+
+
+def _on_numpy(monkeypatch, run):
+    """`run()` with the native gamma generation unavailable."""
+    with monkeypatch.context() as m:
+        m.setattr(cannings, "_gamma_generation", lambda: None)
+        return run()
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.5, 1000.0])
+@pytest.mark.parametrize("N, x0", [(2, 1), (100, 1), (100, 3), (10**4, 1), (10**4, 3)])
+def test_native_gamma_generation_draws_what_numpy_draws(monkeypatch, kappa, N, x0):
+    # the native loop (where it loaded) and numpy's calls take the same
+    # variates from one stream, so every tally is the same, thresholds or not
+    cfg = CanningsConfig.from_exponent(N, 0.25, Gamma(kappa), x0)
+    for seed in (1, 2, 3):
+        for levels in ((), (x0 + 1, N // 2, N)):
+            def run():
+                return run_ensemble(cfg, 300, trial_rng(seed, 0), levels)
+            assert run() == _on_numpy(monkeypatch, run)
+
+
+def test_zero_over_zero_is_a_floating_point_error_on_both_paths(monkeypatch):
+    # zero shapes give zero masses and a 0/0 success probability
+    draw = cannings._gamma_generation()
+    if draw is not None:
+        k = np.zeros(2, np.int64)
+        assert draw(make_rng(1).bit_generator.ctypes.bit_generator, k.size, cannings._address(k),
+                    0, 1.0, 0.9, cannings._address(np.empty(k.size))) == -1
+    # s = 1 with no beneficial mass: the tail's mass is kept at weight 0
+    config = SimpleNamespace(N=2, s=1.0, paintbox=Gamma(1.0))
+
+    def run():
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            cannings._next_counts(np.zeros(3, np.int64), config, make_rng(1))
+
+    run()
+    _on_numpy(monkeypatch, run)
 
 
 class _DrawLog:

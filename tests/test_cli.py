@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 import haldane
-from haldane import analysis, cli
+from haldane import analysis, cannings, cli
 from haldane.analysis import BLOCK_TRIALS
 from haldane.cannings import CanningsConfig, step
 from haldane.cli import CSV_COLUMNS, run_command
@@ -983,3 +983,74 @@ def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
         "0 ['csv']",
         "0 ['haldane.analysis', 'haldane.cannings', 'statistics']",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the native gamma generation and its fallback
+# ---------------------------------------------------------------------------
+
+
+def _numpy_path_records(capsys, monkeypatch, argv):
+    with monkeypatch.context() as m:
+        m.setattr(cannings, "_gamma_generation", lambda: None)
+        code, records = run_jsonl(capsys, argv)
+    assert code == 0
+    return strip_clock(records)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:0.5", "--x0", "3",
+     "--trials", str(BLOCK_TRIALS + 7232), "--seed", "3"],
+    ["phases", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1", "--delta", "0.05",
+     "--eps", "0.1", "--trials", str(BLOCK_TRIALS + 7232), "--seed", "7", "--parallelism", "2"],
+], ids=["two-blocks", "phases-two-workers"])
+def test_native_generation_records_are_the_numpy_records(capsys, monkeypatch, argv):
+    code, records = run_jsonl(capsys, argv)
+    assert code == 0
+    assert strip_clock(records) == _numpy_path_records(capsys, monkeypatch, argv)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """An empty cache and no loader answer yet; the real loader comes back afterwards."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cannings._gamma_generation.cache_clear()
+    yield tmp_path
+    cannings._gamma_generation.cache_clear()
+
+
+def _no_compiler(monkeypatch, tmp_path):
+    import sysconfig
+
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: str(tmp_path / "no-cc") if name == "CC" else config_var(name))
+
+
+def _compile_error(monkeypatch, tmp_path):
+    source = tmp_path / "_generation.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(cannings, "_GENERATION_SOURCE", source)
+
+
+def _unwritable_cache(monkeypatch, tmp_path):
+    (tmp_path / "file").write_text("")  # a directory under a file cannot be made, even by root
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+
+
+@pytest.mark.parametrize("fault", [_no_compiler, _compile_error, _unwritable_cache])
+def test_native_generation_falls_back_once_per_process(capsys, monkeypatch, fresh_loader, fault):
+    argv = ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1",
+            "--trials", "2000", "--seed", "5"]
+    expected = _numpy_path_records(capsys, monkeypatch, argv)
+    fault(monkeypatch, fresh_loader)
+    builds = []
+    build = cannings._build_generation
+    monkeypatch.setattr(cannings, "_build_generation",
+                        lambda target: builds.append(target) or build(target))
+    for _ in range(2):
+        code, records = run_jsonl(capsys, argv)
+        assert code == 0
+        assert strip_clock(records) == expected
+    assert len(builds) == 1
+    assert cannings._gamma_generation() is None
