@@ -10,9 +10,12 @@ SFC64 stream keyed by (seed, b) (see `streams`), blocks are mapped over
 workers and their tallies folded with integer counters only, so results
 are bit-identical for every worker count and any trial can be replayed
 by re-running its block.  A block runs until its slowest trial is
-absorbed, some (2/s) ln N generations when one fixes, and each of those
-generations costs numpy's fixed per-call overhead however few trials
-are left; so fewer, larger blocks pay for fewer of these tails.
+absorbed, some (2/s) ln N generations when one fixes.  On numpy's path
+(lognormal, the tiny-shape Gamma redraw, or no native library; see
+`cannings`) each of those generations costs numpy's fixed per-call
+overhead however few trials are left (40-50 us at one live trial), so
+fewer, larger blocks pay for fewer of these tails; the native block's
+generation costs about 1 us there (README, "Performance notes").
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ DEFAULT_LEVEL = 0.99
 BLOCK_TRIALS = 32768
 """Trials per lockstep block, and so per random stream; fixed, whatever the worker count.
 
-2^15 runs half the tails of 2^14; 2^16 would leave every run of fewer
-than 65,536 trials on one worker.
+2^15 runs half the tails of 2^14, which matters where each tail
+generation pays numpy's per-call overhead (the fallback path); 2^16 would
+leave every run of fewer than 65,536 trials on one worker.
 """
 STREAM_LAYOUT = layout(f"block={BLOCK_TRIALS}")
 

@@ -11,20 +11,24 @@ exact binomial draw; 0 and N absorb.
 
 A transition consumes only the beneficial/wildtype weight sums, the two
 blocks split at k that each paintbox source's `block_sums` draws exactly
-without building the N-vector; `_next_counts` draws every generation,
-for one count or an array.  Absorption runs advance an ensemble of
-independent trials in lockstep (`run_ensemble`), keep only the live
-counts and return integer counts of the outcomes (`Tally`); a single
-trajectory with its first passages is `run_to_absorption`, `step` by step.
+without building the N-vector; `_next_counts` draws a generation
+through numpy, for one count or an array.  Absorption runs advance an
+ensemble of independent trials in lockstep (`run_ensemble`), keep only
+the live counts and return integer counts of the outcomes (`Tally`); a
+single trajectory with its first passages is `run_to_absorption`, `step`
+by step.
 
-For an array of counts under a `gamma:kappa` paintbox, `_next_counts`
-runs one native loop (`_generation.c`) over numpy's own C samplers on
-the generator's bit generator: the same variates in the same order, with
-the same float operations, without numpy's fixed per-call cost.  It is
-built once per user with the interpreter's C compiler against numpy's
-`libnpyrandom.a` and cached under `$XDG_CACHE_HOME/haldane` (by default
-`~/.cache/haldane`); where it cannot be built or loaded, every draw goes
-through numpy as before, with the same records.
+Under a `deterministic`, `gamma:kappa` (N kappa >= 2), `two-point` or
+`spiked` paintbox, `run_ensemble` runs the whole block to absorption in
+one native call (`_lockstep.c`) over numpy's own C samplers on the
+generator's bit generator: the same variates in the same order, with
+the same float operations, without numpy's fixed per-call cost or the
+per-generation bookkeeping in Python.  It is built once per user with
+the interpreter's C compiler against numpy's `libnpyrandom.a` and cached
+under `$XDG_CACHE_HOME/haldane` (by default `~/.cache/haldane`); where it
+cannot be built or loaded, and for lognormal and the tiny-shape Gamma
+redraw, every generation goes through `_next_counts`, with the same
+records.
 """
 
 from __future__ import annotations
@@ -41,9 +45,12 @@ import numpy as np
 
 from .paintbox import (
     ConfigurationError,
+    Deterministic,
     Estimate,
     Gamma,
     PaintboxSource,
+    SpikedSpec,
+    TwoPoint,
     UnsupportedLawError,
     YLaw,
     block_weight_sums,
@@ -154,35 +161,46 @@ class Tally:
 
 
 def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
-    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count.
+    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count, through numpy.
 
-    An array of counts under exactly `Gamma` with N kappa >= 2 (so no
-    tiny-shape redraw) takes the native loop when it loaded; otherwise
-    numpy draws, and computes an array's probabilities in place.
+    An array's probabilities are computed in place.
     """
-    box, N = config.paintbox, config.N
-    if np.ndim(k) and type(box) is Gamma and N * box.kappa >= 2 and (draw := _gamma_generation()):
-        out = np.array(k, dtype=np.int64)  # a fresh C-contiguous copy, advanced in place
-        if out.size and draw(rng.bit_generator.ctypes.bit_generator, out.size, _address(out),
-                             N, box.kappa, 1.0 - config.s, _address(np.empty(out.shape))):
-            raise FloatingPointError("invalid value encountered in divide")
-        return out
-    head, tail = box.block_sums((k,), N, rng)
+    head, tail = config.paintbox.block_sums((k,), config.N, rng)
     tail *= 1.0 - config.s
     tail += head
-    return rng.binomial(N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+    return rng.binomial(config.N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+
+
+def _native_law(box: PaintboxSource, N: int) -> tuple[int, tuple[float, ...]] | None:
+    """`box` as `_lockstep.c` takes it, (index in its enum, parameters), or None.
+
+    Exactly `Deterministic`, `Gamma` with N kappa >= 2 (so no tiny-shape
+    redraw), `TwoPoint` and `SpikedSpec` have one; lognormal, which sums
+    its draws one by one, has none and stays on numpy's path.
+    """
+    kind = type(box)
+    if kind is Deterministic:
+        return 0, ()
+    if kind is Gamma and N * box.kappa >= 2:
+        return 1, (box.kappa,)
+    if kind is TwoPoint:
+        return 2, (*box._ab, box.p)
+    if kind is SpikedSpec:
+        wo = box.other_weight(N)
+        return 3, (wo, box.spike_weight(N) - wo)
+    return None
 
 
 def _address(a: np.ndarray):
-    """An array's address for ctypes, at a fraction of the cost of `a.ctypes.data`."""
-    return ctypes.byref(ctypes.c_char.from_buffer(a))
+    """An array's address for ctypes, at a fraction of the cost of `a.ctypes.data`; None if empty."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
-_GENERATION_SOURCE = Path(__file__).with_name("_generation.c")
+_LOCKSTEP_SOURCE = Path(__file__).with_name("_lockstep.c")
 
 
-def _build_generation(target: Path) -> None:
-    """Compile `_generation.c` into the shared library `target`, through a temporary file."""
+def _build_lockstep(target: Path) -> None:
+    """Compile `_lockstep.c` into the shared library `target`, through a temporary file."""
     import shlex
     import subprocess
     import sysconfig
@@ -198,7 +216,7 @@ def _build_generation(target: Path) -> None:
         proc = subprocess.run(
             [*shlex.split(cc), "-shared", "-fPIC", "-O2", "-ffp-contract=off",
              "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-             str(_GENERATION_SOURCE),
+             str(_LOCKSTEP_SOURCE),
              str(Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"), "-lm",
              "-o", tmp],
             capture_output=True, text=True,
@@ -212,8 +230,8 @@ def _build_generation(target: Path) -> None:
 
 
 @cache
-def _gamma_generation():
-    """The native `gamma:kappa` generation of `_generation.c`, or None (tried once per process).
+def _lockstep_block():
+    """The native lockstep block of `_lockstep.c`, or None (tried once per process).
 
     It draws with numpy's own C samplers on the generator's bit generator
     and bypasses `Generator.lock`: a block's generator is private to
@@ -226,20 +244,22 @@ def _gamma_generation():
 
     suffix = EXTENSION_SUFFIXES[0]
     try:
-        key = _GENERATION_SOURCE.read_bytes() + f"\0{np.__version__}\0{suffix}".encode()
+        key = _LOCKSTEP_SOURCE.read_bytes() + f"\0{np.__version__}\0{suffix}".encode()
         cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "haldane"
-        path = cache_dir / f"_generation-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
+        path = cache_dir / f"_lockstep-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
         if not path.exists():
-            _build_generation(path)
-        draw = ctypes.CDLL(str(path)).haldane_gamma_generation
+            _build_lockstep(path)
+        run = ctypes.CDLL(str(path)).haldane_run_block
     except (OSError, AttributeError, RuntimeError):
         # no compiler, header or libnpyrandom.a, a failed build, an unwritable
         # cache, a library without the function, no home directory
         return None
-    draw.restype = ctypes.c_int
-    draw.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                     ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
-    return draw
+    run.restype = ctypes.c_int
+    run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
+                    ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p)
+    return run
 
 
 @np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
@@ -261,14 +281,15 @@ def run_ensemble(
 ) -> Tally:
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
-    Every generation draws one paintbox split per live trial with a single
-    `block_sums` call and the next counts with a single binomial draw,
+    Every generation draws one paintbox split per live trial, as one
+    `block_sums` call does, and the next counts, as one binomial call does,
     then counts the trials that hit 0 or N and drops them.  Only the live
     counts are kept, plus their running maxima when a threshold lies above
     the start: a trial reached level t (count >= t) if its maximum did.
     Absorption is a.s. finite, so the run ends when every trial has fixed
-    or been lost.  Under `gamma:kappa` the native loop draws without
-    `Generator.lock`: `rng` must be this run's own, shared with no thread.
+    or been lost.  For every source with a native law (`_native_law`) the
+    native block draws without `Generator.lock`: `rng` must be this run's
+    own, shared with no thread.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -280,6 +301,19 @@ def run_ensemble(
     above = sorted(t for t in hits if t > k0)
     k = np.full(trials, k0, dtype=np.int64)
     peak = k.copy() if above else None
+    if (law := _native_law(config.paintbox, N)) and (run := _lockstep_block()):
+        levels = np.array(above, dtype=np.int64)
+        reached = np.zeros(len(above), dtype=np.int64)
+        counts = np.empty(4, dtype=np.int64)  # fixations, losses, tau_total, generations
+        if run(rng.bit_generator.ctypes.bit_generator, law[0], (ctypes.c_double * 3)(*law[1]),
+               N, 1.0 - config.s, trials, _address(k), _address(peak) if above else None,
+               len(above), _address(levels), _address(reached), _address(counts),
+               _address(np.empty(trials)), _address(np.empty(trials, dtype=np.uint64))):
+            raise FloatingPointError("invalid value encountered in divide")
+        for t, c in zip(above, reached.tolist()):
+            hits[t] += c
+        fixations, losses, tau_total, g = counts.tolist()
+        return Tally(fixations, losses, tau_total, g, hits, g)
     fixations = losses = tau_total = g = 0
     while k.size:
         k = _next_counts(k, config, rng)

@@ -412,9 +412,6 @@ class SpikedSpec:
         # size None for scalar cuts: same draw as a 0-d one, a third of the cost
         pos = rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None)
         below = [pos < c for c in cuts]
-        # freed before the float masses are built, which halves the cost
-        # of a call at 16,384 paintboxes
-        del pos
         edges = (*(c * wo + spiked * lift for c, spiked in zip(cuts, below)), 1.0)
         masses = [edges[0]]
         for lo, hi in pairwise(edges):

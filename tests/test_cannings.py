@@ -1,3 +1,4 @@
+import ctypes
 import math
 import pickle
 from types import SimpleNamespace
@@ -332,16 +333,16 @@ def test_tally_identities():
 
 
 def _on_numpy(monkeypatch, run):
-    """`run()` with the native gamma generation unavailable."""
+    """`run()` with the native lockstep block unavailable."""
     with monkeypatch.context() as m:
-        m.setattr(cannings, "_gamma_generation", lambda: None)
+        m.setattr(cannings, "_lockstep_block", lambda: None)
         return run()
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.5, 1000.0])
 @pytest.mark.parametrize("N, x0", [(2, 1), (100, 1), (100, 3), (10**4, 1), (10**4, 3)])
 def test_native_gamma_generation_draws_what_numpy_draws(monkeypatch, kappa, N, x0):
-    # the native loop (where it loaded) and numpy's calls take the same
+    # the native block (where it loaded) and numpy's calls take the same
     # variates from one stream, so every tally is the same, thresholds or not
     cfg = CanningsConfig.from_exponent(N, 0.25, Gamma(kappa), x0)
     for seed in (1, 2, 3):
@@ -351,22 +352,67 @@ def test_native_gamma_generation_draws_what_numpy_draws(monkeypatch, kappa, N, x
             assert run() == _on_numpy(monkeypatch, run)
 
 
+@pytest.mark.parametrize("source, N, b", [
+    (SpikedSpec(0.2), 2, 0.3), (SpikedSpec(0.2), 3, 0.3), (SpikedSpec(0.1), 1000, 0.45),
+    (Deterministic(), 100, 0.25), (Deterministic(), 10**4, 0.25),
+    (TwoPoint(0.2, 3.0, 0.9), 3, 0.3), (TwoPoint(0.2, 3.0, 0.9), 1000, 0.3),
+    (TwoPoint(), 1000, 0.25),
+], ids=["spiked-2", "spiked-3", "spiked-1000", "deterministic-100", "deterministic-1e4",
+        "two-point-3", "two-point-1000", "two-point-symmetric"])
+def test_native_block_draws_what_numpy_draws(monkeypatch, source, N, b):
+    # every closed-form source: each start (absorbing ones included), one
+    # trial or many, thresholds or not, gives the numpy path's tally
+    assert cannings._native_law(source, N) is not None
+    for x0 in sorted({0, 1, N // 2, N - 1, N}):
+        cfg = CanningsConfig.from_exponent(N, b, source, x0)
+        for trials, seed in ((1, 4), (1, 5), (500, 6)):
+            for levels in ((), (1, x0 + 1, max(N // 3, 2), N)):
+                def run():
+                    return run_ensemble(cfg, trials, trial_rng(seed, 0), levels)
+                assert run() == _on_numpy(monkeypatch, run), (x0, trials, seed, levels)
+
+
+def _refuse():
+    raise AssertionError("the native block was asked for")
+
+
+@pytest.mark.parametrize("source, N", [
+    (LogNormal(0.7), 100), (Gamma(0.01), 100), (Gamma(0.001), 2),
+], ids=["lognormal", "gamma-tiny-shape", "gamma-N2"])
+def test_sources_without_a_native_law_stay_on_numpy(monkeypatch, source, N):
+    # lognormal and the tiny-shape Gamma redraw (N kappa < 2) never ask for
+    # the native block; an exact Gamma with N kappa >= 2 does
+    monkeypatch.setattr(cannings, "_lockstep_block", _refuse)
+    assert cannings._native_law(source, N) is None
+    tally = run_ensemble(CanningsConfig(N, 0.1, source, 1), 50, trial_rng(1, 0), (2,))
+    assert tally.trials == 50
+    with pytest.raises(AssertionError, match="asked for"):
+        run_ensemble(CanningsConfig(100, 0.1, Gamma(0.02), 1), 5, trial_rng(1, 0))
+
+
 def test_zero_over_zero_is_a_floating_point_error_on_both_paths(monkeypatch):
     # zero shapes give zero masses and a 0/0 success probability
-    draw = cannings._gamma_generation()
-    if draw is not None:
+    run = cannings._lockstep_block()
+    if run is not None:
         k = np.zeros(2, np.int64)
-        assert draw(make_rng(1).bit_generator.ctypes.bit_generator, k.size, cannings._address(k),
-                    0, 1.0, 0.9, cannings._address(np.empty(k.size))) == -1
+        assert run(make_rng(1).bit_generator.ctypes.bit_generator, 1, (ctypes.c_double * 3)(1.0),
+                   0, 0.9, k.size, cannings._address(k), None, 0, None, None,
+                   cannings._address(np.empty(4, np.int64)), cannings._address(np.empty(k.size)),
+                   cannings._address(np.empty(k.size, np.uint64))) == -1
     # s = 1 with no beneficial mass: the tail's mass is kept at weight 0
     config = SimpleNamespace(N=2, s=1.0, paintbox=Gamma(1.0))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        cannings._next_counts(np.zeros(3, np.int64), config, make_rng(1))
+    # a head mass Gamma(0.001) underflows to 0 about half the time, so a
+    # block at s = 1 meets 0/0 in its first generation, on either path
+    config = SimpleNamespace(N=2000, s=1.0, paintbox=Gamma(0.001), initial_count=1)
 
-    def run():
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            cannings._next_counts(np.zeros(3, np.int64), config, make_rng(1))
+    def block():
+        with pytest.raises(FloatingPointError):
+            run_ensemble(config, 100, make_rng(1))
 
-    run()
-    _on_numpy(monkeypatch, run)
+    block()
+    _on_numpy(monkeypatch, block)
 
 
 class _DrawLog:

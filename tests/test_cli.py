@@ -986,13 +986,13 @@ def test_gamma_solve_and_one_block_run_import_no_scipy_or_pool():
 
 
 # ---------------------------------------------------------------------------
-# the native gamma generation and its fallback
+# the native lockstep block and its fallback
 # ---------------------------------------------------------------------------
 
 
 def _numpy_path_records(capsys, monkeypatch, argv):
     with monkeypatch.context() as m:
-        m.setattr(cannings, "_gamma_generation", lambda: None)
+        m.setattr(cannings, "_lockstep_block", lambda: None)
         code, records = run_jsonl(capsys, argv)
     assert code == 0
     return strip_clock(records)
@@ -1003,7 +1003,11 @@ def _numpy_path_records(capsys, monkeypatch, argv):
      "--trials", str(BLOCK_TRIALS + 7232), "--seed", "3"],
     ["phases", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1", "--delta", "0.05",
      "--eps", "0.1", "--trials", str(BLOCK_TRIALS + 7232), "--seed", "7", "--parallelism", "2"],
-], ids=["two-blocks", "phases-two-workers"])
+    ["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
+     "--trials", str(BLOCK_TRIALS + 7232), "--seed", "7"],
+    ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "deterministic", "--x0", "2",
+     "--trials", "5000", "--seed", "3"],
+], ids=["two-blocks", "phases-two-workers", "counterexample-two-blocks", "deterministic"])
 def test_native_generation_records_are_the_numpy_records(capsys, monkeypatch, argv):
     code, records = run_jsonl(capsys, argv)
     assert code == 0
@@ -1014,9 +1018,9 @@ def test_native_generation_records_are_the_numpy_records(capsys, monkeypatch, ar
 def fresh_loader(monkeypatch, tmp_path):
     """An empty cache and no loader answer yet; the real loader comes back afterwards."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    cannings._gamma_generation.cache_clear()
+    cannings._lockstep_block.cache_clear()
     yield tmp_path
-    cannings._gamma_generation.cache_clear()
+    cannings._lockstep_block.cache_clear()
 
 
 def _no_compiler(monkeypatch, tmp_path):
@@ -1028,9 +1032,9 @@ def _no_compiler(monkeypatch, tmp_path):
 
 
 def _compile_error(monkeypatch, tmp_path):
-    source = tmp_path / "_generation.c"
+    source = tmp_path / "_lockstep.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(cannings, "_GENERATION_SOURCE", source)
+    monkeypatch.setattr(cannings, "_LOCKSTEP_SOURCE", source)
 
 
 def _unwritable_cache(monkeypatch, tmp_path):
@@ -1040,17 +1044,22 @@ def _unwritable_cache(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fault", [_no_compiler, _compile_error, _unwritable_cache])
 def test_native_generation_falls_back_once_per_process(capsys, monkeypatch, fresh_loader, fault):
-    argv = ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1",
-            "--trials", "2000", "--seed", "5"]
-    expected = _numpy_path_records(capsys, monkeypatch, argv)
+    commands = (
+        ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1",
+         "--trials", "2000", "--seed", "5"],
+        ["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
+         "--trials", "2000", "--seed", "5"],
+    )
+    expected = [_numpy_path_records(capsys, monkeypatch, argv) for argv in commands]
     fault(monkeypatch, fresh_loader)
     builds = []
-    build = cannings._build_generation
-    monkeypatch.setattr(cannings, "_build_generation",
+    build = cannings._build_lockstep
+    monkeypatch.setattr(cannings, "_build_lockstep",
                         lambda target: builds.append(target) or build(target))
     for _ in range(2):
-        code, records = run_jsonl(capsys, argv)
-        assert code == 0
-        assert strip_clock(records) == expected
+        for argv, records_then in zip(commands, expected):
+            code, records = run_jsonl(capsys, argv)
+            assert code == 0
+            assert strip_clock(records) == records_then
     assert len(builds) == 1
-    assert cannings._gamma_generation() is None
+    assert cannings._lockstep_block() is None
