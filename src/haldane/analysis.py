@@ -37,7 +37,13 @@ BLOCK_TRIALS = 32768
 
 2^15 runs half the tails of 2^14, which matters where each tail
 generation pays numpy's per-call overhead (the fallback path); 2^16 would
-leave every run of fewer than 65,536 trials on one worker.
+leave every run of fewer than 65,536 trials on one worker.  Under
+`deterministic` and `spiked` a block starts as one entry of all its
+trials, and a class of trials at one count draws one multinomial once it
+outnumbers the outcomes its binomial reaches, so there a larger block
+adds only the trials that spread out to counts of their own; a smaller
+one would leave more classes under that size, each drawing one binomial
+per trial.
 """
 STREAM_LAYOUT = layout(f"block={BLOCK_TRIALS}")
 

@@ -14,21 +14,34 @@ blocks split at k that each paintbox source's `block_sums` draws exactly
 without building the N-vector; `_next_counts` draws a generation
 through numpy, for one count or an array.  Absorption runs advance an
 ensemble of independent trials in lockstep (`run_ensemble`), keep only
-the live counts and return integer counts of the outcomes (`Tally`); a
+the live ones and return integer counts of the outcomes (`Tally`); a
 single trajectory with its first passages is `run_to_absorption`, `step`
 by step.
+
+The live trials of a lockstep block are entries: a count, its running
+maximum and a multiplicity, the number of trials that share them.  Under
+a `deterministic` or `spiked` paintbox every trial at one count has one
+law (`_ONE_LAW_PER_COUNT`), so a block starts as one entry of all its
+trials; each generation an entry's trials split into at most two classes
+of one success probability p (under `spiked`, by one spike index drawn
+per trial), and a class whose mean N min(p, 1-p) is at most 30 and whose
+trials outnumber numpy's inversion bound (`_walks`) draws its successors
+as one multinomial by conditional binomials instead of one binomial per
+trial.  Every other source keeps
+one entry per trial and draws as `_next_counts` does.  A class of one
+always draws one binomial, so a one-trial block draws what `step` draws.
 
 Under a `deterministic`, `gamma:kappa` (N kappa >= 2), `two-point` or
 `spiked` paintbox, `run_ensemble` runs the whole block to absorption in
 one native call (`_lockstep.c`) over numpy's own C samplers on the
-generator's bit generator: the same variates in the same order, with
-the same float operations, without numpy's fixed per-call cost or the
-per-generation bookkeeping in Python.  It is built once per user with
-the interpreter's C compiler against numpy's `libnpyrandom.a` and cached
-under `$XDG_CACHE_HOME/haldane` (by default `~/.cache/haldane`); where it
-cannot be built or loaded, and for lognormal and the tiny-shape Gamma
-redraw, every generation goes through `_next_counts`, with the same
-records.
+generator's bit generator: the numpy path's variates (`_next_entries`)
+in the same order, with the same float operations, without numpy's
+fixed per-call cost or the per-generation bookkeeping in Python.  It is
+built once per user with the interpreter's C compiler against numpy's
+`libnpyrandom.a` and cached under `$XDG_CACHE_HOME/haldane` (by default
+`~/.cache/haldane`); where it cannot be built or loaded, and for
+lognormal and the tiny-shape Gamma redraw, every generation goes through
+`_next_entries`, with the same records.
 """
 
 from __future__ import annotations
@@ -160,15 +173,103 @@ class Tally:
 # ---------------------------------------------------------------------------
 
 
-def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
-    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count, through numpy.
-
-    An array's probabilities are computed in place.
-    """
-    head, tail = config.paintbox.block_sums((k,), config.N, rng)
-    tail *= 1.0 - config.s
+def _success_probability(head, tail, s: float):
+    """head / (head + (1-s) tail); arrays are overwritten in place."""
+    tail *= 1.0 - s
     tail += head
-    return rng.binomial(config.N, np.divide(head, tail, out=tail if np.ndim(k) else None))
+    return np.divide(head, tail, out=tail if np.ndim(tail) else None)
+
+
+def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
+    """Bin(N, head / (head + (1-s) tail)) from a paintbox per count, through numpy."""
+    head, tail = config.paintbox.block_sums((k,), config.N, rng)
+    return rng.binomial(config.N, _success_probability(head, tail, config.s))
+
+
+_ONE_LAW_PER_COUNT = (Deterministic, SpikedSpec)
+"""Sources under which every trial at one count has one transition law.
+
+A lockstep block under them starts as one entry of all its trials, and
+the trials of an entry split into at most two classes of one success
+probability (`_next_entries`); `_lockstep.c` keys the same rule by its enum.
+"""
+
+
+def _walks(p: np.ndarray, n: np.ndarray, N: int) -> np.ndarray:
+    """Which classes (n trials at success probability p) draw one multinomial.
+
+    Those whose mean N min(p, 1-p) is at most 30 and who outnumber the
+    outcomes numpy's inversion sampler scans, mean + 10 sqrt(mean q + 1);
+    a class of one never does.
+    """
+    near = np.where(p <= 0.5, p, 1.0 - p)
+    mean = N * near
+    return (mean <= 30.0) & (n > mean + 10.0 * np.sqrt(mean * (1.0 - near) + 1.0))
+
+
+def _multinomial_walk(N: int, p: float, n: int, rng: np.random.Generator):
+    """(successor, trials) for n draws of Bin(N, p), by conditional binomials.
+
+    From the near end (N when p > 1/2), each outcome j takes Bin(left,
+    pmf_j / remaining mass) of the trials left, as numpy's multinomial
+    draws its cells (Davis, Comput. Stat. Data Anal. 1993); the ratio is 1
+    once the remaining mass is down to the pmf.  The pmf runs by its ratio
+    recurrence from (1 - p)^N.  Stops once every trial is placed.
+    """
+    near = p if p <= 0.5 else 1.0 - p
+    ratio, pmf, mass = near / (1.0 - near), (1.0 - near) ** N, 1.0
+    j = 0
+    while n:
+        c = n if j == N else int(rng.binomial(n, pmf / mass if pmf < mass else 1.0))
+        if c:
+            yield (j if p <= 0.5 else N - j), c
+            n -= c
+        mass -= pmf
+        pmf *= (N - j) / (j + 1) * ratio
+        j += 1
+
+
+def _next_entries(k, m, config: CanningsConfig, rng: np.random.Generator):
+    """One generation of lockstep entries through numpy: successors, multiplicities, parents.
+
+    Draws what `_lockstep.c` draws.  While every entry is one trial this is
+    `_next_counts`, and the parents are None (entry i became entry i).
+    Otherwise (a `_ONE_LAW_PER_COUNT` source) each entry splits into its
+    classes, the spiked ones by one spike index per trial, and each class
+    draws one binomial per trial or, where `_walks` says so, one
+    multinomial; runs of per-trial classes draw in one call.
+    """
+    N, box = config.N, config.paintbox
+    if m.max() == 1:
+        return _next_counts(k, config, rng), m, None
+    if type(box) is SpikedSpec:
+        pos = rng.integers(N, size=int(m.sum()))
+        inside = np.add.reduceat(pos < np.repeat(k, m), np.cumsum(m) - m, dtype=np.int64)
+        n = np.column_stack((m - inside, inside)).ravel()  # spike outside the head, then inside
+        has = n > 0
+        parent = np.repeat(np.arange(k.size), 2)[has]
+        spike = np.tile((N - 1, 0), k.size)[has]  # an index outside, then inside, each head
+        n = n[has]
+        head, tail = box.masses_at(spike, (k[parent],), N)
+    else:
+        n, parent = m, np.arange(k.size)
+        head, tail = box.block_sums((k,), N, rng)
+    p = _success_probability(head, tail, config.s)
+    nxt, mult, src, start = [], [], [], 0
+    for w in [*np.flatnonzero(_walks(p, n, N)).tolist(), n.size]:
+        if start < w:
+            runs = n[start:w]
+            nxt.append(rng.binomial(N, np.repeat(p[start:w], runs)))
+            mult.append(np.ones(nxt[-1].size, dtype=np.int64))
+            src.append(np.repeat(parent[start:w], runs))
+        if w < n.size:
+            cells = np.array(list(_multinomial_walk(N, float(p[w]), int(n[w]), rng)),
+                             dtype=np.int64).reshape(-1, 2)
+            nxt.append(cells[:, 0])
+            mult.append(cells[:, 1])
+            src.append(np.full(len(cells), parent[w]))
+        start = w + 1
+    return np.concatenate(nxt), np.concatenate(mult), np.concatenate(src)
 
 
 def _native_law(box: PaintboxSource, N: int) -> tuple[int, tuple[float, ...]] | None:
@@ -256,9 +357,8 @@ def _lockstep_block():
         return None
     run.restype = ctypes.c_int
     run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
-                    ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_void_p, ctypes.c_void_p)
+                    ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     return run
 
 
@@ -281,15 +381,18 @@ def run_ensemble(
 ) -> Tally:
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
-    Every generation draws one paintbox split per live trial, as one
-    `block_sums` call does, and the next counts, as one binomial call does,
-    then counts the trials that hit 0 or N and drops them.  Only the live
-    counts are kept, plus their running maxima when a threshold lies above
-    the start: a trial reached level t (count >= t) if its maximum did.
+    The live trials are entries, a count, its running maximum and the
+    number of trials sharing them: one entry of all `trials` under a
+    `_ONE_LAW_PER_COUNT` source, else one per trial.  Every generation
+    draws the entries' successors (`_next_entries`: one paintbox split per
+    trial, as one `block_sums` call does, then one binomial per trial or,
+    for a large class of one success probability, one multinomial), then
+    tallies the entries that hit 0 or N, each with its multiplicity, and
+    drops them.  A trial reached level t (count >= t) if its maximum did.
     Absorption is a.s. finite, so the run ends when every trial has fixed
     or been lost.  For every source with a native law (`_native_law`) the
-    native block draws without `Generator.lock`: `rng` must be this run's
-    own, shared with no thread.
+    native block draws the same variates without `Generator.lock`: `rng`
+    must be this run's own, shared with no thread.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -299,39 +402,43 @@ def run_ensemble(
         fixations = trials if k0 == N else 0
         return Tally(fixations, trials - fixations, 0, 0, hits)
     above = sorted(t for t in hits if t > k0)
-    k = np.full(trials, k0, dtype=np.int64)
-    peak = k.copy() if above else None
     if (law := _native_law(config.paintbox, N)) and (run := _lockstep_block()):
         levels = np.array(above, dtype=np.int64)
         reached = np.zeros(len(above), dtype=np.int64)
         counts = np.empty(4, dtype=np.int64)  # fixations, losses, tau_total, generations
-        if run(rng.bit_generator.ctypes.bit_generator, law[0], (ctypes.c_double * 3)(*law[1]),
-               N, 1.0 - config.s, trials, _address(k), _address(peak) if above else None,
-               len(above), _address(levels), _address(reached), _address(counts),
-               _address(np.empty(trials)), _address(np.empty(trials, dtype=np.uint64))):
+        code = run(rng.bit_generator.ctypes.bit_generator, law[0], (ctypes.c_double * 3)(*law[1]),
+                   N, 1.0 - config.s, trials, k0, len(above), _address(levels),
+                   _address(reached), _address(counts))
+        if code == -2:
+            raise MemoryError(f"no room for a lockstep block of {trials} trials")
+        if code:
             raise FloatingPointError("invalid value encountered in divide")
         for t, c in zip(above, reached.tolist()):
             hits[t] += c
         fixations, losses, tau_total, g = counts.tolist()
         return Tally(fixations, losses, tau_total, g, hits, g)
+    entries = 1 if type(config.paintbox) in _ONE_LAW_PER_COUNT else trials
+    k = np.full(entries, k0, dtype=np.int64)
+    m = np.full(entries, trials // entries, dtype=np.int64)
+    peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
     while k.size:
-        k = _next_counts(k, config, rng)
+        k, m, parent = _next_entries(k, m, config, rng)
         g += 1
         if above:
-            np.maximum(peak, k, out=peak)
+            peak = np.maximum(peak if parent is None else peak[parent], k)
         live = (k > 0) & (k < N)
-        absorbed = k.size - int(np.count_nonzero(live))
-        if absorbed:
-            fixed = int(np.count_nonzero(k == N))
+        if not live.all():
+            gone = m[~live]
+            absorbed, fixed = int(gone.sum()), int(m[k == N].sum())
             fixations += fixed
             losses += absorbed - fixed
             tau_total += g * absorbed
-            k = k[live]
+            k, m = k[live], m[live]
             if above:
-                gone = peak[~live]
+                top = peak[~live]
                 for t in above:
-                    hits[t] += int(np.count_nonzero(gone >= t))
+                    hits[t] += int(gone[top >= t].sum())
                 peak = peak[live]
     return Tally(fixations, losses, tau_total, g, hits, g)
 

@@ -407,10 +407,14 @@ class SpikedSpec:
         is c * other_weight, lifted to the spike's weight when the index
         lies below c.  The masses sum to 1 up to rounding.
         """
+        # size None for scalar cuts: same draw as a 0-d one, a third of the cost
+        return self.masses_at(rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None),
+                              cuts, N)
+
+    def masses_at(self, pos, cuts: Sequence, N: int) -> list:
+        """`block_sums` with the spike of each paintbox at index `pos`."""
         wo = self.other_weight(N)
         lift = self.spike_weight(N) - wo
-        # size None for scalar cuts: same draw as a 0-d one, a third of the cost
-        pos = rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None)
         below = [pos < c for c in cuts]
         edges = (*(c * wo + spiked * lift for c, spiked in zip(cuts, below)), 1.0)
         masses = [edges[0]]

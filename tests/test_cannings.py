@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, chi2, ks_2samp
 
 from haldane import cannings
 from haldane.cannings import (
@@ -372,6 +372,23 @@ def test_native_block_draws_what_numpy_draws(monkeypatch, source, N, b):
                 assert run() == _on_numpy(monkeypatch, run), (x0, trials, seed, levels)
 
 
+@pytest.mark.parametrize("source, N, b, starts", [
+    (Deterministic(), 1000, 0.25, (24, 25, 963, 964)),
+    (SpikedSpec(0.1), 1000, 0.45, (57, 58)),
+], ids=["deterministic", "spiked"])
+def test_native_entries_draw_what_numpy_draws_at_the_class_rule(monkeypatch, source, N, b, starts):
+    # first classes on either side of mean 30 (24 and 964 below it under
+    # deterministic, 57 under spiked), holding trials on either side of the
+    # size bound (83.1 at 24, 84.5 at 964 and 84.4 at 57, for the spike
+    # outside the head): both paths pick one multinomial for the same classes
+    for x0 in starts:
+        cfg = CanningsConfig.from_exponent(N, b, source, x0)
+        for trials in (83, 84, 85, 90, 2000):
+            def run():
+                return run_ensemble(cfg, trials, trial_rng(8, 0), (x0 + 1, N // 2, N))
+            assert run() == _on_numpy(monkeypatch, run), (x0, trials)
+
+
 def _refuse():
     raise AssertionError("the native block was asked for")
 
@@ -393,12 +410,9 @@ def test_sources_without_a_native_law_stay_on_numpy(monkeypatch, source, N):
 def test_zero_over_zero_is_a_floating_point_error_on_both_paths(monkeypatch):
     # zero shapes give zero masses and a 0/0 success probability
     run = cannings._lockstep_block()
-    if run is not None:
-        k = np.zeros(2, np.int64)
+    if run is not None:  # two trials from 0 at N = 0
         assert run(make_rng(1).bit_generator.ctypes.bit_generator, 1, (ctypes.c_double * 3)(1.0),
-                   0, 0.9, k.size, cannings._address(k), None, 0, None, None,
-                   cannings._address(np.empty(4, np.int64)), cannings._address(np.empty(k.size)),
-                   cannings._address(np.empty(k.size, np.uint64))) == -1
+                   0, 0.9, 2, 0, 0, None, None, cannings._address(np.empty(4, np.int64))) == -1
     # s = 1 with no beneficial mass: the tail's mass is kept at weight 0
     config = SimpleNamespace(N=2, s=1.0, paintbox=Gamma(1.0))
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
@@ -413,6 +427,98 @@ def test_zero_over_zero_is_a_floating_point_error_on_both_paths(monkeypatch):
 
     block()
     _on_numpy(monkeypatch, block)
+
+
+def _exact_chain(N, s, spike=None):
+    """P(fix | k), E[tau | k] and Var[tau | k] for k = 1..N-1, by a dense solve.
+
+    From k the next count is Bin(N, head / (head + (1-s)(1-head))) with
+    head = k/N (Wright-Fisher), or, for a spike of weight N**-spike, head
+    = k wo with the spike's lift added when the spike lies in the head
+    (chance k/N).  With Q the transient block and t the mean times,
+    (I - Q) h = P(-> N), (I - Q) t = 1 and (I - Q) E[tau^2] = 1 + 2 Q t.
+    """
+    k = np.arange(1, N)
+    out = np.arange(N + 1)[None, :]
+
+    def law(head):
+        return binom.pmf(out, N, (head / (head + (1.0 - s) * (1.0 - head)))[:, None])
+
+    if spike is None:
+        P = law(k / N)
+    else:
+        wo = (1.0 - N**-spike) / (N - 1)
+        P = (k / N)[:, None] * law(k * wo + N**-spike - wo) + (1 - k / N)[:, None] * law(k * wo)
+    Q = P[:, 1:N]
+    A = np.eye(N - 1) - Q
+    h = np.linalg.solve(A, P[:, N])
+    t = np.linalg.solve(A, np.ones(N - 1))
+    return h, t, np.linalg.solve(A, 1.0 + 2.0 * Q @ t) - t * t
+
+
+def test_exact_chain_gives_the_spiked_counterexample():
+    h, t, _ = _exact_chain(1000, 1000**-0.45, 0.1)
+    assert (round(h[0], 7), round(t[0], 4)) == (0.0011437, 1.8171)
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("source, N, b, x0, blocks", [
+    (Deterministic(), 2, 0.5, 1, 1), (Deterministic(), 20, 0.3, 2, 1),
+    (Deterministic(), 100, 0.25, 1, 1), (SpikedSpec(0.2), 50, 0.3, 1, 1),
+    (SpikedSpec(0.2), 200, 0.3, 3, 1), (SpikedSpec(0.1), 1000, 0.45, 1, 4),
+], ids=["deterministic-2", "deterministic-20", "deterministic-100", "spiked-50",
+        "spiked-200", "spiked-1000"])
+def test_entries_keep_the_chain_s_fixation_and_absorption_time(
+        monkeypatch, path, source, N, b, x0, blocks):
+    # blocks of 1e5 trials, each starting as one entry of all of them,
+    # against the dense solve, within 4 standard errors
+    cfg = CanningsConfig.from_exponent(N, b, source, x0)
+    spike = source.gamma if isinstance(source, SpikedSpec) else None
+    h, t, v = (x[x0 - 1] for x in _exact_chain(N, cfg.s, spike))
+
+    def run():
+        tallies = [run_ensemble(cfg, 10**5, trial_rng(29, i)) for i in range(blocks)]
+        return sum(x.fixations for x in tallies), sum(x.tau_total for x in tallies)
+
+    fixed, tau_total = run() if path == "native" else _on_numpy(monkeypatch, run)
+    n = blocks * 10**5
+    assert abs(fixed / n - h) <= 4 * math.sqrt(h * (1 - h) / n)
+    assert abs(tau_total / n - t) <= 4 * math.sqrt(v / n)
+
+
+@pytest.mark.parametrize("source, N, s, k, entries, size, walks", [
+    (Deterministic(), 100, 0.1, 5, 1, 10**5, True),  # mean 5.5
+    (Deterministic(), 1000, 0.1, 100, 1, 10**5, False),  # mean 110 > 30
+    (Deterministic(), 100, 0.1, 97, 1, 10**5, True),  # p > 1/2: from N down
+    (Deterministic(), 1000, 0.1, 1, 6250, 16, True),  # 16 > the bound 15.6
+    (Deterministic(), 1000, 0.1, 1, 6250, 15, False),  # 15 <= the bound
+    (SpikedSpec(0.1), 1000, 0.05, 1, 1, 10**5, True),  # spike outside the head
+], ids=["walk", "mean-above-30", "p-above-half", "class-above-bound",
+        "class-at-bound", "spiked"])
+def test_one_generation_of_entries_is_binomial(source, N, s, k, entries, size, walks):
+    # successors of `entries` entries of `size` trials at count k against
+    # Bin(N, p) (a two-binomial mixture for the spike), by chi-square over
+    # the outcomes expecting 5 or more, the rest pooled; one multinomial
+    # per class shows as cells of more than one trial
+    cfg = CanningsConfig(N, s, source, k)
+    nxt, mult, _ = cannings._next_entries(
+        np.full(entries, k), np.full(entries, size), cfg, make_rng(29))
+    assert mult.sum() == entries * size
+    assert (mult.max() > 1) == walks
+    seen = np.bincount(nxt, weights=mult, minlength=N + 1)
+    if isinstance(source, SpikedSpec):
+        wo, ws = source.other_weight(N), source.spike_weight(N)
+        pmf = (k / N) * binom.pmf(np.arange(N + 1), N, (ws + (k - 1) * wo) / (
+            ws + (k - 1) * wo + (1 - s) * (1 - ws - (k - 1) * wo)))
+        pmf += (1 - k / N) * binom.pmf(np.arange(N + 1), N, k * wo / (
+            k * wo + (1 - s) * (1 - k * wo)))
+    else:
+        pmf = binom.pmf(np.arange(N + 1), N, k / (k + (1 - s) * (N - k)))
+    expected = entries * size * pmf
+    big = expected >= 5
+    stat = ((seen[big] - expected[big]) ** 2 / expected[big]).sum()
+    stat += (seen[~big].sum() - expected[~big].sum()) ** 2 / expected[~big].sum()
+    assert chi2.sf(stat, big.sum()) > 1e-3
 
 
 class _DrawLog:

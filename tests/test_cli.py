@@ -359,14 +359,14 @@ GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (GOLDEN_ARGV + ["deterministic"], (2424, 57019, 43)),
+    (GOLDEN_ARGV + ["deterministic"], (2407, 56954, 44)),
     (GOLDEN_ARGV + ["gamma:1"], (1583, 37582, 47)),
     (GOLDEN_ARGV + ["gamma:2.5"], (2037, 48512, 45)),
     (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2099, 49873, 45)),
     (GOLDEN_ARGV + ["lognormal:0.7"], (1891, 44910, 51)),
-    (GOLDEN_ARGV + ["spiked:0.2"], (413, 19157, 61)),
+    (GOLDEN_ARGV + ["spiked:0.2"], (368, 18398, 64)),
     (["counterexample", "--N", "1000", "--gamma", "0.1", "--b", "0.45",
-      "--trials", "30000", "--seed", "7"], (34, 54661, 23)),
+      "--trials", "30000", "--seed", "7"], (30, 55044, 24)),
 ], ids=["deterministic", "gamma:1", "gamma:2.5", "two-point", "lognormal:0.7",
         "spiked:0.2", "counterexample"])
 def test_golden_records(capsys, argv, expected):
