@@ -285,19 +285,21 @@ def duality_fixation(N: int, k: int, aeq_samples: Sequence[int]) -> float:
 def read_aeq_samples(path) -> list[int]:
     """Ancestral-line sample file: one nonnegative integer per line."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read ancestral-line samples: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     samples = []
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                samples.append(int(text))
-            except ValueError:
-                raise ConfigurationError(f"{path}:{lineno}: not an integer: {text!r}") from None
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            samples.append(int(text))
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: not an integer: {text!r}") from None
     return samples
 
 

@@ -20,28 +20,26 @@ by step.
 
 The live trials of a lockstep block are entries: a count, its running
 maximum and a multiplicity, the number of trials that share them.  Under
-a `deterministic` or `spiked` paintbox every trial at one count has one
-law (`_ONE_LAW_PER_COUNT`), so a block starts as one entry of all its
-trials; each generation an entry's trials split into at most two classes
-of one success probability p (under `spiked`, by one spike index drawn
-per trial), and a class whose mean N min(p, 1-p) is at most 30 and whose
-trials outnumber numpy's inversion bound (`_walks`) draws its successors
-as one multinomial by conditional binomials instead of one binomial per
-trial.  Every other source keeps
-one entry per trial and draws as `_next_counts` does.  A class of one
-always draws one binomial, so a one-trial block draws what `step` draws.
+a source whose `one_law_per_count` is True (`deterministic`, `spiked`)
+a block starts as one entry of all its trials; each generation the
+source's `entry_classes` splits an entry's trials into classes of one
+success probability p, and a class whose mean N min(p, 1-p) is at most
+30 and whose trials outnumber numpy's inversion bound (`_walks`) draws
+its successors as one multinomial by conditional binomials instead of
+one binomial per trial.  Every other source keeps one entry per trial
+and draws as `_next_counts` does.  A class of one always draws one
+binomial, so a one-trial block draws what `step` draws.
 
-Under a `deterministic`, `gamma:kappa` (N kappa >= 2), `two-point` or
-`spiked` paintbox, `run_ensemble` runs the whole block to absorption in
-one native call (`_lockstep.c`) over numpy's own C samplers on the
-generator's bit generator: the numpy path's variates (`_next_entries`)
-in the same order, with the same float operations, without numpy's
-fixed per-call cost or the per-generation bookkeeping in Python.  It is
-built once per user with the interpreter's C compiler against numpy's
-`libnpyrandom.a` and cached under `$XDG_CACHE_HOME/haldane` (by default
-`~/.cache/haldane`); where it cannot be built or loaded, and for
-lognormal and the tiny-shape Gamma redraw, every generation goes through
-`_next_entries`, with the same records.
+Under a source with a `lockstep_law`, `run_ensemble` runs the whole
+block to absorption in one native call (`_lockstep.c`) over numpy's own
+C samplers on the generator's bit generator: the numpy path's variates
+(`_next_entries`) in the same order, with the same float operations,
+without numpy's fixed per-call cost or the per-generation bookkeeping in
+Python.  It is built once per user with the interpreter's C compiler
+against numpy's `libnpyrandom.a` and cached under
+`$XDG_CACHE_HOME/haldane` (by default `~/.cache/haldane`); where it
+cannot be built or loaded, and for a source without a law, every
+generation goes through `_next_entries`, with the same records.
 """
 
 from __future__ import annotations
@@ -58,12 +56,8 @@ import numpy as np
 
 from .paintbox import (
     ConfigurationError,
-    Deterministic,
     Estimate,
-    Gamma,
     PaintboxSource,
-    SpikedSpec,
-    TwoPoint,
     UnsupportedLawError,
     YLaw,
     block_weight_sums,
@@ -186,15 +180,6 @@ def _next_counts(k, config: CanningsConfig, rng: np.random.Generator):
     return rng.binomial(config.N, _success_probability(head, tail, config.s))
 
 
-_ONE_LAW_PER_COUNT = (Deterministic, SpikedSpec)
-"""Sources under which every trial at one count has one transition law.
-
-A lockstep block under them starts as one entry of all its trials, and
-the trials of an entry split into at most two classes of one success
-probability (`_next_entries`); `_lockstep.c` keys the same rule by its enum.
-"""
-
-
 def _walks(p: np.ndarray, n: np.ndarray, N: int) -> np.ndarray:
     """Which classes (n trials at success probability p) draw one multinomial.
 
@@ -234,26 +219,15 @@ def _next_entries(k, m, config: CanningsConfig, rng: np.random.Generator):
 
     Draws what `_lockstep.c` draws.  While every entry is one trial this is
     `_next_counts`, and the parents are None (entry i became entry i).
-    Otherwise (a `_ONE_LAW_PER_COUNT` source) each entry splits into its
-    classes, the spiked ones by one spike index per trial, and each class
-    draws one binomial per trial or, where `_walks` says so, one
-    multinomial; runs of per-trial classes draw in one call.
+    Otherwise each entry splits into the classes of the source's
+    `entry_classes`, and each class draws one binomial per trial or, where
+    `_walks` says so, one multinomial; runs of per-trial classes draw in
+    one call.
     """
-    N, box = config.N, config.paintbox
+    N = config.N
     if m.max() == 1:
         return _next_counts(k, config, rng), m, None
-    if type(box) is SpikedSpec:
-        pos = rng.integers(N, size=int(m.sum()))
-        inside = np.add.reduceat(pos < np.repeat(k, m), np.cumsum(m) - m, dtype=np.int64)
-        n = np.column_stack((m - inside, inside)).ravel()  # spike outside the head, then inside
-        has = n > 0
-        parent = np.repeat(np.arange(k.size), 2)[has]
-        spike = np.tile((N - 1, 0), k.size)[has]  # an index outside, then inside, each head
-        n = n[has]
-        head, tail = box.masses_at(spike, (k[parent],), N)
-    else:
-        n, parent = m, np.arange(k.size)
-        head, tail = box.block_sums((k,), N, rng)
+    n, parent, head, tail = config.paintbox.entry_classes(k, m, N, rng)
     p = _success_probability(head, tail, config.s)
     nxt, mult, src, start = [], [], [], 0
     for w in [*np.flatnonzero(_walks(p, n, N)).tolist(), n.size]:
@@ -272,32 +246,14 @@ def _next_entries(k, m, config: CanningsConfig, rng: np.random.Generator):
     return np.concatenate(nxt), np.concatenate(mult), np.concatenate(src)
 
 
-def _native_law(box: PaintboxSource, N: int) -> tuple[int, tuple[float, ...]] | None:
-    """`box` as `_lockstep.c` takes it, (index in its enum, parameters), or None.
-
-    Exactly `Deterministic`, `Gamma` with N kappa >= 2 (so no tiny-shape
-    redraw), `TwoPoint` and `SpikedSpec` have one; lognormal, which sums
-    its draws one by one, has none and stays on numpy's path.
-    """
-    kind = type(box)
-    if kind is Deterministic:
-        return 0, ()
-    if kind is Gamma and N * box.kappa >= 2:
-        return 1, (box.kappa,)
-    if kind is TwoPoint:
-        return 2, (*box._ab, box.p)
-    if kind is SpikedSpec:
-        wo = box.other_weight(N)
-        return 3, (wo, box.spike_weight(N) - wo)
-    return None
-
-
 def _address(a: np.ndarray):
     """An array's address for ctypes, at a fraction of the cost of `a.ctypes.data`; None if empty."""
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
 _LOCKSTEP_SOURCE = Path(__file__).with_name("_lockstep.c")
+_LOCKSTEP_LAWS = ("deterministic", "gamma", "two-point", "spiked")
+"""The names of a source's `lockstep_law`, in the order of `_lockstep.c`'s enum."""
 
 
 def _build_lockstep(target: Path) -> None:
@@ -382,33 +338,33 @@ def run_ensemble(
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
     The live trials are entries, a count, its running maximum and the
-    number of trials sharing them: one entry of all `trials` under a
-    `_ONE_LAW_PER_COUNT` source, else one per trial.  Every generation
-    draws the entries' successors (`_next_entries`: one paintbox split per
-    trial, as one `block_sums` call does, then one binomial per trial or,
-    for a large class of one success probability, one multinomial), then
-    tallies the entries that hit 0 or N, each with its multiplicity, and
-    drops them.  A trial reached level t (count >= t) if its maximum did.
-    Absorption is a.s. finite, so the run ends when every trial has fixed
-    or been lost.  For every source with a native law (`_native_law`) the
-    native block draws the same variates without `Generator.lock`: `rng`
-    must be this run's own, shared with no thread.
+    number of trials sharing them: one entry of all `trials` under a source
+    with `one_law_per_count`, else one per trial.  Every generation draws
+    the entries' successors (`_next_entries`: the classes of the source's
+    `entry_classes`, then one binomial per trial or, for a large class of
+    one success probability, one multinomial), then tallies the entries
+    that hit 0 or N, each with its multiplicity, and drops them.  A trial
+    reached level t (count >= t) if its maximum did.  Absorption is a.s.
+    finite, so the run ends when every trial has fixed or been lost.  For
+    a source with a `lockstep_law` the native block draws the same variates
+    without `Generator.lock`: `rng` must be this run's own, shared with no
+    thread.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    N, k0 = config.N, config.initial_count
+    N, k0, box = config.N, config.initial_count, config.paintbox
     hits = {t: trials if k0 >= t else 0 for t in thresholds}
     if not 0 < k0 < N:
         fixations = trials if k0 == N else 0
         return Tally(fixations, trials - fixations, 0, 0, hits)
     above = sorted(t for t in hits if t > k0)
-    if (law := _native_law(config.paintbox, N)) and (run := _lockstep_block()):
+    if (law := box.lockstep_law(N)) and (run := _lockstep_block()):
         levels = np.array(above, dtype=np.int64)
         reached = np.zeros(len(above), dtype=np.int64)
         counts = np.empty(4, dtype=np.int64)  # fixations, losses, tau_total, generations
-        code = run(rng.bit_generator.ctypes.bit_generator, law[0], (ctypes.c_double * 3)(*law[1]),
-                   N, 1.0 - config.s, trials, k0, len(above), _address(levels),
-                   _address(reached), _address(counts))
+        code = run(rng.bit_generator.ctypes.bit_generator, _LOCKSTEP_LAWS.index(law[0]),
+                   (ctypes.c_double * 3)(*law[1]), N, 1.0 - config.s, trials, k0, len(above),
+                   _address(levels), _address(reached), _address(counts))
         if code == -2:
             raise MemoryError(f"no room for a lockstep block of {trials} trials")
         if code:
@@ -417,7 +373,7 @@ def run_ensemble(
             hits[t] += c
         fixations, losses, tau_total, g = counts.tolist()
         return Tally(fixations, losses, tau_total, g, hits, g)
-    entries = 1 if type(config.paintbox) in _ONE_LAW_PER_COUNT else trials
+    entries = 1 if box.one_law_per_count else trials
     k = np.full(entries, k0, dtype=np.int64)
     m = np.full(entries, trials // entries, dtype=np.int64)
     peak = k.copy() if above else None

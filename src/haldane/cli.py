@@ -347,8 +347,10 @@ def _text(records: list[dict], fmt: str, header: bool) -> str:
 
 def _check_out(path: str, fmt: str) -> None:
     """Refuse an `--out` that cannot take this run's records, before any trial:
-    a directory, a path in a missing directory, or a file whose first line is
-    not this version's CSV header (CSV) or a JSON record (JSON lines)."""
+    an empty path, a directory, a path in a missing directory, or a file whose
+    first line is not this version's CSV header (CSV) or a JSON record (JSON lines)."""
+    if not path:
+        raise ConfigurationError("--out: empty path")
     if os.path.isdir(path):
         raise ConfigurationError(f"{path}: is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):

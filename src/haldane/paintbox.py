@@ -75,6 +75,8 @@ class YLaw(abc.ABC):
     """
 
     conforming: bool = True
+    one_law_per_count: bool = False
+    """Every trial at one count has one law: a lockstep block starts as one entry."""
 
     @abc.abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +123,19 @@ class YLaw(abc.ABC):
         # lognormal sum split by a MAX_DRAW slice edge may round apart)
         return list(self.sample_sum(_block_sizes(cuts, N), rng))
 
+    def lockstep_law(self, N: int) -> tuple[str, tuple[float, ...]] | None:
+        """(name, parameters) of `_lockstep.c`'s closed form of `block_sums((k,), N, rng)`;
+        None keeps every generation on numpy's path."""
+        return None
+
+    def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
+        """(trials, entry, head, tail) of the classes of one law that lockstep entries,
+        m[i] trials at count k[i], split into: each class's trials, entry index
+        and head and tail masses.  Here each entry is one class of one
+        `block_sums` draw, right for one trial or a source whose masses take none."""
+        head, tail = self.block_sums((k,), N, rng)
+        return m, np.arange(k.size), head, tail
+
     @abc.abstractmethod
     def tag(self) -> str:
         """Compact `name:params` identifier used in CLI records."""
@@ -140,6 +155,8 @@ def _block_sizes(cuts: Sequence, N: int) -> np.ndarray:
 class Deterministic(YLaw):
     """Point mass: every individual has the same potential (Wright-Fisher)."""
 
+    one_law_per_count = True
+
     def sample(self, n, rng):
         return np.ones(n)
 
@@ -155,6 +172,9 @@ class Deterministic(YLaw):
     def qn(self, N, s, j0, trials, rng):
         # every weight is 1/N
         return Estimate(1.0 / (1.0 - s * (N - j0) / N), 0.0, True)
+
+    def lockstep_law(self, N):
+        return "deterministic", ()
 
     def tag(self):
         return "deterministic"
@@ -204,6 +224,10 @@ class Gamma(YLaw):
                 m = np.exp(log_m - log_m.max(axis=0))
                 flat[:, tiny] = m / m.sum(axis=0)
         return list(x)
+
+    def lockstep_law(self, N):
+        # a head and a tail take the redraw above only when N kappa < 2
+        return ("gamma", (self.kappa,)) if N * self.kappa >= 2 else None
 
     def second_moment(self):
         return (self.kappa + 1.0) / self.kappa
@@ -291,6 +315,9 @@ class TwoPoint(YLaw):
     def mixing_atoms(self):
         return np.array(self._ab), np.array([self.p, 1.0 - self.p])
 
+    def lockstep_law(self, N):
+        return "two-point", (*self._ab, self.p)
+
     def tag(self):
         return f"two-point:{self.a:g},{self.b:g},{self.p:g}"
 
@@ -366,6 +393,7 @@ class SpikedSpec:
     gamma: float
 
     conforming = False
+    one_law_per_count = True
 
     def __post_init__(self):
         if not 0 < self.gamma < 0.5:
@@ -408,19 +436,30 @@ class SpikedSpec:
         lies below c.  The masses sum to 1 up to rounding.
         """
         # size None for scalar cuts: same draw as a 0-d one, a third of the cost
-        return self.masses_at(rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None),
-                              cuts, N)
-
-    def masses_at(self, pos, cuts: Sequence, N: int) -> list:
-        """`block_sums` with the spike of each paintbox at index `pos`."""
-        wo = self.other_weight(N)
-        lift = self.spike_weight(N) - wo
-        below = [pos < c for c in cuts]
-        edges = (*(c * wo + spiked * lift for c, spiked in zip(cuts, below)), 1.0)
+        pos = rng.integers(N, size=np.shape(cuts[0] if cuts else 0) or None)
+        wo, lift = self.lockstep_law(N)[1]
+        edges = (*(c * wo + (pos < c) * lift for c in cuts), 1.0)
         masses = [edges[0]]
         for lo, hi in pairwise(edges):
             masses.append(hi - lo)
         return masses
+
+    def lockstep_law(self, N: int) -> tuple[str, tuple[float, float]]:
+        """("spiked", (weight of every other index, the spike's lift above it)), for N >= 2."""
+        wo = self.other_weight(N)
+        return "spiked", (wo, self.spike_weight(N) - wo)
+
+    def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
+        """`YLaw.entry_classes` from one spike index per trial, as `block_sums` draws
+        them: each entry's trials with the spike outside its head, then inside."""
+        pos = rng.integers(N, size=int(m.sum()))
+        inside = np.add.reduceat(pos < np.repeat(k, m), np.cumsum(m) - m, dtype=np.int64)
+        n = np.column_stack((m - inside, inside)).ravel()
+        has = n > 0
+        entry = np.repeat(np.arange(k.size), 2)[has]
+        wo, lift = self.lockstep_law(N)[1]
+        head = k[entry] * wo + np.tile((False, True), k.size)[has] * lift
+        return n[has], entry, head, 1.0 - head
 
     def tag(self) -> str:
         return f"spiked:{self.gamma:g}"

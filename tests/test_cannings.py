@@ -362,7 +362,7 @@ def test_native_gamma_generation_draws_what_numpy_draws(monkeypatch, kappa, N, x
 def test_native_block_draws_what_numpy_draws(monkeypatch, source, N, b):
     # every closed-form source: each start (absorbing ones included), one
     # trial or many, thresholds or not, gives the numpy path's tally
-    assert cannings._native_law(source, N) is not None
+    assert source.lockstep_law(N) is not None
     for x0 in sorted({0, 1, N // 2, N - 1, N}):
         cfg = CanningsConfig.from_exponent(N, b, source, x0)
         for trials, seed in ((1, 4), (1, 5), (500, 6)):
@@ -400,7 +400,7 @@ def test_sources_without_a_native_law_stay_on_numpy(monkeypatch, source, N):
     # lognormal and the tiny-shape Gamma redraw (N kappa < 2) never ask for
     # the native block; an exact Gamma with N kappa >= 2 does
     monkeypatch.setattr(cannings, "_lockstep_block", _refuse)
-    assert cannings._native_law(source, N) is None
+    assert source.lockstep_law(N) is None
     tally = run_ensemble(CanningsConfig(N, 0.1, source, 1), 50, trial_rng(1, 0), (2,))
     assert tally.trials == 50
     with pytest.raises(AssertionError, match="asked for"):

@@ -128,6 +128,9 @@ class _ZeroMasses(Gamma):
         zero = np.zeros(np.shape(cuts[0]))
         return [zero, zero.copy()]
 
+    def lockstep_law(self, N):
+        return None  # Gamma's native law would draw Gamma's masses, not these
+
 
 def test_nan_success_probability_is_a_runtime_failure(capsys, monkeypatch):
     # with both masses 0 the chance a child is beneficial is 0/0: one
@@ -254,6 +257,8 @@ _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed",
     (["gw-survival", "--model", "binary", "--p", "0.6", "--tol", "0"], None,
      "tolerance must be > 0, got 0.0"),
     (["duality", "--N", "10", "--k", "2"], "1\n2\nx\n", "{path}:3: not an integer: 'x'"),
+    (["duality", "--N", "10", "--k", "2"], b"1\n\xff\n",
+     "{path}: not UTF-8 text (invalid start byte)"),
     (["duality", "--N", "10", "--k", "2"], "1\n30\n", "ancestral-line count 30 outside [1, 10]"),
     (["duality", "--N", "10", "--k", "11"], "1\n2\n", "beneficial count 11 outside [0, 10]"),
     (["moments", "--N", "0", "--trials", "10", "--seed", "1"], None, "need N >= 1, got 0"),
@@ -273,14 +278,14 @@ _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed",
     (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"], None,
      "Gamma shape must be finite, got inf"),
 ], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
-        "mean-negative", "no-atoms", "tol-zero", "samples-not-integer", "samples-too-large",
-        "k-too-large", "moments-N-zero", "moments-trials-zero", "moments-spiked-N-one",
-        "N-zero-with-exponent",
-        "paintbox-not-a-number", "two-point-infinite", "gamma-infinite"])
+        "mean-negative", "no-atoms", "tol-zero", "samples-not-integer", "samples-not-utf8",
+        "samples-too-large", "k-too-large", "moments-N-zero", "moments-trials-zero",
+        "moments-spiked-N-one", "N-zero-with-exponent", "paintbox-not-a-number",
+        "two-point-infinite", "gamma-infinite"])
 def test_bad_input_exits_2_with_its_message(capsys, tmp_path, argv, samples, message):
     if samples is not None:
         path = tmp_path / "aeq.txt"
-        path.write_text(samples)
+        path.write_bytes(samples) if isinstance(samples, bytes) else path.write_text(samples)
         argv = argv + ["--samples", str(path)]
         message = message.format(path=path)
     assert run_command(argv) == 2
@@ -896,13 +901,14 @@ def test_jsonl_out_into_an_empty_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-@pytest.mark.parametrize("where", ["missing directory", "directory", "under a file"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "under a file", "empty"])
 def test_out_path_that_cannot_be_written_exits_2_before_any_trial(capsys, tmp_path,
                                                                   monkeypatch, fmt, where):
     (tmp_path / "a_file").write_text("")
     out = {"missing directory": tmp_path / "nodir" / "x.out",
            "directory": tmp_path,
-           "under a file": tmp_path / "a_file" / "x.out"}[where]
+           "under a file": tmp_path / "a_file" / "x.out",
+           "empty": ""}[where]
     _refused_before_any_trial(capsys, monkeypatch,
                               [*_OUT_ARGV, "--format", fmt, "--out", str(out)], str(out))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]

@@ -97,15 +97,16 @@ _SOURCE_CLASSES = {"Deterministic", "Gamma", "TwoPoint", "LogNormal", "SpikedSpe
 
 
 def test_only_paintbox_tests_source_classes():
-    # each source owns its laws (block sums, rho^2, q_N), so no other
-    # module branches on which concrete source it holds; YLaw checks stay
-    offenders = []
-    for fname, node in _calls_outside("paintbox.py"):
-        if _name(node.func) == "isinstance" and len(node.args) == 2:
-            classes = node.args[1]
-            for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
-                if _name(cls) in _SOURCE_CLASSES:
-                    offenders.append(f"{fname}:{node.lineno} {_name(cls)}")
+    # each source owns its laws (block sums, rho^2, q_N, its lockstep law
+    # and entry classes), so no other module branches on which concrete
+    # source it holds: outside paintbox.py a source class may only be
+    # called, to build a source, never named in an isinstance, an `is`
+    # test or a tuple of classes; YLaw checks stay
+    nodes = list(_package_nodes("paintbox.py"))
+    callees = {id(node.func) for _, node in nodes if isinstance(node, ast.Call)}
+    offenders = [f"{fname}:{node.lineno} {_name(node)}" for fname, node in nodes
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and _name(node) in _SOURCE_CLASSES and id(node) not in callees]
     assert not offenders, offenders
 
 
