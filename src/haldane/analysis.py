@@ -1,8 +1,7 @@
 """Monte Carlo experiment orchestration.
 
 Fixation estimation with Wilson intervals and the 2s/rho^2 reference,
-three-phase trajectory diagnostics, the sampling-duality evaluation of
-fixation from ancestral-line counts, and the spiked-paintbox violation
+three-phase trajectory diagnostics and the spiked-paintbox violation
 check.
 
 Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
@@ -24,7 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from statistics import NormalDist
-from typing import Sequence
 
 from .branching import haldane_ref
 from .cannings import CanningsConfig, Tally, run_ensemble
@@ -229,78 +227,6 @@ def phase_diagnostics(
           for entered, passed in phases),
         _estimate_from_tally(tally, config, level),
     )
-
-
-# ---------------------------------------------------------------------------
-# Sampling duality
-# ---------------------------------------------------------------------------
-
-
-def duality_fixation(N: int, k: int, aeq_samples: Sequence[int]) -> float:
-    """Fixation probability from k via ancestral-line counts.
-
-    Averages 1 - (N-k)_A / (N)_A over the sampled line counts A, the
-    falling factorials evaluated as log-gamma differences; a sample
-    larger than N-k forces a zero factor, i.e. certain fixation for that
-    draw.
-
-    This is the chain's P(fix | k) when A is drawn from the equilibrium
-    of its ancestral selection process.  A child is beneficial with
-    chance p = X / (1 - s(1-X)), X the beneficial weight mass, and
-    1 - p = (1-s)(1-X) / (1 - s(1-X)) = E[(1-X)^J] for J ~ Geometric(1-s)
-    on {1, 2, ...}: the child draws J potential parents from the
-    paintbox and is wildtype exactly when all of them are.  Traced back,
-    an individual's potential ancestors in one generation are the
-    distinct potential parents of those in the next; far back their
-    number A is at equilibrium, and with the k beneficial individuals
-    placed at random all A are wildtype with chance (N-k)_A / (N)_A.
-    The two-parent rule of Boenkost, Gonzalez Casanova, Pokalyuk and
-    Wakolbinger (EJP 2021), J in {1, 2} with P(J = 2) = s, gives the
-    child chance X + sX(1-X), another chain: its line counts miss this
-    chain's fixation probability at O(s^2).
-    """
-    if N < 1:
-        raise ConfigurationError(f"need N >= 1, got {N}")
-    if not 0 <= k <= N:
-        raise ConfigurationError(f"beneficial count {k} outside [0, {N}]")
-    samples = list(aeq_samples)
-    if not samples:
-        raise ConfigurationError("need at least one ancestral-line sample")
-    acc = 0.0
-    for a in samples:
-        if not 1 <= a <= N:
-            raise ConfigurationError(f"ancestral-line count {a} outside [1, {N}]")
-        if a > N - k:
-            continue  # avoidance impossible
-        log_ratio = (
-            math.lgamma(N - k + 1)
-            - math.lgamma(N - k - a + 1)
-            - math.lgamma(N + 1)
-            + math.lgamma(N - a + 1)
-        )
-        acc += math.exp(log_ratio)
-    return 1.0 - acc / len(samples)
-
-
-def read_aeq_samples(path) -> list[int]:
-    """Ancestral-line sample file: one nonnegative integer per line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read ancestral-line samples: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    samples = []
-    for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            samples.append(int(text))
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: not an integer: {text!r}") from None
-    return samples
 
 
 # ---------------------------------------------------------------------------

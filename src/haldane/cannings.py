@@ -47,6 +47,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -293,19 +294,25 @@ def _lockstep_block():
     It draws with numpy's own C samplers on the generator's bit generator
     and bypasses `Generator.lock`: a block's generator is private to
     `run_ensemble`.  The first call builds the library into the per-user
-    cache, under a name keyed by the source, the numpy version and the
-    interpreter's extension suffix; any failure leaves numpy's path.
+    cache as `_lockstep-<numpy version>-<source hash><extension suffix>`;
+    a build removes the libraries of other `_lockstep.c` revisions for the
+    same numpy and interpreter, so an environment keeps one.  Any failure
+    leaves numpy's path.
     """
     import hashlib
     from importlib.machinery import EXTENSION_SUFFIXES
 
-    suffix = EXTENSION_SUFFIXES[0]
+    stem, suffix = f"_lockstep-{np.__version__}-", EXTENSION_SUFFIXES[0]
     try:
-        key = _LOCKSTEP_SOURCE.read_bytes() + f"\0{np.__version__}\0{suffix}".encode()
+        digest = hashlib.sha256(_LOCKSTEP_SOURCE.read_bytes()).hexdigest()[:16]
         cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "haldane"
-        path = cache_dir / f"_lockstep-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
+        path = cache_dir / f"{stem}{digest}{suffix}"
         if not path.exists():
             _build_lockstep(path)
+            for old in cache_dir.glob(f"{stem}{'?' * 16}{suffix}"):
+                if old != path:
+                    with suppress(OSError):  # one that cannot go stays; the new one still loads
+                        old.unlink()
         run = ctypes.CDLL(str(path)).haldane_run_block
     except (OSError, AttributeError, RuntimeError):
         # no compiler, header or libnpyrandom.a, a failed build, an unwritable

@@ -39,7 +39,7 @@ CSV_COLUMNS = [
     "command", "version", "numpy_version", "python_version", "stream_layout",
     "seed", "trials", "parallelism",
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
-    "model", "y", "m", "M", "beta_s", "p", "tol", "k", "samples_file",
+    "model", "y", "m", "M", "beta_s", "p", "tol",
     "moment_p", "level",
     "p_hat", "p_hat_stderr", "fixations", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
@@ -48,7 +48,6 @@ CSV_COLUMNS = [
     "p3", "p3_ci_low", "p3_ci_high", "threshold_1", "threshold_2",
     "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
     "neutral_floor", "violation",
-    "duality_fixation", "n_samples",
     "moment_value", "moment_stderr",
     "moderately_strong", "paintbox_conforming",
     "wall_clock_seconds",
@@ -134,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12,
                    help="largest width of the bracket [phi - phi_bound, phi] "
                         "that holds the survival probability")
-
-    p = sub.add_parser("duality", help="fixation from ancestral-line sample file")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", required=True, help="file, one count per line")
 
     p = sub.add_parser("counterexample", help="spiked-paintbox violation check")
     p.add_argument("--N", type=int, required=True)
@@ -276,14 +270,6 @@ def _cmd_gw_survival(args):
         offspring_mean=mean, offspring_variance=var, haldane=haldane)
 
 
-def _cmd_duality(args):
-    from . import analysis
-    samples = analysis.read_aeq_samples(args.samples)
-    value = analysis.duality_fixation(args.N, args.k, samples)
-    yield _record(args, N=args.N, k=args.k, samples_file=args.samples,
-                  n_samples=len(samples), duality_fixation=value)
-
-
 def _cmd_counterexample(args):
     from . import analysis
     rep = analysis.counterexample_check(
@@ -308,7 +294,6 @@ _HANDLERS = {
     "fixation": _cmd_fixation,
     "phases": _cmd_phases,
     "gw-survival": _cmd_gw_survival,
-    "duality": _cmd_duality,
     "counterexample": _cmd_counterexample,
     "moments": _cmd_moments,
     "sweep": _cmd_fixation,
@@ -377,8 +362,7 @@ def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
 
 def _summary(rec: dict) -> str:
     bits = [rec["command"]]
-    for key in ("N", "s", "p_hat", "ratio", "phi", "duality_fixation",
-                "moment_value", "violation"):
+    for key in ("N", "s", "p_hat", "ratio", "phi", "moment_value", "violation"):
         if rec.get(key) is not None:
             val = rec[key]
             bits.append(f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}")

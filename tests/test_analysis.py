@@ -11,10 +11,8 @@ from haldane.analysis import (
     _farm,
     _run_block,
     counterexample_check,
-    duality_fixation,
     estimate_fixation,
     phase_diagnostics,
-    read_aeq_samples,
     wilson_interval,
 )
 from haldane.cannings import CanningsConfig, run_ensemble
@@ -211,49 +209,38 @@ def test_phase_determinism_matches_estimate():
 
 
 # ---------------------------------------------------------------------------
-# sampling duality
+# sampling duality: the chain's P(fix | k) from ancestral-line counts
 # ---------------------------------------------------------------------------
 
 
-def test_duality_trivial_cases():
-    assert duality_fixation(10, 3, [1, 1, 1]) == pytest.approx(0.3)
-    assert duality_fixation(10, 1, [10, 10]) == pytest.approx(1.0)
-    assert duality_fixation(4, 2, [2]) == pytest.approx(5.0 / 6.0)
-    assert duality_fixation(10, 0, [1, 5, 10]) == pytest.approx(0.0)
+def duality_fixation(N, k, aeq_samples):
+    """Fixation probability from k via ancestral-line counts, for 0 <= k <= N.
 
+    Averages 1 - (N-k)_A / (N)_A over the line counts A in 1..N, the
+    falling factorials evaluated as log-gamma differences; a count larger
+    than N-k forces a zero factor, i.e. certain fixation for that draw.
 
-def test_duality_domain_errors():
-    with pytest.raises(ValueError):
-        duality_fixation(10, 3, [0])
-    with pytest.raises(ValueError):
-        duality_fixation(10, 3, [11])
-    with pytest.raises(ValueError):
-        duality_fixation(10, 11, [1])
-    with pytest.raises(ValueError):
-        duality_fixation(10, 3, [])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 200), st.data())
-def test_duality_monotone_in_k_and_a(N, data):
-    k = data.draw(st.integers(0, N - 1))
-    a = data.draw(st.integers(1, N - 1))
-    base = duality_fixation(N, k, [a])
-    assert duality_fixation(N, k + 1, [a]) >= base - 1e-12
-    assert duality_fixation(N, k, [a + 1]) >= base - 1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(10, 500),
-    st.floats(0.05, 0.45),
-    st.lists(st.integers(1, 500), min_size=1, max_size=30),
-)
-def test_duality_lower_bound_by_fraction(N, eps, samples):
-    samples = [min(a, N) for a in samples]
-    k = math.ceil(eps * N)
-    bound = 1.0 - sum((1 - eps) ** a for a in samples) / len(samples)
-    assert duality_fixation(N, k, samples) >= bound - 1e-12
+    This is the chain's P(fix | k) when A is drawn from the equilibrium
+    of its ancestral selection process.  A child is beneficial with
+    chance p = X / (1 - s(1-X)), X the beneficial weight mass, and
+    1 - p = (1-s)(1-X) / (1 - s(1-X)) = E[(1-X)^J] for J ~ Geometric(1-s)
+    on {1, 2, ...}: the child draws J potential parents from the
+    paintbox and is wildtype exactly when all of them are.  Traced back,
+    an individual's potential ancestors in one generation are the
+    distinct potential parents of those in the next; far back their
+    number A is at equilibrium, and with the k beneficial individuals
+    placed at random all A are wildtype with chance (N-k)_A / (N)_A.
+    The two-parent rule of Boenkost, Gonzalez Casanova, Pokalyuk and
+    Wakolbinger (EJP 2021), J in {1, 2} with P(J = 2) = s, gives the
+    child chance X + sX(1-X), another chain: its line counts miss this
+    chain's fixation probability at O(s^2).
+    """
+    avoid = [
+        math.exp(math.lgamma(N - k + 1) - math.lgamma(N - k - a + 1)
+                 - math.lgamma(N + 1) + math.lgamma(N - a + 1))
+        for a in aeq_samples if a <= N - k
+    ]
+    return 1.0 - sum(avoid) / len(aeq_samples)
 
 
 def _wright_fisher_fixation(N, s):
@@ -281,6 +268,36 @@ def _stationary_line_counts(N, s, rule):
     return np.linalg.lstsq(lhs, np.r_[np.zeros(N), 1.0], rcond=None)[0]
 
 
+def test_duality_trivial_cases():
+    assert duality_fixation(10, 3, [1, 1, 1]) == pytest.approx(0.3)
+    assert duality_fixation(10, 1, [10, 10]) == pytest.approx(1.0)
+    assert duality_fixation(4, 2, [2]) == pytest.approx(5.0 / 6.0)
+    assert duality_fixation(10, 0, [1, 5, 10]) == pytest.approx(0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 200), st.data())
+def test_duality_monotone_in_k_and_a(N, data):
+    k = data.draw(st.integers(0, N - 1))
+    a = data.draw(st.integers(1, N - 1))
+    base = duality_fixation(N, k, [a])
+    assert duality_fixation(N, k + 1, [a]) >= base - 1e-12
+    assert duality_fixation(N, k, [a + 1]) >= base - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(10, 500),
+    st.floats(0.05, 0.45),
+    st.lists(st.integers(1, 500), min_size=1, max_size=30),
+)
+def test_duality_lower_bound_by_fraction(N, eps, samples):
+    samples = [min(a, N) for a in samples]
+    k = math.ceil(eps * N)
+    bound = 1.0 - sum((1 - eps) ** a for a in samples) / len(samples)
+    assert duality_fixation(N, k, samples) >= bound - 1e-12
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("s", [0.1, 0.3])
 def test_duality_holds_for_geometric_parent_draws_only(N, s):
@@ -296,18 +313,6 @@ def test_duality_holds_for_geometric_parent_draws_only(N, s):
     assert np.abs(dual("geometric") - chain).max() <= 1e-12
     # the two-parent rule's child chance X + sX(1-X) is another chain
     assert np.abs(dual("two-parent") - chain).max() >= 2e-3
-
-
-def test_read_aeq_samples(tmp_path):
-    path = tmp_path / "aeq.txt"
-    path.write_text("3\n1\n\n42\n")
-    assert read_aeq_samples(path) == [3, 1, 42]
-    bad = tmp_path / "bad.txt"
-    bad.write_text("3\nxyz\n")
-    with pytest.raises(ValueError):
-        read_aeq_samples(bad)
-    with pytest.raises(ConfigurationError):
-        read_aeq_samples(tmp_path / "missing.txt")
 
 
 # ---------------------------------------------------------------------------

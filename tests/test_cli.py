@@ -235,59 +235,47 @@ def test_pool_that_cannot_start_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("failure: BlockingIOError")
 
 
-def test_missing_samples_file_exits_2(capsys):
-    assert run_command(["duality", "--N", "10", "--k", "2",
-                        "--samples", "/nonexistent/aeq.txt"]) == 2
+def test_removed_duality_command_exits_2(capsys):
+    # argparse refuses it as an unknown choice
+    assert run_command(["duality", "--N", "10", "--k", "2", "--samples", "x"]) == 2
+    assert "invalid choice: 'duality'" in capsys.readouterr().err
 
 
 _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed", "1"]
 
 
-@pytest.mark.parametrize("argv, samples, message", [
-    (_FIX_ARGV + ["--paintbox", "gamma:-1"], None, "Gamma shape must be > 0, got -1.0"),
-    (_FIX_ARGV + ["--paintbox", "nope"], None, "unknown paintbox 'nope'"),
-    (_FIX_ARGV + ["--paintbox", "two-point:1,1,1.5"], None,
+@pytest.mark.parametrize("argv, message", [
+    (_FIX_ARGV + ["--paintbox", "gamma:-1"], "Gamma shape must be > 0, got -1.0"),
+    (_FIX_ARGV + ["--paintbox", "nope"], "unknown paintbox 'nope'"),
+    (_FIX_ARGV + ["--paintbox", "two-point:1,1,1.5"],
      "TwoPoint probability must be in (0,1), got 1.5"),
-    (["fixation", "--N", "100", "--s", "0.1", "--trials", "0", "--seed", "1"], None,
+    (["fixation", "--N", "100", "--s", "0.1", "--trials", "0", "--seed", "1"],
      "need trials >= 1, got 0"),
-    (["gw-survival", "--model", "plain-poisson", "--m", "-1"], None,
+    (["gw-survival", "--model", "plain-poisson", "--m", "-1"],
      "mean factor must be finite and >= 0, got -1.0"),
-    (["gw-survival", "--model", "mixed-poisson", "--y", "lognormal:1", "--m", "1.5"], None,
+    (["gw-survival", "--model", "mixed-poisson", "--y", "lognormal:1", "--m", "1.5"],
      "lognormal:1 has no mixing atoms"),
-    (["gw-survival", "--model", "binary", "--p", "0.6", "--tol", "0"], None,
+    (["gw-survival", "--model", "binary", "--p", "0.6", "--tol", "0"],
      "tolerance must be > 0, got 0.0"),
-    (["duality", "--N", "10", "--k", "2"], "1\n2\nx\n", "{path}:3: not an integer: 'x'"),
-    (["duality", "--N", "10", "--k", "2"], b"1\n\xff\n",
-     "{path}: not UTF-8 text (invalid start byte)"),
-    (["duality", "--N", "10", "--k", "2"], "1\n30\n", "ancestral-line count 30 outside [1, 10]"),
-    (["duality", "--N", "10", "--k", "11"], "1\n2\n", "beneficial count 11 outside [0, 10]"),
-    (["moments", "--N", "0", "--trials", "10", "--seed", "1"], None, "need N >= 1, got 0"),
-    (["moments", "--N", "10", "--trials", "0", "--seed", "1"], None,
-     "need trials >= 1, got 0"),
+    (["moments", "--N", "0", "--trials", "10", "--seed", "1"], "need N >= 1, got 0"),
+    (["moments", "--N", "10", "--trials", "0", "--seed", "1"], "need trials >= 1, got 0"),
     # one index leaves no other to share the spike's remainder
-    (["moments", "--paintbox", "spiked:0.2", "--N", "1", "--trials", "10", "--seed", "1"], None,
+    (["moments", "--paintbox", "spiked:0.2", "--N", "1", "--trials", "10", "--seed", "1"],
      "the spiked paintbox needs N >= 2, got 1"),
     # inputs whose checks a run would otherwise trip as a ZeroDivisionError,
     # a numpy ValueError or a non-converging eigensolve
-    (["fixation", "--N", "0", "--b", "0.25", "--trials", "10", "--seed", "1"], None,
+    (["fixation", "--N", "0", "--b", "0.25", "--trials", "10", "--seed", "1"],
      "need N >= 2, got 0"),
-    (_FIX_ARGV + ["--paintbox", "gamma:abc"], None,
-     "could not convert string to float: 'abc'"),
-    (_FIX_ARGV + ["--paintbox", "two-point:inf,1,0.5"], None,
+    (_FIX_ARGV + ["--paintbox", "gamma:abc"], "could not convert string to float: 'abc'"),
+    (_FIX_ARGV + ["--paintbox", "two-point:inf,1,0.5"],
      "TwoPoint values must be finite and > 0, got a=inf, b=1.0"),
-    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"], None,
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"],
      "Gamma shape must be finite, got inf"),
 ], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
-        "mean-negative", "no-atoms", "tol-zero", "samples-not-integer", "samples-not-utf8",
-        "samples-too-large", "k-too-large", "moments-N-zero", "moments-trials-zero",
+        "mean-negative", "no-atoms", "tol-zero", "moments-N-zero", "moments-trials-zero",
         "moments-spiked-N-one", "N-zero-with-exponent", "paintbox-not-a-number",
         "two-point-infinite", "gamma-infinite"])
-def test_bad_input_exits_2_with_its_message(capsys, tmp_path, argv, samples, message):
-    if samples is not None:
-        path = tmp_path / "aeq.txt"
-        path.write_bytes(samples) if isinstance(samples, bytes) else path.write_text(samples)
-        argv = argv + ["--samples", str(path)]
-        message = message.format(path=path)
+def test_bad_input_exits_2_with_its_message(capsys, argv, message):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -534,16 +522,6 @@ def test_gw_survival_zero_variance_has_no_haldane_reference(capsys, flags, phi):
     assert rec["haldane"] is None
 
 
-def test_duality_from_file(capsys, tmp_path):
-    path = tmp_path / "aeq.txt"
-    path.write_text("2\n2\n")
-    code, records = run_jsonl(capsys, [
-        "duality", "--N", "4", "--k", "2", "--samples", str(path)])
-    assert code == 0
-    assert records[0]["duality_fixation"] == pytest.approx(5 / 6)
-    assert records[0]["n_samples"] == 2
-
-
 def test_counterexample_record(capsys):
     code, records = run_jsonl(capsys, [
         "counterexample", "--N", "200", "--gamma", "0.1", "--b", "0.45",
@@ -754,9 +732,7 @@ def test_csv_out_appends_rows_under_one_header(capsys, tmp_path):
     assert rows[0] == rows[1] | {"wall_clock_seconds": rows[0]["wall_clock_seconds"]}
 
 
-def test_every_csv_column_is_filled(capsys, tmp_path):
-    samples = tmp_path / "aeq.txt"
-    samples.write_text("1\n2\n")
+def test_every_csv_column_is_filled(capsys):
     mc = ["--trials", "200", "--seed", "1"]
     runs = [
         ["fixation", "--N", "50", "--b", "0.3", *mc],
@@ -765,10 +741,11 @@ def test_every_csv_column_is_filled(capsys, tmp_path):
         ["gw-survival", "--model", "mixed-binomial", "--m", "1.1", "--M", "90", "--N", "100"],
         ["gw-survival", "--model", "two-point-immortal", "--beta-s", "0.1"],
         ["gw-survival", "--model", "binary", "--p", "0.6"],
-        ["duality", "--N", "10", "--k", "2", "--samples", str(samples)],
         ["counterexample", "--N", "200", "--gamma", "0.1", "--b", "0.45", *mc],
         ["moments", "--N", "100", *mc],
     ]
+    # one run at least of every subcommand, so a new one cannot leave a column unchecked
+    assert {argv[0] for argv in runs} == set(cli._HANDLERS)
     keys, filled = set(), set()
     for argv in runs:
         code, records = run_jsonl(capsys, argv)
@@ -1069,3 +1046,25 @@ def test_native_generation_falls_back_once_per_process(capsys, monkeypatch, fres
             assert strip_clock(records) == records_then
     assert len(builds) == 1
     assert cannings._lockstep_block() is None
+
+
+def test_a_new_build_removes_only_older_libraries_of_its_numpy_and_interpreter(fresh_loader):
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    cache_dir = fresh_loader / "cache" / "haldane"
+    cache_dir.mkdir(parents=True)
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = cache_dir / f"_lockstep-{np.__version__}-0123456789abcdef{suffix}"
+    kept = [
+        cache_dir / "notes.txt",
+        cache_dir / f"tmp1a2b3c4d{suffix}",  # a build's mkstemp temporary
+        cache_dir / f"_lockstep-0.0.0-0123456789abcdef{suffix}",  # another numpy
+        cache_dir / f"_lockstep-{np.__version__}-0123456789abcdef.abi3.so",  # another interpreter
+    ]
+    for path in (stale, *kept):
+        path.write_text("")
+    if cannings._lockstep_block() is None:
+        pytest.skip("the native lockstep block cannot be built here")
+    assert not stale.exists()
+    assert all(path.exists() for path in kept)
+    assert len(list(cache_dir.glob(f"_lockstep-{np.__version__}-*{suffix}"))) == 1
