@@ -2,35 +2,35 @@
  *
  * The block's live trials are held as entries: a count k, its running
  * maximum `peak` and a multiplicity m, the number of trials at that count
- * with that history.  A DETERMINISTIC or SPIKED block starts as one entry
- * (x0, x0, trials), since every trial at one count has the same law there;
- * every other source starts as `trials` entries of one.  An absorbed entry
- * adds m to fixations or losses, m times its generation to tau_total, and m
- * to hits[j] when its maximum reached above[j].
+ * with that history.  A block starts as the one entry (x0, x0, trials).  An
+ * absorbed entry adds m to fixations or losses, m times its generation to
+ * tau_total, and m to hits[j] when its maximum reached above[j].
  *
  * Each generation draws what the source's `block_sums((k,), N, rng)` draws,
  * in the same order and with the same float operations (build without
  * floating-point contraction, -ffp-contract=off), for the closed-form
  * sources of `law`:
  *   DETERMINISTIC  head k, tail N - k; no draw
- *   GAMMA          {kappa}: every head Gamma(k kappa) / kappa, then every
- *                  tail Gamma((N - k) kappa) / kappa
- *   TWO_POINT      {a, b, p}: every head j a + (k - j) b with j ~ Bin(k, p),
- *                  then every tail likewise over N - k
+ *   GAMMA          {kappa}: one head Gamma(k kappa) / kappa per trial, entry
+ *                  by entry, then one tail Gamma((N - k) kappa) / kappa each
+ *   TWO_POINT      {a, b, p}: one head j a + (k - j) b with j ~ Bin(k, p)
+ *                  per trial, then one tail likewise over N - k each
  *   SPIKED         {wo, lift}: one spike index per trial, uniform on [0, N)
  *                  as `rng.integers(N, size=n)` draws it over all live
  *                  trials, entry by entry; head k wo, plus lift when the
  *                  index lies below k; tail 1 - head
  * and the success probability head / (tail keep + head), keep = 1 - s.
- * The trials of an entry then fall into classes of one probability p: one
- * class, or under SPIKED the trials whose spike lies outside the head and
- * then those whose spike lies inside it.  Class by class, each trial goes
- * to Bin(N, p) (`draw_class`): one binomial per trial, or for a large class
- * one multinomial over the successors.  Each trial drawn alone becomes an
- * entry of one, each nonzero multinomial cell an entry of its size; entries
- * are never merged, so there are never more than `trials` of them.  numpy's
- * own samplers draw from the generator's bit generator, so the stream moves
- * exactly as under numpy's Python API in `cannings.run_ensemble`.
+ * The trials of an entry then fall into classes of one probability p, as
+ * the source's `entry_classes` splits them: one class under DETERMINISTIC;
+ * under SPIKED the trials whose spike lies outside the head and then those
+ * whose spike lies inside it; otherwise one class per trial.  Class by
+ * class, each trial goes to Bin(N, p) (`draw_class`): one binomial per
+ * trial, or for a large class one multinomial over the successors.  Each
+ * trial drawn alone becomes an entry of one, each nonzero multinomial cell
+ * an entry of its size; entries are never merged, so there are never more
+ * than `trials` of them.  numpy's own samplers draw from the generator's
+ * bit generator, so the stream moves exactly as under numpy's Python API in
+ * `cannings.run_ensemble`.
  *
  * tally gets {fixations, losses, generations summed over trials,
  * generations}.  Returns 0; -1, before drawing with it, if a success
@@ -58,10 +58,13 @@ typedef struct {
     int64_t n_out;
 } block_t;
 
-/* j a + (n - j) b for j ~ Bin(n, p): a two-point block mass */
-static double two_point_mass(bitgen_t *bitgen, const double *law, int64_t n, binomial_t *binomial)
+/* The mass of a block of n potentials: Gamma(n kappa) / kappa under GAMMA,
+ * j a + (n - j) b with j ~ Bin(n, p) under TWO_POINT */
+static double block_mass(block_t *b, int source, const double *law, int64_t n)
 {
-    int64_t j = random_binomial(bitgen, law[2], n, binomial);
+    if (source == GAMMA)
+        return random_standard_gamma(b->bitgen, (double)n * law[0]) / law[0];
+    int64_t j = random_binomial(b->bitgen, law[2], n, &b->binomial);
     return (double)j * law[0] + (double)(n - j) * law[1];
 }
 
@@ -122,7 +125,7 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
                       int64_t trials, int64_t x0, int64_t n_above, const int64_t *above,
                       int64_t *hits, int64_t *tally)
 {
-    /* two generations of entries, then p (one per entry) and pos (one per trial) */
+    /* two generations of entries, then p and pos (one per trial each) */
     int64_t *buf = malloc(8 * (size_t)trials * sizeof(int64_t));
     if (!buf)
         return -2;
@@ -131,31 +134,21 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
     uint64_t *pos = (uint64_t *)(buf + 7 * trials);
     block_t b = {.bitgen = bitgen, .N = N, .n_above = n_above, .above = above, .hits = hits,
                  .out = {buf + 3 * trials, buf + 4 * trials, buf + 5 * trials}};
-    int shared = source == DETERMINISTIC || source == SPIKED;
-    int64_t n = shared ? 1 : trials, live = trials;
-    for (int64_t i = 0; i < n; i++) {
-        in.k[i] = in.peak[i] = x0;
-        in.m[i] = shared ? trials : 1;
-    }
+    in.k[0] = in.peak[0] = x0;
+    in.m[0] = trials;
+    int64_t n = 1;
     int rc = 0;
     while (n > 0 && !rc) {
-        switch (source) {
-        case GAMMA:
-            for (int64_t i = 0; i < n; i++)
-                p[i] = random_standard_gamma(bitgen, (double)in.k[i] * law[0]) / law[0];
-            for (int64_t i = 0; i < n; i++)
-                p[i] /= random_standard_gamma(bitgen, (double)(N - in.k[i]) * law[0]) / law[0]
-                        * keep + p[i];
-            break;
-        case TWO_POINT:
-            for (int64_t i = 0; i < n; i++)
-                p[i] = two_point_mass(bitgen, law, in.k[i], &b.binomial);
-            for (int64_t i = 0; i < n; i++)
-                p[i] /= two_point_mass(bitgen, law, N - in.k[i], &b.binomial) * keep + p[i];
-            break;
-        case SPIKED:
-            random_bounded_uint64_fill(bitgen, 0, (uint64_t)(N - 1), live, false, pos);
-            break;
+        if (source == GAMMA || source == TWO_POINT) {
+            for (int64_t i = 0, t = 0; i < n; i++)
+                for (int64_t end = t + in.m[i]; t < end; t++)
+                    p[t] = block_mass(&b, source, law, in.k[i]);
+            for (int64_t i = 0, t = 0; i < n; i++)
+                for (int64_t end = t + in.m[i]; t < end; t++)
+                    p[t] /= block_mass(&b, source, law, N - in.k[i]) * keep + p[t];
+        } else if (source == SPIKED) {
+            random_bounded_uint64_fill(bitgen, 0, (uint64_t)(N - 1),
+                                       trials - b.fixations - b.losses, false, pos);
         }
         b.g++;
         b.n_out = 0;
@@ -174,16 +167,14 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
                 if (inside && !rc)
                     rc = draw_class(&b, head / ((1.0 - head) * keep + head), inside, top);
             } else {
-                rc = draw_class(&b, p[i], 1, top);
+                for (int64_t t = at; t < at + m && !rc; t++)
+                    rc = draw_class(&b, p[t], 1, top);
             }
         }
         entries_t done = in;
         in = b.out;
         b.out = done;
         n = b.n_out;
-        live = 0;
-        for (int64_t i = 0; i < n; i++)
-            live += in.m[i];
     }
     free(buf);
     tally[0] = b.fixations;

@@ -19,16 +19,17 @@ single trajectory with its first passages is `run_to_absorption`, `step`
 by step.
 
 The live trials of a lockstep block are entries: a count, its running
-maximum and a multiplicity, the number of trials that share them.  Under
-a source whose `one_law_per_count` is True (`deterministic`, `spiked`)
-a block starts as one entry of all its trials; each generation the
+maximum and a multiplicity, the number of trials that share them.  A
+block starts as the one entry (x0, x0, trials).  Each generation the
 source's `entry_classes` splits an entry's trials into classes of one
-success probability p, and a class whose mean N min(p, 1-p) is at most
-30 and whose trials outnumber numpy's inversion bound (`_walks`) draws
-its successors as one multinomial by conditional binomials instead of
-one binomial per trial.  Every other source keeps one entry per trial
-and draws as `_next_counts` does.  A class of one always draws one
-binomial, so a one-trial block draws what `step` draws.
+success probability p: one class under `deterministic`, at most two
+under `spiked`, one per trial under every other source.  A class whose
+mean N min(p, 1-p) is at most 30 and whose trials outnumber numpy's
+inversion bound (`_walks`) draws its successors as one multinomial by
+conditional binomials instead of one binomial per trial.  A class of
+one always draws one binomial, and a trial drawn alone becomes an entry
+of one, so once every entry holds one trial a generation draws as
+`_next_counts` does, and a one-trial block draws what `step` draws.
 
 Under a source with a `lockstep_law`, `run_ensemble` runs the whole
 block to absorption in one native call (`_lockstep.c`) over numpy's own
@@ -56,6 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .paintbox import (
+    MAX_N,
     ConfigurationError,
     Estimate,
     PaintboxSource,
@@ -82,6 +84,8 @@ class CanningsConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ConfigurationError(f"need N >= 2, got {self.N}")
+        if self.N > MAX_N:
+            raise ConfigurationError(f"need N <= 2**63 - 1, got {self.N}")
         if not 0.0 <= self.s < 1.0:
             raise ConfigurationError(f"need 0 <= s < 1, got {self.s}")
         if not 0 <= self.initial_count <= self.N:
@@ -345,11 +349,11 @@ def run_ensemble(
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
     The live trials are entries, a count, its running maximum and the
-    number of trials sharing them: one entry of all `trials` under a source
-    with `one_law_per_count`, else one per trial.  Every generation draws
-    the entries' successors (`_next_entries`: the classes of the source's
-    `entry_classes`, then one binomial per trial or, for a large class of
-    one success probability, one multinomial), then tallies the entries
+    number of trials sharing them, starting as the one entry (x0, x0,
+    trials).  Every generation draws the entries' successors
+    (`_next_entries`: the classes of the source's `entry_classes`, then
+    one binomial per trial or, for a large class of one success
+    probability, one multinomial), then tallies the entries
     that hit 0 or N, each with its multiplicity, and drops them.  A trial
     reached level t (count >= t) if its maximum did.  Absorption is a.s.
     finite, so the run ends when every trial has fixed or been lost.  For
@@ -380,9 +384,7 @@ def run_ensemble(
             hits[t] += c
         fixations, losses, tau_total, g = counts.tolist()
         return Tally(fixations, losses, tau_total, g, hits, g)
-    entries = 1 if box.one_law_per_count else trials
-    k = np.full(entries, k0, dtype=np.int64)
-    m = np.full(entries, trials // entries, dtype=np.int64)
+    k, m = np.array([k0], dtype=np.int64), np.array([trials], dtype=np.int64)
     peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
     while k.size:

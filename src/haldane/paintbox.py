@@ -43,6 +43,8 @@ _TINY = 2.0**-969
 """A Gamma block mass at or above this keeps all 53 bits relative to any mass below it."""
 MAX_DRAW = 1 << 20
 """Most variates one call draws when a law sums its potentials one by one."""
+MAX_N = 2**63 - 1
+"""Largest N: counts are int64 in numpy's samplers and in the native block."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,6 @@ class YLaw(abc.ABC):
     """
 
     conforming: bool = True
-    one_law_per_count: bool = False
-    """Every trial at one count has one law: a lockstep block starts as one entry."""
 
     @abc.abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,10 +131,11 @@ class YLaw(abc.ABC):
     def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
         """(trials, entry, head, tail) of the classes of one law that lockstep entries,
         m[i] trials at count k[i], split into: each class's trials, entry index
-        and head and tail masses.  Here each entry is one class of one
-        `block_sums` draw, right for one trial or a source whose masses take none."""
-        head, tail = self.block_sums((k,), N, rng)
-        return m, np.arange(k.size), head, tail
+        and head and tail masses.  Here every trial is its own class, with its
+        own paintbox from one `block_sums` call."""
+        entry = np.repeat(np.arange(k.size), m)
+        head, tail = self.block_sums((k[entry],), N, rng)
+        return np.ones(entry.size, dtype=np.int64), entry, head, tail
 
     @abc.abstractmethod
     def tag(self) -> str:
@@ -155,8 +156,6 @@ def _block_sizes(cuts: Sequence, N: int) -> np.ndarray:
 class Deterministic(YLaw):
     """Point mass: every individual has the same potential (Wright-Fisher)."""
 
-    one_law_per_count = True
-
     def sample(self, n, rng):
         return np.ones(n)
 
@@ -175,6 +174,11 @@ class Deterministic(YLaw):
 
     def lockstep_law(self, N):
         return "deterministic", ()
+
+    def entry_classes(self, k, m, N, rng):
+        # every trial at one count has one law and its masses take no draw
+        head, tail = self.block_sums((k,), N, rng)
+        return m, np.arange(k.size), head, tail
 
     def tag(self):
         return "deterministic"
@@ -393,7 +397,6 @@ class SpikedSpec:
     gamma: float
 
     conforming = False
-    one_law_per_count = True
 
     def __post_init__(self):
         if not 0 < self.gamma < 0.5:
@@ -541,6 +544,8 @@ def estimate_weight_moment(
     """
     if N < 1:
         raise ConfigurationError(f"need N >= 1, got {N}")
+    if N > MAX_N:
+        raise ConfigurationError(f"need N <= 2**63 - 1, got {N}")
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     if p not in (2, 3):

@@ -52,6 +52,10 @@ def test_config_validation():
         CanningsConfig(10, -0.1, Deterministic(), 0)
     with pytest.raises(ConfigurationError):
         CanningsConfig(10, 0.1, Deterministic(), 11)
+    # counts are int64 in numpy's samplers and in the native block
+    with pytest.raises(ConfigurationError):
+        CanningsConfig(2**63, 0.1, Deterministic(), 1)
+    assert CanningsConfig(2**63 - 1, 0.1, Deterministic(), 1).N == 2**63 - 1
 
 
 def test_exponent_round_trip():

@@ -242,6 +242,7 @@ def test_removed_duality_command_exits_2(capsys):
 
 
 _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed", "1"]
+_BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -271,10 +272,16 @@ _FIX_ARGV = ["fixation", "--N", "100", "--s", "0.1", "--trials", "10", "--seed",
      "TwoPoint values must be finite and > 0, got a=inf, b=1.0"),
     (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"],
      "Gamma shape must be finite, got inf"),
+    # an N the native block would wrap to a negative int64, or that overflows numpy
+    *[([*command, *_BIG_N], "need N <= 2**63 - 1, got 9223372036854775808") for command in (
+        ["fixation", "--s", "0.1", "--paintbox", "spiked:0.2"],
+        ["fixation", "--s", "0.1", "--paintbox", "lognormal:1"],
+        ["moments"])],
 ], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
         "mean-negative", "no-atoms", "tol-zero", "moments-N-zero", "moments-trials-zero",
         "moments-spiked-N-one", "N-zero-with-exponent", "paintbox-not-a-number",
-        "two-point-infinite", "gamma-infinite"])
+        "two-point-infinite", "gamma-infinite", "N-beyond-int64-native",
+        "N-beyond-int64-lognormal", "moments-N-beyond-int64"])
 def test_bad_input_exits_2_with_its_message(capsys, argv, message):
     assert run_command(argv) == 2
     captured = capsys.readouterr()

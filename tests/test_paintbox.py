@@ -368,6 +368,50 @@ def test_spiked_block_sums_hold_the_spike_in_one_block():
     assert not np.any(lifted & (np.array(sizes) == 0))
 
 
+@st.composite
+def _entries(draw):
+    """(N, k, m): lockstep entries, m[i] trials at a live count k[i]."""
+    N = draw(st.integers(2, 5000))
+    size = draw(st.integers(1, 6))
+    k = draw(st.lists(st.integers(1, N - 1), min_size=size, max_size=size))
+    m = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    return N, np.array(k, dtype=np.int64), np.array(m, dtype=np.int64)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.tag())
+@settings(max_examples=60, deadline=None)
+@given(entries=_entries(), seed=st.integers(0, 2**32 - 1))
+def test_entry_classes_split_each_entry_into_its_trials(source, entries, seed):
+    N, k, m = entries
+    n, entry, head, tail = source.entry_classes(k, m, N, make_rng(seed))
+    # the classes keep each entry's trials, entry by entry
+    assert np.bincount(entry, weights=n, minlength=k.size).tolist() == m.tolist()
+    assert np.all(n >= 1) and np.all(np.diff(entry) >= 0)
+    assert n.shape == entry.shape == head.shape == tail.shape
+    assert np.all(np.isfinite(head)) and np.all(np.isfinite(tail))
+    per_entry = np.bincount(entry, minlength=k.size)
+    if isinstance(source, Deterministic):
+        assert per_entry.tolist() == [1] * k.size
+        assert head.tolist() == k.tolist() and tail.tolist() == (N - k).tolist()
+    elif isinstance(source, SpikedSpec):
+        # the trials whose spike lies outside the head, then those inside it
+        assert np.all(per_entry <= 2)
+        wo, lift = source.lockstep_law(N)[1]
+        inside = np.isclose(head - k[entry] * wo, lift, rtol=1e-12, atol=0)
+        assert np.all(inside | (head == k[entry] * wo))
+        same = entry[:-1] == entry[1:]
+        assert np.all(~inside[:-1][same] & inside[1:][same])
+        # as many trials inside as spikes block_sums would place below the count
+        below = make_rng(seed).integers(N, size=int(m.sum())) < np.repeat(k, m)
+        assert np.bincount(entry[inside], weights=n[inside], minlength=k.size).tolist() == \
+            np.add.reduceat(below, np.cumsum(m) - m).tolist()
+    else:
+        # every trial its own class, its masses those of one block_sums call
+        assert per_entry.tolist() == m.tolist() and np.all(n == 1)
+        masses = source.block_sums((np.repeat(k, m),), N, make_rng(seed))
+        assert [head.tolist(), tail.tolist()] == [x.tolist() for x in masses]
+
+
 def test_lognormal_sums_are_sliced_out_of_one_stream(monkeypatch):
     # sums drawn MAX_DRAW at a time equal the segment sums of one flat draw
     law = LogNormal(0.9)
