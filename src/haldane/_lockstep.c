@@ -15,10 +15,12 @@
  *                  by entry, then one tail Gamma((N - k) kappa) / kappa each
  *   TWO_POINT      {a, b, p}: one head j a + (k - j) b with j ~ Bin(k, p)
  *                  per trial, then one tail likewise over N - k each
- *   SPIKED         {wo, lift}: one spike index per trial, uniform on [0, N)
- *                  as `rng.integers(N, size=n)` draws it over all live
- *                  trials, entry by entry; head k wo, plus lift when the
- *                  index lies below k; tail 1 - head
+ *   SPIKED         {wo, lift}: entry by entry, how many of its trials have
+ *                  the spike inside the head: for an entry of one trial its
+ *                  spike index, uniform on [0, N) as `rng.integers(N)`
+ *                  draws it, inside when below k; for an entry of m > 1
+ *                  trials one Bin(m, k / N); head k wo, plus lift inside;
+ *                  tail 1 - head
  * and the success probability head / (tail keep + head), keep = 1 - s.
  * The trials of an entry then fall into classes of one probability p, as
  * the source's `entry_classes` splits them: one class under DETERMINISTIC;
@@ -58,12 +60,16 @@ typedef struct {
     int64_t n_out;
 } block_t;
 
-/* The mass of a block of n potentials: Gamma(n kappa) / kappa under GAMMA,
- * j a + (n - j) b with j ~ Bin(n, p) under TWO_POINT */
-static double block_mass(block_t *b, int source, const double *law, int64_t n)
+/* The mass of a block of n potentials under GAMMA {kappa}: Gamma(n kappa) / kappa */
+static inline double gamma_mass(block_t *b, const double *law, int64_t n)
 {
-    if (source == GAMMA)
-        return random_standard_gamma(b->bitgen, (double)n * law[0]) / law[0];
+    return random_standard_gamma(b->bitgen, (double)n * law[0]) / law[0];
+}
+
+/* The mass of a block of n potentials under TWO_POINT {a, b, p}: j a + (n - j) b
+ * with j ~ Bin(n, p) */
+static inline double two_point_mass(block_t *b, const double *law, int64_t n)
+{
     int64_t j = random_binomial(b->bitgen, law[2], n, &b->binomial);
     return (double)j * law[0] + (double)(n - j) * law[1];
 }
@@ -125,13 +131,13 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
                       int64_t trials, int64_t x0, int64_t n_above, const int64_t *above,
                       int64_t *hits, int64_t *tally)
 {
-    /* two generations of entries, then p and pos (one per trial each) */
+    /* two generations of entries, then p (one per trial) and inside (one per entry) */
     int64_t *buf = malloc(8 * (size_t)trials * sizeof(int64_t));
     if (!buf)
         return -2;
     entries_t in = {buf, buf + trials, buf + 2 * trials};
     double *p = (double *)(buf + 6 * trials);
-    uint64_t *pos = (uint64_t *)(buf + 7 * trials);
+    int64_t *inside = buf + 7 * trials;
     block_t b = {.bitgen = bitgen, .N = N, .n_above = n_above, .above = above, .hits = hits,
                  .out = {buf + 3 * trials, buf + 4 * trials, buf + 5 * trials}};
     in.k[0] = in.peak[0] = x0;
@@ -139,16 +145,32 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
     int64_t n = 1;
     int rc = 0;
     while (n > 0 && !rc) {
-        if (source == GAMMA || source == TWO_POINT) {
+        /* every head mass, trial by trial, then every tail mass */
+        if (source == GAMMA) {
             for (int64_t i = 0, t = 0; i < n; i++)
                 for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] = block_mass(&b, source, law, in.k[i]);
+                    p[t] = gamma_mass(&b, law, in.k[i]);
             for (int64_t i = 0, t = 0; i < n; i++)
                 for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] /= block_mass(&b, source, law, N - in.k[i]) * keep + p[t];
+                    p[t] /= gamma_mass(&b, law, N - in.k[i]) * keep + p[t];
+        } else if (source == TWO_POINT) {
+            for (int64_t i = 0, t = 0; i < n; i++)
+                for (int64_t end = t + in.m[i]; t < end; t++)
+                    p[t] = two_point_mass(&b, law, in.k[i]);
+            for (int64_t i = 0, t = 0; i < n; i++)
+                for (int64_t end = t + in.m[i]; t < end; t++)
+                    p[t] /= two_point_mass(&b, law, N - in.k[i]) * keep + p[t];
         } else if (source == SPIKED) {
-            random_bounded_uint64_fill(bitgen, 0, (uint64_t)(N - 1),
-                                       trials - b.fixations - b.losses, false, pos);
+            for (int64_t i = 0; i < n; i++) {
+                if (in.m[i] == 1) {
+                    uint64_t pos;
+                    random_bounded_uint64_fill(bitgen, 0, (uint64_t)(N - 1), 1, false, &pos);
+                    inside[i] = pos < (uint64_t)in.k[i];
+                } else {
+                    inside[i] = random_binomial(bitgen, (double)in.k[i] / (double)N, in.m[i],
+                                                &b.binomial);
+                }
+            }
         }
         b.g++;
         b.n_out = 0;
@@ -157,15 +179,12 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
             if (source == DETERMINISTIC) {
                 rc = draw_class(&b, (double)k / ((double)(N - k) * keep + (double)k), m, top);
             } else if (source == SPIKED) {
-                int64_t inside = 0;
-                for (int64_t t = at; t < at + m; t++)
-                    inside += pos[t] < (uint64_t)k;
                 double head = (double)k * law[0];
-                if (m > inside)
-                    rc = draw_class(&b, head / ((1.0 - head) * keep + head), m - inside, top);
+                if (m > inside[i])
+                    rc = draw_class(&b, head / ((1.0 - head) * keep + head), m - inside[i], top);
                 head += law[1];
-                if (inside && !rc)
-                    rc = draw_class(&b, head / ((1.0 - head) * keep + head), inside, top);
+                if (inside[i] && !rc)
+                    rc = draw_class(&b, head / ((1.0 - head) * keep + head), inside[i], top);
             } else {
                 for (int64_t t = at; t < at + m && !rc; t++)
                     rc = draw_class(&b, p[t], 1, top);

@@ -4,17 +4,16 @@ Fixation estimation with Wilson intervals and the 2s/rho^2 reference,
 three-phase trajectory diagnostics and the spiked-paintbox violation
 check.
 
-Trials run in lockstep blocks of BLOCK_TRIALS; block b draws from the
-SFC64 stream keyed by (seed, b) (see `streams`), blocks are mapped over
-workers and their tallies folded with integer counters only, so results
-are bit-identical for every worker count and any trial can be replayed
-by re-running its block.  A block runs until its slowest trial is
-absorbed, some (2/s) ln N generations when one fixes.  On numpy's path
-(lognormal, the tiny-shape Gamma redraw, or no native library; see
-`cannings`) each of those generations costs numpy's fixed per-call
-overhead however few trials are left (40-50 us at one live trial), so
-fewer, larger blocks pay for fewer of these tails; the native block's
-generation costs about 1 us there (README, "Performance notes").
+A run of T trials is ceil(T / BLOCK_TRIALS) lockstep blocks of equal
+size, give or take one trial (`block_sizes`); block b draws from the
+SFC64 stream keyed by (seed, b) (see `streams`).  The blocks are mapped
+over worker threads and their tallies folded with integer counters only,
+so results are bit-identical for every worker count and any trial can be
+replayed by re-running its block.  A closed-form source runs a whole
+block in one native call, which releases the GIL, so two threads keep
+two cores busy; on numpy's path (lognormal, the tiny-shape Gamma redraw,
+or no native library; see `cannings`) a generation's Python and small
+numpy calls hold the GIL, so threads mostly take turns there.
 """
 
 from __future__ import annotations
@@ -30,20 +29,21 @@ from .paintbox import ConfigurationError, SpikedSpec
 from .streams import layout, trial_rng
 
 DEFAULT_LEVEL = 0.99
-BLOCK_TRIALS = 32768
-"""Trials per lockstep block, and so per random stream; fixed, whatever the worker count.
+BLOCK_TRIALS = 8192
+"""The most trials in one lockstep block, and so in one random stream; fixed,
+whatever the worker count.
 
-2^15 runs half the tails of 2^14, which matters where each tail
-generation pays numpy's per-call overhead (the fallback path); 2^16 would
-leave every run of fewer than 65,536 trials on one worker.  Under
-`deterministic` and `spiked` the trials at one count fall into one or
-two classes, and a class draws one multinomial once it outnumbers the
-outcomes its binomial reaches, so there a larger block
-adds only the trials that spread out to counts of their own; a smaller
-one would leave more classes under that size, each drawing one binomial
-per trial.
+Small enough that a run of 10,000 trials splits into two blocks, one for
+each of two workers.  Large enough that the fixed cost of a block stays
+small next to its trials: a block runs until its slowest trial is
+absorbed, and under `deterministic` and `spiked` a class draws one
+multinomial only once it outnumbers the outcomes its binomial reaches,
+so blocks of 4,096 made a 25,000-trial `counterexample` run dearer
+(README, "Performance notes").  On numpy's path every generation of a
+block pays numpy's fixed per-call cost, so there larger blocks would pay
+for fewer tails.
 """
-STREAM_LAYOUT = layout(f"block={BLOCK_TRIALS}")
+STREAM_LAYOUT = layout(f"equal block<={BLOCK_TRIALS}")
 
 
 def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
@@ -72,26 +72,41 @@ def wilson_interval(successes: int, trials: int, level: float = DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 
 
-def _run_block(config, thresholds, seed, trials, b):
-    """Tally of block b of a `trials`-trial run, drawn from stream (seed, b)."""
-    size = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-    return run_ensemble(config, size, trial_rng(seed, b), thresholds)
+def block_sizes(trials: int) -> list[int]:
+    """Trials of each block of a `trials`-trial run: ceil(trials / BLOCK_TRIALS)
+    blocks, the first trials % blocks of them one trial larger."""
+    blocks = -(-trials // BLOCK_TRIALS)
+    size, extra = divmod(trials, blocks)
+    return [size + (b < extra) for b in range(blocks)]
+
+
+def _run_block(config, thresholds, seed, sizes, b):
+    """Tally of block b, of sizes[b] trials, drawn from stream (seed, b).
+
+    The generator is made here, in the block's own task: the native block
+    bypasses `Generator.lock`, so no two threads may share it.
+    """
+    return run_ensemble(config, sizes[b], trial_rng(seed, b), thresholds)
 
 
 def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
-    run = partial(_run_block, config, tuple(thresholds), seed, trials)
-    blocks = range(-(-trials // BLOCK_TRIALS))
+    sizes = block_sizes(trials)
+    run = partial(_run_block, config, tuple(thresholds), seed, sizes)
+    blocks = range(len(sizes))
     workers = min(parallelism, len(blocks))
     if workers <= 1:
         return reduce(Tally.merge, map(run, blocks))
     # imported here: one-block runs never start a pool, and the import
-    # costs every process that loads the package ~12 ms
-    from concurrent.futures import ProcessPoolExecutor
+    # costs every process that loads the package a few ms
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         return reduce(Tally.merge, pool.map(run, blocks))
+    finally:  # after a failure, blocks not yet started never start
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +175,7 @@ def estimate_fixation(
 ) -> FixationEstimate:
     """Fixation frequency over independent absorption runs.
 
-    Block b of BLOCK_TRIALS trials draws from the stream keyed by
+    Block b of `block_sizes(trials)` draws from the stream keyed by
     (seed, b); the aggregate is identical for any `parallelism`.
     """
     tally = _farm(config, (), trials, seed, parallelism)

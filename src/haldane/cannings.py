@@ -48,6 +48,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
@@ -291,6 +292,9 @@ def _build_lockstep(target: Path) -> None:
             os.unlink(tmp)
 
 
+_LOCKSTEP_LOCK = threading.Lock()
+
+
 @cache
 def _lockstep_block():
     """The native lockstep block of `_lockstep.c`, or None (tried once per process).
@@ -301,27 +305,32 @@ def _lockstep_block():
     cache as `_lockstep-<numpy version>-<source hash><extension suffix>`;
     a build removes the libraries of other `_lockstep.c` revisions for the
     same numpy and interpreter, so an environment keeps one.  Any failure
-    leaves numpy's path.
+    leaves numpy's path.  `cache` may run this once for each of several
+    threads that ask at once; the lock makes them take turns, so the
+    later ones load the library the first one built.
     """
     import hashlib
     from importlib.machinery import EXTENSION_SUFFIXES
 
     stem, suffix = f"_lockstep-{np.__version__}-", EXTENSION_SUFFIXES[0]
-    try:
-        digest = hashlib.sha256(_LOCKSTEP_SOURCE.read_bytes()).hexdigest()[:16]
-        cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "haldane"
-        path = cache_dir / f"{stem}{digest}{suffix}"
-        if not path.exists():
-            _build_lockstep(path)
-            for old in cache_dir.glob(f"{stem}{'?' * 16}{suffix}"):
-                if old != path:
-                    with suppress(OSError):  # one that cannot go stays; the new one still loads
-                        old.unlink()
-        run = ctypes.CDLL(str(path)).haldane_run_block
-    except (OSError, AttributeError, RuntimeError):
-        # no compiler, header or libnpyrandom.a, a failed build, an unwritable
-        # cache, a library without the function, no home directory
-        return None
+    with _LOCKSTEP_LOCK:
+        try:
+            digest = hashlib.sha256(_LOCKSTEP_SOURCE.read_bytes()).hexdigest()[:16]
+            cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+            cache_dir /= "haldane"
+            path = cache_dir / f"{stem}{digest}{suffix}"
+            if not path.exists():
+                _build_lockstep(path)
+                for old in cache_dir.glob(f"{stem}{'?' * 16}{suffix}"):
+                    if old != path:
+                        # one that cannot go stays; the new one still loads
+                        with suppress(OSError):
+                            old.unlink()
+            run = ctypes.CDLL(str(path)).haldane_run_block
+        except (OSError, AttributeError, RuntimeError):
+            # no compiler, header or libnpyrandom.a, a failed build, an unwritable
+            # cache, a library without the function, no home directory
+            return None
     run.restype = ctypes.c_int
     run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
                     ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -354,8 +363,10 @@ def run_ensemble(
     (`_next_entries`: the classes of the source's `entry_classes`, then
     one binomial per trial or, for a large class of one success
     probability, one multinomial), then tallies the entries
-    that hit 0 or N, each with its multiplicity, and drops them.  A trial
-    reached level t (count >= t) if its maximum did.  Absorption is a.s.
+    that hit 0 or N, each with its multiplicity, and drops them.  Once
+    every entry holds one trial, so do all its successors: from then on a
+    generation is one `_next_counts` call and no multiplicity is kept.  A
+    trial reached level t (count >= t) if its maximum did.  Absorption is a.s.
     finite, so the run ends when every trial has fixed or been lost.  For
     a source with a `lockstep_law` the native block draws the same variates
     without `Generator.lock`: `rng` must be this run's own, shared with no
@@ -388,24 +399,36 @@ def run_ensemble(
     peak = k.copy() if above else None
     fixations = losses = tau_total = g = 0
     while k.size:
-        k, m, parent = _next_entries(k, m, config, rng)
+        if m is None:
+            k, parent = _next_counts(k, config, rng), None
+        else:
+            k, m, parent = _next_entries(k, m, config, rng)
+            if parent is None:  # every entry one trial, and so every successor
+                m = None
         g += 1
         if above:
             peak = np.maximum(peak if parent is None else peak[parent], k)
         live = (k > 0) & (k < N)
         if not live.all():
-            gone = m[~live]
-            absorbed, fixed = int(gone.sum()), int(m[k == N].sum())
+            gone = ~live
+            absorbed, fixed = _trials(gone, m), _trials(k == N, m)
             fixations += fixed
             losses += absorbed - fixed
             tau_total += g * absorbed
-            k, m = k[live], m[live]
             if above:
-                top = peak[~live]
                 for t in above:
-                    hits[t] += int(gone[top >= t].sum())
+                    hits[t] += _trials(gone & (peak >= t), m)
                 peak = peak[live]
+            k = k[live]
+            if m is not None:
+                m = m[live]
     return Tally(fixations, losses, tau_total, g, hits, g)
+
+
+def _trials(mask: np.ndarray, m: np.ndarray | None) -> int:
+    """Trials in the entries of `mask`: their multiplicities' sum, or their number
+    once every entry holds one trial (m is None)."""
+    return int(np.count_nonzero(mask)) if m is None else int(m[mask].sum())
 
 
 def run_to_absorption(

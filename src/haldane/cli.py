@@ -97,7 +97,7 @@ def _level(text: str) -> float:
 def _add_mc_args(sp):
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--parallelism", type=_worker_count, default=1, help="worker processes")
+    sp.add_argument("--parallelism", type=_worker_count, default=1, help="worker threads")
     sp.add_argument("--level", type=_level, default=None,
                     help="confidence level for Wilson intervals "
                          "(default: haldane.analysis.DEFAULT_LEVEL)")

@@ -453,10 +453,18 @@ class SpikedSpec:
         return "spiked", (wo, self.spike_weight(N) - wo)
 
     def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
-        """`YLaw.entry_classes` from one spike index per trial, as `block_sums` draws
-        them: each entry's trials with the spike outside its head, then inside."""
-        pos = rng.integers(N, size=int(m.sum()))
-        inside = np.add.reduceat(pos < np.repeat(k, m), np.cumsum(m) - m, dtype=np.int64)
+        """`YLaw.entry_classes`: each entry's trials with the spike outside its head,
+        then inside.  Entry by entry, an entry of one trial draws its spike index
+        as `block_sums` does, and an entry of m > 1 trials draws how many of them
+        have it inside, Bin(m, k / N); a run of one-trial entries draws in one call."""
+        inside = np.empty(k.size, dtype=np.int64)
+        start = 0
+        for w in [*np.flatnonzero(m > 1).tolist(), k.size]:
+            if start < w:
+                inside[start:w] = rng.integers(N, size=w - start) < k[start:w]
+            if w < k.size:
+                inside[w] = rng.binomial(m[w], k[w] / N)
+            start = w + 1
         n = np.column_stack((m - inside, inside)).ravel()
         has = n > 0
         entry = np.repeat(np.arange(k.size), 2)[has]

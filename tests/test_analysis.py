@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from haldane.analysis import (
     FixationEstimate,
     _farm,
     _run_block,
+    block_sizes,
     counterexample_check,
     estimate_fixation,
     phase_diagnostics,
@@ -96,11 +98,22 @@ def test_estimate_matches_gamma1_closed_form(N, x0):
     assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
 
 
+@given(st.integers(1, 20 * BLOCK_TRIALS))
+def test_blocks_are_equal_to_one_trial(trials):
+    sizes = block_sizes(trials)
+    assert sum(sizes) == trials
+    assert len(sizes) == -(-trials // BLOCK_TRIALS)
+    assert max(sizes) <= BLOCK_TRIALS
+    assert max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
+
+
 @pytest.mark.parametrize("trials", [
-    # around half a block (the former block size) and just past one block
-    BLOCK_TRIALS // 2 - 1, BLOCK_TRIALS // 2, BLOCK_TRIALS // 2 + 1, BLOCK_TRIALS + 3,
     # around one block and just past two
     BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3,
+    # around the former block sizes, 16,384 and 32,768, and past two of the
+    # larger: uneven splits into two to nine blocks
+    16383, 16384, 16385, 32767, 32768, 32769, 32771, 65539,
 ])
 def test_tally_identical_across_worker_counts(trials):
     cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
@@ -109,21 +122,45 @@ def test_tally_identical_across_worker_counts(trials):
     assert tallies[0].trials == trials
 
 
+def test_tally_identical_on_more_threads_than_cores():
+    # four threads switching every microsecond over twelve blocks: a block
+    # lost, run twice or merged twice would change the tally
+    cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
+    trials = 12 * BLOCK_TRIALS - 5
+    serial = _farm(cfg, (5, 15), trials, 34, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _farm(cfg, (5, 15), trials, 34, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_run_of_at_most_one_block_is_one_lockstep_run():
-    # the benchmark's 25,000-trial counterexample pass: one block, one stream
-    trials = 25000
-    assert trials <= BLOCK_TRIALS
-    est = counterexample_check(1000, gamma=0.1, b=0.45, trials=trials, seed=7).estimate
-    assert est.trials == trials
+    # a full block is one lockstep run on stream (seed, 0); the benchmark's
+    # 25,000-trial counterexample pass is four blocks, each running until
+    # its own slowest trial is absorbed
+    rep = counterexample_check(1000, gamma=0.1, b=0.45, trials=BLOCK_TRIALS, seed=7)
+    est = rep.estimate
     assert est.lockstep_generations == est.max_tau
+    tally = run_ensemble(rep.config, BLOCK_TRIALS, TrialStreams(7).stream(0))
+    assert (tally.fixations, tally.tau_total) == (est.fixations, est.trial_generations)
+    assert block_sizes(25000) == [6250] * 4
+    est = counterexample_check(1000, gamma=0.1, b=0.45, trials=25000, seed=7).estimate
+    assert est.trials == 25000
+    assert est.lockstep_generations > est.max_tau
 
 
 def test_block_replays_alone():
-    # block b of a run is the ensemble on stream (seed, b), whatever surrounds it
+    # block b of a run is the ensemble of its share on stream (seed, b),
+    # whatever surrounds it
     cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
     trials = 2 * BLOCK_TRIALS + 3
-    alone = [_run_block(cfg, (5,), 33, trials, b) for b in range(3)]
-    for b, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 3)):
+    sizes = block_sizes(trials)
+    assert sizes == [5463, 5462, 5462]
+    alone = [_run_block(cfg, (5,), 33, sizes, b) for b in range(3)]
+    for b, size in enumerate(sizes):
         assert alone[b] == run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
     assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
 

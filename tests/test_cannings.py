@@ -497,8 +497,9 @@ def test_entries_keep_the_chain_s_fixation_and_absorption_time(
     (Deterministic(), 1000, 0.1, 1, 6250, 16, True),  # 16 > the bound 15.6
     (Deterministic(), 1000, 0.1, 1, 6250, 15, False),  # 15 <= the bound
     (SpikedSpec(0.1), 1000, 0.05, 1, 1, 10**5, True),  # spike outside the head
+    (SpikedSpec(0.1), 1000, 0.05, 20, 1, 10**5, True),  # ~2,000 trials inside, mean 477
 ], ids=["walk", "mean-above-30", "p-above-half", "class-above-bound",
-        "class-at-bound", "spiked"])
+        "class-at-bound", "spiked", "spiked-inside"])
 def test_one_generation_of_entries_is_binomial(source, N, s, k, entries, size, walks):
     # successors of `entries` entries of `size` trials at count k against
     # Bin(N, p) (a two-binomial mixture for the spike), by chi-square over
@@ -523,6 +524,21 @@ def test_one_generation_of_entries_is_binomial(source, N, s, k, entries, size, w
     stat = ((seen[big] - expected[big]) ** 2 / expected[big]).sum()
     stat += (seen[~big].sum() - expected[~big].sum()) ** 2 / expected[~big].sum()
     assert chi2.sf(stat, big.sum()) > 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_native_spiked_entry_draws_what_numpy_draws(monkeypatch, k):
+    # the entries of the "spiked" and "spiked-inside" cases above, run to
+    # absorption: the native block counts the same trials inside the head
+    # (Bin(10^5, k / N)) and draws the same classes, so the tallies, with
+    # hits at every 50th level, are equal
+    cfg = CanningsConfig(1000, 0.05, SpikedSpec(0.1), k)
+    levels = tuple(range(k + 1, 1001, 50))
+
+    def run():
+        return run_ensemble(cfg, 10**5, make_rng(29), levels)
+
+    assert run() == _on_numpy(monkeypatch, run)
 
 
 class _DrawLog:

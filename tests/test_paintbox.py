@@ -401,10 +401,12 @@ def test_entry_classes_split_each_entry_into_its_trials(source, entries, seed):
         assert np.all(inside | (head == k[entry] * wo))
         same = entry[:-1] == entry[1:]
         assert np.all(~inside[:-1][same] & inside[1:][same])
-        # as many trials inside as spikes block_sums would place below the count
-        below = make_rng(seed).integers(N, size=int(m.sum())) < np.repeat(k, m)
-        assert np.bincount(entry[inside], weights=n[inside], minlength=k.size).tolist() == \
-            np.add.reduceat(below, np.cumsum(m) - m).tolist()
+        # as many trials inside as the draws of each entry in turn give: a
+        # one-trial entry's spike index below its count, else Bin(m, k / N)
+        replay = make_rng(seed)
+        below = [int(replay.integers(N) < c) if size == 1 else int(replay.binomial(size, c / N))
+                 for c, size in zip(k, m)]
+        assert np.bincount(entry[inside], weights=n[inside], minlength=k.size).tolist() == below
     else:
         # every trial its own class, its masses those of one block_sums call
         assert per_entry.tolist() == m.tolist() and np.all(n == 1)
