@@ -49,7 +49,6 @@ import ctypes
 import math
 import os
 import threading
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -302,30 +301,24 @@ def _lockstep_block():
     It draws with numpy's own C samplers on the generator's bit generator
     and bypasses `Generator.lock`: a block's generator is private to
     `run_ensemble`.  The first call builds the library into the per-user
-    cache as `_lockstep-<numpy version>-<source hash><extension suffix>`;
-    a build removes the libraries of other `_lockstep.c` revisions for the
-    same numpy and interpreter, so an environment keeps one.  Any failure
-    leaves numpy's path.  `cache` may run this once for each of several
-    threads that ask at once; the lock makes them take turns, so the
-    later ones load the library the first one built.
+    cache as `_lockstep-<numpy version>-<source hash><extension suffix>`
+    when it is missing and deletes nothing, so the cache keeps one library
+    per revision, numpy version and interpreter, and checkouts of different
+    revisions that share it build once each.  Any failure leaves numpy's
+    path.  `cache` may run this once for each of several threads that ask
+    at once; the lock makes them take turns, so the later ones load the
+    library the first one built.
     """
     import hashlib
     from importlib.machinery import EXTENSION_SUFFIXES
 
-    stem, suffix = f"_lockstep-{np.__version__}-", EXTENSION_SUFFIXES[0]
     with _LOCKSTEP_LOCK:
         try:
             digest = hashlib.sha256(_LOCKSTEP_SOURCE.read_bytes()).hexdigest()[:16]
-            cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-            cache_dir /= "haldane"
-            path = cache_dir / f"{stem}{digest}{suffix}"
+            path = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+            path /= f"haldane/_lockstep-{np.__version__}-{digest}{EXTENSION_SUFFIXES[0]}"
             if not path.exists():
                 _build_lockstep(path)
-                for old in cache_dir.glob(f"{stem}{'?' * 16}{suffix}"):
-                    if old != path:
-                        # one that cannot go stays; the new one still loads
-                        with suppress(OSError):
-                            old.unlink()
             run = ctypes.CDLL(str(path)).haldane_run_block
         except (OSError, AttributeError, RuntimeError):
             # no compiler, header or libnpyrandom.a, a failed build, an unwritable

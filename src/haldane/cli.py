@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haldane",
         description="Cannings fixation experiments and branching-process solvers",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p)
 
     for p in sub.choices.values():
+        p.allow_abbrev = False  # flags in full: a subparser does not inherit it
         _add_output_args(p)
     return parser
 

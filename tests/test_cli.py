@@ -45,6 +45,19 @@ def test_unknown_flag_exits_2(capsys):
                         "--seed", "1", "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "100", "--b", "0.3", "--trials", "20", "--s", "3"],
+    ["counterexample", "--N", "100", "--gamma", "0.1", "--b", "0.45", "--trials", "20",
+     "--s", "5"],
+    ["gw-survival", "--model", "two-point-immortal", "--b", "0.3"],
+    ["fixation", "--N", "100", "--s", "0.1", "--tri", "20", "--se", "4", "--x", "2"],
+], ids=["s-for-seed", "s-for-seed-counterexample", "b-for-beta-s", "prefixes"])
+def test_abbreviated_flag_exits_2(capsys, argv):
+    # argparse would otherwise read a prefix as the one flag it starts
+    assert run_command(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_mutually_exclusive_selection_exits_2(capsys):
     assert run_command(["fixation", "--N", "100", "--s", "0.5", "--b", "0.3",
                         "--paintbox", "deterministic", "--x0", "1",
@@ -1071,23 +1084,32 @@ def test_two_worker_threads_build_the_library_once(capsys, monkeypatch, fresh_lo
     assert len(builds) == 1
 
 
-def test_a_new_build_removes_only_older_libraries_of_its_numpy_and_interpreter(fresh_loader):
+def test_two_revisions_that_share_a_cache_build_once_each(monkeypatch, fresh_loader):
+    # two checkouts of different `_lockstep.c` revisions that take turns in
+    # one cache each build their library once, and nothing else there goes
     from importlib.machinery import EXTENSION_SUFFIXES
 
     cache_dir = fresh_loader / "cache" / "haldane"
     cache_dir.mkdir(parents=True)
     suffix = EXTENSION_SUFFIXES[0]
-    stale = cache_dir / f"_lockstep-{np.__version__}-0123456789abcdef{suffix}"
     kept = [
         cache_dir / "notes.txt",
         cache_dir / f"tmp1a2b3c4d{suffix}",  # a build's mkstemp temporary
         cache_dir / f"_lockstep-0.0.0-0123456789abcdef{suffix}",  # another numpy
         cache_dir / f"_lockstep-{np.__version__}-0123456789abcdef.abi3.so",  # another interpreter
     ]
-    for path in (stale, *kept):
+    for path in kept:
         path.write_text("")
-    if cannings._lockstep_block() is None:
-        pytest.skip("the native lockstep block cannot be built here")
-    assert not stale.exists()
-    assert all(path.exists() for path in kept)
-    assert len(list(cache_dir.glob(f"_lockstep-{np.__version__}-*{suffix}"))) == 1
+    revised = fresh_loader / "_lockstep.c"
+    revised.write_text(cannings._LOCKSTEP_SOURCE.read_text() + "/* another revision */\n")
+    builds = []
+    build = cannings._build_lockstep
+    monkeypatch.setattr(cannings, "_build_lockstep",
+                        lambda target: builds.append(target) or build(target))
+    for source in (cannings._LOCKSTEP_SOURCE, revised) * 2:
+        monkeypatch.setattr(cannings, "_LOCKSTEP_SOURCE", source)
+        cannings._lockstep_block.cache_clear()
+        if cannings._lockstep_block() is None:
+            pytest.skip("the native lockstep block cannot be built here")
+    assert len(builds) == 2
+    assert all(path.exists() for path in (*builds, *kept))
