@@ -116,6 +116,7 @@ def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
 
 @dataclass(frozen=True)
 class FixationEstimate:
+    config: CanningsConfig
     trials: int
     fixations: int
     p_hat: float
@@ -123,7 +124,6 @@ class FixationEstimate:
     ci_low: float
     ci_high: float
     level: float
-    s: float
     ref_variance: float
     haldane: float
     ratio: float | None
@@ -148,6 +148,7 @@ def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
     s = config.s
     ratio = p_hat * rv / (2.0 * s) if s > 0 else None
     return FixationEstimate(
+        config=config,
         trials=tally.trials,
         fixations=tally.fixations,
         p_hat=p_hat,
@@ -155,7 +156,6 @@ def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
         ci_low=lo,
         ci_high=hi,
         level=level,
-        s=s,
         ref_variance=rv,
         haldane=haldane_ref(s, rv),
         ratio=ratio,
@@ -188,18 +188,20 @@ def estimate_fixation(
 
 
 @dataclass(frozen=True)
-class PhaseReport:
+class PhaseReport(FixationEstimate):
     threshold_1: int
     threshold_2: int
     reached_1: int
     reached_2: int
     p1: float
+    p1_ci_low: float
+    p1_ci_high: float
     p2: float
+    p2_ci_low: float
+    p2_ci_high: float
     p3: float
-    p1_ci: tuple[float, float]
-    p2_ci: tuple[float, float]
-    p3_ci: tuple[float, float]
-    estimate: FixationEstimate
+    p3_ci_low: float
+    p3_ci_high: float
 
 
 def phase_diagnostics(
@@ -234,14 +236,14 @@ def phase_diagnostics(
     tally = _farm(config, (lvl1, lvl2), trials, seed, parallelism)
     counts = (tally.trials, tally.threshold_hits[lvl1], tally.threshold_hits[lvl2],
               tally.fixations)
-    phases = list(zip(counts, counts[1:]))  # (entered, passed) for each phase
+    phases = {}
+    for i, (entered, passed) in enumerate(zip(counts, counts[1:]), 1):
+        lo, hi = wilson_interval(passed, entered, level) if entered else (0.0, 1.0)
+        phases.update({f"p{i}": passed / entered if entered else float("nan"),
+                       f"p{i}_ci_low": lo, f"p{i}_ci_high": hi})
     return PhaseReport(
-        lvl1, lvl2, counts[1], counts[2],
-        *(passed / entered if entered else float("nan") for entered, passed in phases),
-        *(wilson_interval(passed, entered, level) if entered else (0.0, 1.0)
-          for entered, passed in phases),
-        _estimate_from_tally(tally, config, level),
-    )
+        **vars(_estimate_from_tally(tally, config, level)), threshold_1=lvl1,
+        threshold_2=lvl2, reached_1=counts[1], reached_2=counts[2], **phases)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +252,9 @@ def phase_diagnostics(
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(FixationEstimate):
     neutral_floor: float
     violation: bool
-    estimate: FixationEstimate
-    config: CanningsConfig
 
 
 def counterexample_check(
@@ -281,8 +281,4 @@ def counterexample_check(
     config = CanningsConfig.from_exponent(N, b, spec, initial_count=1)
     est = estimate_fixation(config, trials, seed, parallelism, level)
     return CounterexampleReport(
-        neutral_floor=1.0 / N,
-        violation=est.ci_low > 2.0 * est.haldane,
-        estimate=est,
-        config=config,
-    )
+        **vars(est), neutral_floor=1.0 / N, violation=est.ci_low > 2.0 * est.haldane)

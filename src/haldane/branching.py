@@ -70,7 +70,7 @@ class MixedPoisson(GWModel):
 
     def variance(self):
         # law of total variance over the mixing potential
-        return self.m**2 * (self.law.second_moment() - 1.0) + self.m
+        return self.m * self.m * (self.law.second_moment() - 1.0) + self.m
 
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +120,8 @@ class MixedBinomial(GWModel):
     def variance(self):
         r = self.m / self.N
         ey2 = self.law.second_moment()
-        return self.M * r - self.M * r**2 * ey2 + self.M**2 * r**2 * (ey2 - 1.0)
+        r2 = r * r  # r**2 raises OverflowError where this is inf
+        return self.M * r - self.M * r2 * ey2 + self.M**2 * r2 * (ey2 - 1.0)
 
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,6 +137,8 @@ class MixedBinomial(GWModel):
         return float(np.dot(wts, np.exp(log_terms)))
 
     def survival_map(self, phi):
+        if self.M == 0:  # no offspring: nothing survives, whatever phi
+            return 0.0, 0.0
         p, wts, wp = self._atoms
         with np.errstate(divide="ignore"):
             log_hit = np.log1p(p * -phi)  # log(1 - p*phi), -inf at p*phi = 1

@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import itertools
@@ -46,6 +45,7 @@ CSV_COLUMNS = [
     "trial_generations", "lockstep_generations",
     "p1", "p1_ci_low", "p1_ci_high", "p2", "p2_ci_low", "p2_ci_high",
     "p3", "p3_ci_low", "p3_ci_high", "threshold_1", "threshold_2",
+    "reached_1", "reached_2",
     "phi", "iterations", "phi_bound", "offspring_mean", "offspring_variance",
     "neutral_floor", "violation",
     "moment_value", "moment_stderr",
@@ -167,14 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _record(args, config=None, estimate=None, **fields) -> dict:
-    """One output record: run settings, config, every estimate field, extra fields."""
+def _record(args, result=None, **fields) -> dict:
+    """One output record: run settings, a Monte Carlo result's config cells and
+    every other field of it by name, then extra fields."""
     rec = {
         "command": args.command,
         "version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
-        # records that draw say how (fixation estimates: the block farm);
+        # records that draw say how (Monte Carlo results: the block farm);
         # records that draw nothing have no layout
         "stream_layout": None,
         "seed": getattr(args, "seed", None),
@@ -182,19 +183,21 @@ def _record(args, config=None, estimate=None, **fields) -> dict:
         "parallelism": getattr(args, "parallelism", None),
         "level": getattr(args, "level", None),
     }
-    if config is not None:
-        rec.update({
-            "N": config.N,
-            "s": config.s,
-            "b": config.exponent,
-            "paintbox": config.paintbox.tag(),
-            "x0": config.initial_count,
-            "moderately_strong": config.moderately_strong,
-            "paintbox_conforming": config.paintbox.conforming,
-        })
-    if estimate is not None:
+    if result is not None:
         from .analysis import STREAM_LAYOUT
-        rec.update(dataclasses.asdict(estimate), stream_layout=STREAM_LAYOUT)
+        cells = dict(vars(result))
+        config = cells.pop("config")
+        rec.update(
+            N=config.N,
+            s=config.s,
+            b=config.exponent,
+            paintbox=config.paintbox.tag(),
+            x0=config.initial_count,
+            moderately_strong=config.moderately_strong,
+            paintbox_conforming=config.paintbox.conforming,
+            stream_layout=STREAM_LAYOUT,
+            **cells,
+        )
     rec.update(fields)
     return rec
 
@@ -213,24 +216,16 @@ def _cmd_fixation(args):
     # is checked before the first trial
     configs = [_make_config(args, N) for N in (args.N if args.command == "sweep" else [args.N])]
     for config in configs:
-        est = analysis.estimate_fixation(
-            config, args.trials, args.seed, args.parallelism, args.level)
-        yield _record(args, config, est)
+        yield _record(args, analysis.estimate_fixation(
+            config, args.trials, args.seed, args.parallelism, args.level))
 
 
 def _cmd_phases(args):
     from . import analysis
-    config = _make_config(args, args.N)
     rep = analysis.phase_diagnostics(
-        config, args.delta, args.eps, args.trials, args.seed,
+        _make_config(args, args.N), args.delta, args.eps, args.trials, args.seed,
         args.parallelism, args.level)
-    yield _record(
-        args, config, rep.estimate, delta=args.delta, eps=args.eps,
-        threshold_1=rep.threshold_1, threshold_2=rep.threshold_2,
-        p1=rep.p1, p2=rep.p2, p3=rep.p3,
-        p1_ci_low=rep.p1_ci[0], p1_ci_high=rep.p1_ci[1],
-        p2_ci_low=rep.p2_ci[0], p2_ci_high=rep.p2_ci[1],
-        p3_ci_low=rep.p3_ci[0], p3_ci_high=rep.p3_ci[1])
+    yield _record(args, rep, delta=args.delta, eps=args.eps)
 
 
 def _option(flag: str) -> str:
@@ -277,9 +272,7 @@ def _cmd_counterexample(args):
     rep = analysis.counterexample_check(
         args.N, args.gamma, args.b, args.trials, args.seed,
         args.parallelism, args.level)
-    yield _record(
-        args, rep.config, rep.estimate, gamma=args.gamma,
-        neutral_floor=rep.neutral_floor, violation=rep.violation)
+    yield _record(args, rep, gamma=args.gamma)
 
 
 def _cmd_moments(args):

@@ -195,6 +195,8 @@ class Gamma(YLaw):
             raise ConfigurationError(f"Gamma shape must be > 0, got {self.kappa}")
         if self.kappa == math.inf:
             raise ConfigurationError("Gamma shape must be finite, got inf")
+        if not math.isfinite(self.second_moment()):  # a subnormal shape
+            raise ConfigurationError(f"Gamma shape {self.kappa} gives E[Y^2] = inf")
 
     def sample(self, n, rng):
         return rng.standard_gamma(self.kappa, size=n) / self.kappa
@@ -314,7 +316,7 @@ class TwoPoint(YLaw):
 
     def second_moment(self):
         a, b = self._ab
-        return self.p * a**2 + (1 - self.p) * b**2
+        return self.p * a * a + (1 - self.p) * b * b
 
     def mixing_atoms(self):
         return np.array(self._ab), np.array([self.p, 1.0 - self.p])

@@ -121,10 +121,10 @@ def test_criterion_05_fixation_ratio_trend(phase_report):
     for N, seed in ((100, 11), (1000, 11)):
         cfg = CanningsConfig.from_exponent(N, 0.25, Gamma(1.0), 1)
         points.append(estimate_fixation(cfg, 200000, seed=seed, parallelism=1))
-    points.append(phase_report.estimate)  # N = 1e4, shares trials with criterion 7
+    points.append(phase_report)  # N = 1e4, shares trials with criterion 7
     ratios, halfwidths = [], []
     for est in points:
-        scale = RHO2_GAMMA1 / (2.0 * est.s)
+        scale = RHO2_GAMMA1 / (2.0 * est.config.s)
         ratios.append(est.p_hat * scale)
         halfwidths.append((est.ci_high - est.ci_low) / 2.0 * scale)
     in_bracket = 0.8 <= ratios[2] <= 1.2
@@ -152,19 +152,19 @@ def test_criterion_06_weight_moment():
 
 def test_criterion_07_phase_floors(phase_report):
     rep = phase_report
-    floor = 1.0 - (1.0 - rep.estimate.s) ** rep.threshold_1  # exact gamma:1 lower bound on p2
+    floor = 1.0 - (1.0 - rep.config.s) ** rep.threshold_1  # exact gamma:1 lower bound on p2
     telescoped = rep.p1 * rep.p2 * rep.p3
-    consistent = telescoped == pytest.approx(rep.estimate.p_hat, rel=1e-12)
+    consistent = telescoped == pytest.approx(rep.p_hat, rel=1e-12)
     floor_in_force = floor >= 0.95
     p2_ok = rep.p2 >= 0.95
-    p2_bound_ok = rep.p2_ci[1] >= floor
+    p2_bound_ok = rep.p2_ci_high >= floor
     p3_ok = rep.p3 >= 0.95
     ok = floor_in_force and p2_ok and p2_bound_ok and p3_ok and consistent
     report(7, "phase-floors", ok,
            f"p1={rep.p1:.4f} p2={rep.p2:.4f} p3={rep.p3:.4f} "
            f"(floors 0.95/0.95) exact p2 floor={floor:.6f} "
-           f"p2 ci_high={rep.p2_ci[1]:.6f} "
-           f"p1*p2*p3={telescoped:.6f} vs p_hat={rep.estimate.p_hat:.6f}")
+           f"p2 ci_high={rep.p2_ci_high:.6f} "
+           f"p1*p2*p3={telescoped:.6f} vs p_hat={rep.p_hat:.6f}")
     assert consistent
     assert floor_in_force  # threshold too low for the 0.95 floor to hold exactly
     assert p2_bound_ok
@@ -210,7 +210,7 @@ def test_criterion_09_spiked_counterexample():
     rep = counterexample_check(1000, gamma=0.1, b=0.45, trials=10**6, seed=99,
                                parallelism=1)
     floor = 0.9 / 1000
-    est = rep.estimate
+    est = rep
     ok = (est.ci_low >= 2 * est.haldane and est.ci_low >= floor
           and rep.violation)
     report(9, "spiked-counterexample", ok,
@@ -230,7 +230,7 @@ def test_criterion_10_parallel_determinism(n2_estimate):
             "fixation", "--N", "2", "--s", "0.5", "--paintbox", "deterministic",
             "--x0", "1", "--trials", str(10**6), "--seed", "4",
             "--parallelism", str(parallelism)])
-        rec = _record(args, cfg, est)
+        rec = _record(args, est)
         rec.pop("parallelism")  # the worker count is allowed to differ
         return json.dumps(rec, sort_keys=True).encode()
 

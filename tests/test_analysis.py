@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -142,12 +143,12 @@ def test_run_of_at_most_one_block_is_one_lockstep_run():
     # 25,000-trial counterexample pass is four blocks, each running until
     # its own slowest trial is absorbed
     rep = counterexample_check(1000, gamma=0.1, b=0.45, trials=BLOCK_TRIALS, seed=7)
-    est = rep.estimate
+    est = rep
     assert est.lockstep_generations == est.max_tau
     tally = run_ensemble(rep.config, BLOCK_TRIALS, TrialStreams(7).stream(0))
     assert (tally.fixations, tally.tau_total) == (est.fixations, est.trial_generations)
     assert block_sizes(25000) == [6250] * 4
-    est = counterexample_check(1000, gamma=0.1, b=0.45, trials=25000, seed=7).estimate
+    est = counterexample_check(1000, gamma=0.1, b=0.45, trials=25000, seed=7)
     assert est.trials == 25000
     assert est.lockstep_generations > est.max_tau
 
@@ -187,8 +188,8 @@ def test_estimate_spiked_uses_finite_n_variance():
 
 def test_fixation_estimate_invariants_raise():
     # exceptions, not asserts, so that `python -O` keeps the checks
-    fields = dict(trials=10, fixations=3, p_hat=0.3, p_hat_stderr=0.145, ci_low=0.1,
-                  ci_high=0.6, level=0.99, s=0.1, ref_variance=2.0, haldane=0.1,
+    fields = dict(config=CanningsConfig(100, 0.1, Gamma(1.0), 1), trials=10, fixations=3, p_hat=0.3, p_hat_stderr=0.145, ci_low=0.1,
+                  ci_high=0.6, level=0.99, ref_variance=2.0, haldane=0.1,
                   ratio=3.0, mean_tau=2.0, max_tau=5, trial_generations=20,
                   lockstep_generations=5)
     FixationEstimate(**fields)
@@ -219,9 +220,9 @@ def test_phase_thresholds_and_telescoping():
     rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=20000, seed=26)
     assert rep.threshold_1 == 16
     assert rep.threshold_2 == 1000
-    assert rep.reached_1 >= rep.reached_2 >= rep.estimate.fixations
+    assert rep.reached_1 >= rep.reached_2 >= rep.fixations
     # exact telescoping of conditional frequencies on one trial set
-    assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.estimate.p_hat, rel=1e-12)
+    assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.p_hat, rel=1e-12)
     assert 0 <= rep.p1 <= 1 and 0 <= rep.p2 <= 1 and 0 <= rep.p3 <= 1
 
 
@@ -231,9 +232,9 @@ def test_phase_ratios_past_an_empty_phase_are_undefined():
     rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=3, seed=1)
     assert rep.reached_1 == rep.reached_2 == 0
     assert rep.p1 == 0.0
-    assert rep.p1_ci == wilson_interval(0, 3)
+    assert (rep.p1_ci_low, rep.p1_ci_high) == wilson_interval(0, 3)
     assert math.isnan(rep.p2) and math.isnan(rep.p3)
-    assert rep.p2_ci == rep.p3_ci == (0.0, 1.0)
+    assert (rep.p2_ci_low, rep.p2_ci_high) == (rep.p3_ci_low, rep.p3_ci_high) == (0.0, 1.0)
 
 
 def test_phase_determinism_matches_estimate():
@@ -241,8 +242,8 @@ def test_phase_determinism_matches_estimate():
     cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
     rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=20000, seed=27)
     est = estimate_fixation(cfg, 20000, seed=27)
-    assert rep.estimate.p_hat == est.p_hat
-    assert rep.estimate == est
+    assert rep.p_hat == est.p_hat
+    assert {f.name: getattr(rep, f.name) for f in fields(FixationEstimate)} == vars(est)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def test_counterexample_precondition():
 def test_counterexample_small_run_fields():
     rep = counterexample_check(200, gamma=0.1, b=0.45, trials=20000, seed=28)
     assert rep.neutral_floor == pytest.approx(1 / 200)
-    est = rep.estimate
+    est = rep
     assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
     assert rep.config.paintbox == SpikedSpec(0.1) and rep.config.N == 200
     spec = SpikedSpec(0.1)

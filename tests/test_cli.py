@@ -279,6 +279,10 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
      "TwoPoint values must be finite and > 0, got a=inf, b=1.0"),
     (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:inf", "--m", "1.5"],
      "Gamma shape must be finite, got inf"),
+    # a subnormal shape, whose E[Y^2] = (kappa + 1) / kappa overflows
+    (_FIX_ARGV + ["--paintbox", "gamma:1e-310"], "Gamma shape 1e-310 gives E[Y^2] = inf"),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:1e-310", "--m", "1.5"],
+     "Gamma shape 1e-310 gives E[Y^2] = inf"),
     # an N the native block would wrap to a negative int64, or that overflows numpy
     *[([*command, *_BIG_N], "need N <= 2**63 - 1, got 9223372036854775808") for command in (
         ["fixation", "--s", "0.1", "--paintbox", "spiked:0.2"],
@@ -287,7 +291,8 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
 ], ids=["gamma-shape", "unknown-paintbox", "two-point-probability", "trials-zero",
         "mean-negative", "no-atoms", "tol-zero", "moments-N-zero", "moments-trials-zero",
         "moments-spiked-N-one", "N-zero-with-exponent", "paintbox-not-a-number",
-        "two-point-infinite", "gamma-infinite", "N-beyond-int64-native",
+        "two-point-infinite", "gamma-infinite", "gamma-subnormal", "gw-gamma-subnormal",
+        "N-beyond-int64-native",
         "N-beyond-int64-lognormal", "moments-N-beyond-int64"])
 def test_bad_input_exits_2_with_its_message(capsys, argv, message):
     assert run_command(argv) == 2
@@ -526,14 +531,34 @@ def test_gw_survival_record_key_for_key(capsys):
     # analytic variance 0 does not see
     (["--model", "mixed-binomial", "--y", "gamma:1", "--M", "1", "--N", "10",
       "--m", "10"], 0.0),
+    # no offspring at all, also at an atom clamped to p = 1, where
+    # M * log(1 - p phi) would be 0 * -inf
+    (["--model", "mixed-binomial", "--M", "0", "--N", "1", "--m", "1.5"], 0.0),
 ], ids=["immortal-doubling", "binary-doubling", "poisson-barren", "binary-barren",
-        "immortal-single", "binomial-certain", "binomial-clamped"])
+        "immortal-single", "binomial-certain", "binomial-clamped", "binomial-no-offspring"])
 def test_gw_survival_zero_variance_has_no_haldane_reference(capsys, flags, phi):
     code, (rec,) = run_jsonl(capsys, ["gw-survival", *flags])
     assert code == 0
     assert rec["offspring_variance"] == 0.0
     assert rec["phi"] == phi and rec["phi_bound"] == 0.0
     assert rec["haldane"] is None
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["fixation", "--N", "100", "--s", "0.1", "--paintbox", "two-point:1e200,1,1e-200",
+      "--trials", "5", "--seed", "1"], {"ref_variance": 2.5e199}),
+    (["fixation", "--N", "100", "--s", "0.1", "--paintbox", "gamma:1e-300",
+      "--trials", "5", "--seed", "1"], {"ref_variance": 1e300}),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:1", "--m", "1e200"],
+     {"phi": 1.0, "offspring_variance": None}),
+    (["gw-survival", "--model", "mixed-binomial", "--y", "gamma:1", "--M", "10",
+      "--N", "1", "--m", "1e200"], {"phi": 1.0, "offspring_variance": None}),
+], ids=["two-point-huge-atom", "gamma-tiny-shape", "poisson-huge-mean", "binomial-huge-mean"])
+def test_huge_second_moments_give_a_record(capsys, argv, cells):
+    # a square taken with ** raises OverflowError where a product is a float or inf
+    code, (rec,) = run_jsonl(capsys, argv)
+    assert code == 0
+    assert {key: rec[key] for key in cells} == pytest.approx(cells)
 
 
 def test_counterexample_record(capsys):
@@ -593,6 +618,15 @@ def test_phases_record_carries_each_phase_interval(capsys, tmp_path):
     new = ["p_hat_stderr"] + [f"p{i}_ci_{end}" for i in (1, 2, 3) for end in ("low", "high")]
     assert [float(row[k]) for k in new] == [rec[k] for k in new]
 
+
+def test_phases_record_counts_the_trials_reaching_each_level(capsys):
+    code, (rec,) = run_jsonl(capsys, [
+        "phases", "--N", "1000", "--b", "0.2", "--delta", "0.15", "--eps", "0.1",
+        "--trials", "2000", "--seed", "4"])
+    assert code == 0
+    assert 0 < rec["reached_2"] <= rec["reached_1"]
+    assert rec["reached_1"] / rec["trials"] == rec["p1"]
+    assert rec["reached_2"] / rec["reached_1"] == rec["p2"]
 
 def test_moments_table(capsys):
     code, records = run_jsonl(capsys, [
