@@ -1,10 +1,12 @@
-/* A lockstep block of the selective Cannings chain, run to absorption.
+/* A lockstep block of the selective Cannings chain, run to absorption or to a
+ * stop level.
  *
  * The block's live trials are held as entries: a count k, its running
  * maximum `peak` and a multiplicity m, the number of trials at that count
  * with that history.  A block starts as the one entry (x0, x0, trials).  An
- * absorbed entry adds m to fixations or losses, m times its generation to
- * tau_total, and m to hits[j] when its maximum reached above[j].
+ * entry at 0 is lost and one at `stop` (N, or a certified safe level below
+ * it) or above is fixed: it adds m to fixations or losses, m times its
+ * generation to tau_total, and m to hits[j] when its maximum reached above[j].
  *
  * Each generation draws what the source's `block_sums((k,), N, rng)` draws,
  * in the same order and with the same float operations (build without
@@ -53,7 +55,7 @@ typedef struct {
 typedef struct {
     bitgen_t *bitgen;
     binomial_t binomial;
-    int64_t N, g, n_above;
+    int64_t N, stop, g, n_above;
     const int64_t *above;
     int64_t *hits, fixations, losses, tau_total;
     entries_t out; /* the next generation's entries, n_out of them */
@@ -79,13 +81,13 @@ static void emit(block_t *b, int64_t next, int64_t top, int64_t count)
 {
     if (next > top)
         top = next;
-    if (0 < next && next < b->N) {
+    if (0 < next && next < b->stop) {
         b->out.k[b->n_out] = next;
         b->out.peak[b->n_out] = top;
         b->out.m[b->n_out++] = count;
         return;
     }
-    if (next == b->N)
+    if (next >= b->stop)
         b->fixations += count;
     else
         b->losses += count;
@@ -128,8 +130,8 @@ static int draw_class(block_t *b, double p, int64_t n, int64_t top)
 }
 
 int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N, double keep,
-                      int64_t trials, int64_t x0, int64_t n_above, const int64_t *above,
-                      int64_t *hits, int64_t *tally)
+                      int64_t trials, int64_t x0, int64_t stop, int64_t n_above,
+                      const int64_t *above, int64_t *hits, int64_t *tally)
 {
     /* two generations of entries, then p (one per trial) and inside (one per entry) */
     int64_t *buf = malloc(8 * (size_t)trials * sizeof(int64_t));
@@ -138,8 +140,8 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
     entries_t in = {buf, buf + trials, buf + 2 * trials};
     double *p = (double *)(buf + 6 * trials);
     int64_t *inside = buf + 7 * trials;
-    block_t b = {.bitgen = bitgen, .N = N, .n_above = n_above, .above = above, .hits = hits,
-                 .out = {buf + 3 * trials, buf + 4 * trials, buf + 5 * trials}};
+    block_t b = {.bitgen = bitgen, .N = N, .stop = stop, .n_above = n_above, .above = above,
+                 .hits = hits, .out = {buf + 3 * trials, buf + 4 * trials, buf + 5 * trials}};
     in.k[0] = in.peak[0] = x0;
     in.m[0] = trials;
     int64_t n = 1;

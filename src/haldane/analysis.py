@@ -2,7 +2,11 @@
 
 Fixation estimation with Wilson intervals and the 2s/rho^2 reference,
 three-phase trajectory diagnostics and the spiked-paintbox violation
-check.
+check.  A fixation estimate stops each trial at the safe level
+K = ceil(40 / lambda) where the source certifies a loss rate lambda
+(`paintbox.certify`): from K a trial is lost with chance at most
+e^-40 = 4.2e-18, so it counts as fixed there.  Phase diagnostics run
+every trial to absorption.
 
 A run of T trials is ceil(T / BLOCK_TRIALS) lockstep blocks of equal
 size, give or take one trial (`block_sizes`); block b draws from the
@@ -24,8 +28,8 @@ from functools import partial, reduce
 from statistics import NormalDist
 
 from .branching import haldane_ref
-from .cannings import CanningsConfig, Tally, run_ensemble
-from .paintbox import ConfigurationError, SpikedSpec
+from .cannings import CanningsConfig, Tally, engine, run_ensemble
+from .paintbox import SAFE_EXPONENT, ConfigurationError, SpikedSpec, safe_level
 from .streams import layout, trial_rng
 
 DEFAULT_LEVEL = 0.99
@@ -80,20 +84,20 @@ def block_sizes(trials: int) -> list[int]:
     return [size + (b < extra) for b in range(blocks)]
 
 
-def _run_block(config, thresholds, seed, sizes, b):
-    """Tally of block b, of sizes[b] trials, drawn from stream (seed, b).
+def _run_block(config, thresholds, seed, sizes, b, stop=None):
+    """Tally of block b, of sizes[b] trials, drawn from stream (seed, b), stopped at `stop`.
 
     The generator is made here, in the block's own task: the native block
     bypasses `Generator.lock`, so no two threads may share it.
     """
-    return run_ensemble(config, sizes[b], trial_rng(seed, b), thresholds)
+    return run_ensemble(config, sizes[b], trial_rng(seed, b), thresholds, stop)
 
 
-def _farm(config, thresholds, trials, seed, parallelism) -> Tally:
+def _farm(config, thresholds, trials, seed, parallelism, stop=None) -> Tally:
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     sizes = block_sizes(trials)
-    run = partial(_run_block, config, tuple(thresholds), seed, sizes)
+    run = partial(_run_block, config, tuple(thresholds), seed, sizes, stop=stop)
     blocks = range(len(sizes))
     workers = min(parallelism, len(blocks))
     if workers <= 1:
@@ -131,6 +135,9 @@ class FixationEstimate:
     max_tau: int
     trial_generations: int
     lockstep_generations: int
+    stop_level: int
+    stop_bound: float
+    engine: str
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
@@ -139,9 +146,28 @@ class FixationEstimate:
             )
         if not self.fixations <= self.trials:
             raise RuntimeError(f"{self.fixations} fixations in {self.trials} trials")
+        if not (self.stop_level == self.config.N and self.stop_bound == 0.0
+                or self.stop_level < self.config.N
+                and 0.0 < self.stop_bound <= math.exp(-SAFE_EXPONENT)):
+            raise RuntimeError(f"stop level {self.stop_level} of N = {self.config.N} "
+                               f"with loss bound {self.stop_bound}")
 
 
-def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
+def _stop(config: CanningsConfig) -> tuple[int, float]:
+    """(K, e^(-lambda K)) for K = `safe_level` of the rate lambda the source certifies,
+    where K < N; else (N, 0.0).  A trial that reaches K is lost with chance at most
+    e^(-lambda K) <= e^-SAFE_EXPONENT, so P(fix) lies in [h (1 - e^(-lambda K)), h]
+    for h the chance of reaching K."""
+    rate = config.paintbox.loss_rate(config.N, config.s)
+    if rate is None or (level := safe_level(rate)) >= config.N:
+        return config.N, 0.0
+    return level, math.exp(-rate * level)
+
+
+def _estimate_from_tally(tally: Tally, config, level, stop=None) -> FixationEstimate:
+    """The estimate of a tally of trials stopped at `stop` = (K, loss bound from K),
+    None for (N, 0.0): run to absorption."""
+    stop_level, stop_bound = (config.N, 0.0) if stop is None else stop
     p_hat = tally.fixations / tally.trials
     lo, hi = wilson_interval(tally.fixations, tally.trials, level)
     rv = config.paintbox.rho_squared(config.N)
@@ -163,6 +189,9 @@ def _estimate_from_tally(tally: Tally, config, level) -> FixationEstimate:
         max_tau=tally.tau_max,
         trial_generations=tally.tau_total,
         lockstep_generations=tally.lockstep_generations,
+        stop_level=stop_level,
+        stop_bound=stop_bound,
+        engine=engine(config),
     )
 
 
@@ -173,13 +202,15 @@ def estimate_fixation(
     parallelism: int = 1,
     level: float = DEFAULT_LEVEL,
 ) -> FixationEstimate:
-    """Fixation frequency over independent absorption runs.
+    """Fixation frequency over independent runs, each stopped at absorption or at the
+    safe level of the source's certified loss rate (`_stop`).
 
     Block b of `block_sizes(trials)` draws from the stream keyed by
     (seed, b); the aggregate is identical for any `parallelism`.
     """
-    tally = _farm(config, (), trials, seed, parallelism)
-    return _estimate_from_tally(tally, config, level)
+    stop = _stop(config)
+    tally = _farm(config, (), trials, seed, parallelism, stop[0])
+    return _estimate_from_tally(tally, config, level, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +248,8 @@ def phase_diagnostics(
 
     p1 = reach the first level before 0, p2 = then reach the second,
     p3 = then fix; on one trial set p1*p2*p3 telescopes to the overall
-    fixation frequency exactly.
+    fixation frequency exactly.  Every trial runs to absorption: p3
+    measures the climb that a stop level would skip.
     """
     b = config.exponent
     if b is None:

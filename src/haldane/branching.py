@@ -120,8 +120,8 @@ class MixedBinomial(GWModel):
     def variance(self):
         r = self.m / self.N
         ey2 = self.law.second_moment()
-        r2 = r * r  # r**2 raises OverflowError where this is inf
-        return self.M * r - self.M * r2 * ey2 + self.M**2 * r2 * (ey2 - 1.0)
+        mean = self.M * r  # a float: the int M**2 has no float past M ~ 1.3e154
+        return mean - mean * r * ey2 + mean * mean * (ey2 - 1.0)
 
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

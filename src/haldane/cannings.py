@@ -16,7 +16,9 @@ through numpy, for one count or an array.  Absorption runs advance an
 ensemble of independent trials in lockstep (`run_ensemble`), keep only
 the live ones and return integer counts of the outcomes (`Tally`); a
 single trajectory with its first passages is `run_to_absorption`, `step`
-by step.
+by step.  `run_ensemble` may also stop each trial at a level below N and
+count it as fixed there (`analysis` sets that level where the source
+certifies a loss rate, see `paintbox.certify`).
 
 The live trials of a lockstep block are entries: a count, its running
 maximum and a multiplicity, the number of trials that share them.  A
@@ -135,11 +137,14 @@ class AbsorptionRecord:
 
 @dataclass(frozen=True)
 class Tally:
-    """Integer counts over trials run to absorption; `merge` is order-insensitive.
+    """Integer counts over trials run to absorption, or to a stop level; `merge` is
+    order-insensitive.
 
-    `threshold_hits[t]` counts the trials whose count reached t (count >=
-    t); `lockstep_generations` sums the generations each lockstep run
-    took, i.e. its longest trial.
+    `fixations` counts the trials that reached N, or the stop level where one
+    is set, and a trial's generations count up to the one that absorbed or
+    stopped it.  `threshold_hits[t]` counts the
+    trials whose count reached t (count >= t); `lockstep_generations` sums
+    the generations each lockstep run took, i.e. its longest trial.
     """
 
     fixations: int = 0
@@ -295,6 +300,15 @@ _LOCKSTEP_LOCK = threading.Lock()
 
 
 @cache
+def _lockstep_digest(source: Path) -> str:
+    """The first 16 hex digits of the SHA-256 of `source`, read once: the revision of
+    `_lockstep.c` that its library is cached and recorded under."""
+    import hashlib
+
+    return hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+
+
+@cache
 def _lockstep_block():
     """The native lockstep block of `_lockstep.c`, or None (tried once per process).
 
@@ -309,13 +323,12 @@ def _lockstep_block():
     at once; the lock makes them take turns, so the later ones load the
     library the first one built.
     """
-    import hashlib
     from importlib.machinery import EXTENSION_SUFFIXES
 
     with _LOCKSTEP_LOCK:
         try:
-            digest = hashlib.sha256(_LOCKSTEP_SOURCE.read_bytes()).hexdigest()[:16]
             path = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+            digest = _lockstep_digest(_LOCKSTEP_SOURCE)
             path /= f"haldane/_lockstep-{np.__version__}-{digest}{EXTENSION_SUFFIXES[0]}"
             if not path.exists():
                 _build_lockstep(path)
@@ -327,8 +340,16 @@ def _lockstep_block():
     run.restype = ctypes.c_int
     run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
                     ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     return run
+
+
+def engine(config: CanningsConfig) -> str:
+    """What `run_ensemble` runs `config`'s blocks on: "native:<`_lockstep_digest`>" where
+    the source has a `lockstep_law` and the library loaded, else "numpy"."""
+    if config.paintbox.lockstep_law(config.N) and _lockstep_block():
+        return f"native:{_lockstep_digest(_LOCKSTEP_SOURCE)}"
+    return "numpy"
 
 
 @np.errstate(invalid="raise")  # a 0/0 success probability is a FloatingPointError
@@ -347,6 +368,7 @@ def run_ensemble(
     trials: int,
     rng: np.random.Generator,
     thresholds: Sequence[int] = (),
+    stop: int | None = None,
 ) -> Tally:
     """Run `trials` independent copies of the chain in lockstep and tally them.
 
@@ -355,12 +377,16 @@ def run_ensemble(
     trials).  Every generation draws the entries' successors
     (`_next_entries`: the classes of the source's `entry_classes`, then
     one binomial per trial or, for a large class of one success
-    probability, one multinomial), then tallies the entries
-    that hit 0 or N, each with its multiplicity, and drops them.  Once
-    every entry holds one trial, so do all its successors: from then on a
-    generation is one `_next_counts` call and no multiplicity is kept.  A
-    trial reached level t (count >= t) if its maximum did.  Absorption is a.s.
-    finite, so the run ends when every trial has fixed or been lost.  For
+    probability, one multinomial), then tallies the entries that hit 0 or
+    the stop level, each with its multiplicity, and drops them: a trial at
+    `stop` or above counts as fixed there.  Once every entry holds one
+    trial, so do all its successors: from then on a generation is one
+    `_next_counts` call and no multiplicity is kept.  A trial reached level
+    t (count >= t) if its maximum did.  Absorption is a.s. finite, so the
+    run ends when every trial has fixed or been lost.  `stop` None is N,
+    so every trial runs to absorption; a threshold above a stop below N
+    raises ValueError, since a stopped trial cannot tell whether it would
+    have reached it.  For
     a source with a `lockstep_law` the native block draws the same variates
     without `Generator.lock`: `rng` must be this run's own, shared with no
     thread.
@@ -368,9 +394,14 @@ def run_ensemble(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     N, k0, box = config.N, config.initial_count, config.paintbox
+    stop = N if stop is None else stop
+    if not 0 < stop <= N:
+        raise ValueError(f"stop level {stop} outside [1, {N}]")
+    if stop < N and any(t > stop for t in thresholds):
+        raise ValueError(f"a threshold of {tuple(thresholds)} lies above the stop level {stop}")
     hits = {t: trials if k0 >= t else 0 for t in thresholds}
-    if not 0 < k0 < N:
-        fixations = trials if k0 == N else 0
+    if not 0 < k0 < stop:
+        fixations = trials if k0 >= stop else 0
         return Tally(fixations, trials - fixations, 0, 0, hits)
     above = sorted(t for t in hits if t > k0)
     if (law := box.lockstep_law(N)) and (run := _lockstep_block()):
@@ -378,8 +409,8 @@ def run_ensemble(
         reached = np.zeros(len(above), dtype=np.int64)
         counts = np.empty(4, dtype=np.int64)  # fixations, losses, tau_total, generations
         code = run(rng.bit_generator.ctypes.bit_generator, _LOCKSTEP_LAWS.index(law[0]),
-                   (ctypes.c_double * 3)(*law[1]), N, 1.0 - config.s, trials, k0, len(above),
-                   _address(levels), _address(reached), _address(counts))
+                   (ctypes.c_double * 3)(*law[1]), N, 1.0 - config.s, trials, k0, stop,
+                   len(above), _address(levels), _address(reached), _address(counts))
         if code == -2:
             raise MemoryError(f"no room for a lockstep block of {trials} trials")
         if code:
@@ -401,10 +432,10 @@ def run_ensemble(
         g += 1
         if above:
             peak = np.maximum(peak if parent is None else peak[parent], k)
-        live = (k > 0) & (k < N)
+        live = (k > 0) & (k < stop)
         if not live.all():
             gone = ~live
-            absorbed, fixed = _trials(gone, m), _trials(k == N, m)
+            absorbed, fixed = _trials(gone, m), _trials(k >= stop, m)
             fixations += fixed
             losses += absorbed - fixed
             tau_total += g * absorbed

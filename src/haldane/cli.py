@@ -5,10 +5,11 @@ experiment to the output (JSON lines by default, CSV on request), with
 a one-line summary on stderr.  Records embed the fully resolved
 configuration, the seed, all estimates with intervals, the 2s/variance
 reference and ratio, the wall-clock seconds of that experiment alone,
-the artifact, numpy and Python versions and the layout of the random
+the artifact, numpy and Python versions, the layout of the random
 streams (the bit generator and what keys each stream; NEP 19 lets numpy
-change `Generator` streams between versions), so a results file is
-self-describing and re-runnable.
+change `Generator` streams between versions) and, for Monte Carlo
+records, the engine that ran the trials and the level they stopped at,
+so a results file is self-describing and re-runnable.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 """
@@ -35,14 +36,14 @@ from .paintbox import ConfigurationError, YLaw, estimate_weight_moment, parse_so
 # `gw-survival` solve loads only this module, `paintbox` and `branching`
 
 CSV_COLUMNS = [
-    "command", "version", "numpy_version", "python_version", "stream_layout",
+    "command", "version", "numpy_version", "python_version", "stream_layout", "engine",
     "seed", "trials", "parallelism",
     "N", "s", "b", "paintbox", "x0", "delta", "eps", "gamma",
     "model", "y", "m", "M", "beta_s", "p", "tol",
     "moment_p", "level",
     "p_hat", "p_hat_stderr", "fixations", "ci_low", "ci_high",
     "ref_variance", "haldane", "ratio", "mean_tau", "max_tau",
-    "trial_generations", "lockstep_generations",
+    "trial_generations", "lockstep_generations", "stop_level", "stop_bound",
     "p1", "p1_ci_low", "p1_ci_high", "p2", "p2_ci_low", "p2_ci_high",
     "p3", "p3_ci_low", "p3_ci_high", "threshold_1", "threshold_2",
     "reached_1", "reached_2",

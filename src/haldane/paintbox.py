@@ -15,6 +15,12 @@ families are provided:
 
 All Y laws are normalized to mean 1 internally (weights are invariant
 under scaling of Y).
+
+A source may state a certified loss rate (`loss_rate`): a lambda for which
+e^(-lambda k) is a supermartingale of the selective chain, so that a trial
+at count k is lost with chance at most e^(-lambda k).  Gamma(1) states
+-log(1-s) in closed form; Deterministic and the spiked source state 2s/rho^2
+where `certify` checks it at every count.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import abc
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, pairwise
 from typing import Sequence
 
@@ -45,6 +51,15 @@ MAX_DRAW = 1 << 20
 """Most variates one call draws when a law sums its potentials one by one."""
 MAX_N = 2**63 - 1
 """Largest N: counts are int64 in numpy's samplers and in the native block."""
+SAFE_EXPONENT = 40.0
+"""A trial at count K >= SAFE_EXPONENT / lambda, lambda a source's `loss_rate`, is
+lost with chance at most e^-40 = 4.2e-18."""
+ROUNDING_ALLOWANCE = 1e-13
+"""Relative margin by which a certificate's float check must clear its bound:
+hundreds of times the few ulps that computing either side can err by."""
+CERTIFY_MAX_N = 10**8
+"""Largest N whose certificate is checked count by count (2 s at 1e8 on a 2-core Xeon VM)."""
+_CERTIFY_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,49 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error; one value has an infinite one."""
     stderr = vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else math.inf
     return float(vals.mean()), float(stderr)
+
+
+def safe_level(rate: float) -> int:
+    """K = ceil(SAFE_EXPONENT / rate), raised by one where rounding leaves rate K below it,
+    so that e^(-rate K) <= e^-SAFE_EXPONENT."""
+    level = math.ceil(SAFE_EXPONENT / rate)
+    return level if rate * level >= SAFE_EXPONENT else level + 1
+
+
+def certify(source, rate: float, N: int, s: float) -> float | None:
+    """`rate` if E[e^(-rate k') | k] <= e^(-rate k) for every k in 1..N-1, else None.
+
+    Then e^(-rate k) is a supermartingale of the chain, and by optional
+    stopping a trial at count k is lost with chance at most e^(-rate k)
+    (the exponential-martingale bound on ruin; Feller, vol. 1, ch. XIV).
+    The next count k' is a mixture of Bin(N, p), the source's
+    `head_tail_mixture`, so the check is on sums of binomial mgfs, in logs,
+    chunk by chunk from k = N - 1 down.  Each k is checked from its nearer
+    end: at k <= N/2 as log E[e^(-rate k')] <= -rate k, above as
+    log E[e^(rate (N - k'))] <= rate (N - k), N - k' ~ Bin(N, 1 - p).
+    Either way both sides are of size rate min(k, N - k), and the left
+    must clear the right by ROUNDING_ALLOWANCE of that (near k = N - 1 the
+    margin of the first form falls below 1e-13 of its sides at large N).
+    There is no search over rate.  Where safe_level(rate) >= N (stopping
+    would save nothing) or N > CERTIFY_MAX_N, None comes back before any
+    array work.
+    """
+    if not rate > 0 or safe_level(rate) >= N or N > CERTIFY_MAX_N:
+        return None
+    down, up = -math.expm1(-rate), math.expm1(rate)  # 1 - e^-rate, e^rate - 1
+    for hi in range(N, 1, -_CERTIFY_CHUNK):  # from the top, where margins are thinnest
+        k = np.arange(max(hi - _CERTIFY_CHUNK, 1), hi, dtype=float)
+        low, near = k <= N - k, np.minimum(k, N - k)
+        terms = []
+        for log_w, head, tail in source.head_tail_mixture(k, N):
+            tail = (1.0 - s) * tail
+            # N log(1 - down p) below N/2, N log(1 + up q) above
+            terms.append(log_w + N * np.log1p(np.where(low, -down * head, up * tail)
+                                              / (head + tail)))
+        bound = np.where(low, -rate * k, rate * near) - ROUNDING_ALLOWANCE * rate * near
+        if np.any(reduce(np.logaddexp, terms) > bound):
+            return None
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +186,16 @@ class YLaw(abc.ABC):
         None keeps every generation on numpy's path."""
         return None
 
+    def loss_rate(self, N: int, s: float) -> float | None:
+        """A lambda > 0 with E[e^(-lambda k') | k] <= e^(-lambda k) for every k in
+        1..N-1, k' the next count of the chain at selection s, or None.
+
+        A trial at count k is then lost with chance at most e^(-lambda k).
+        None here: a law with no exact mgf of the next count to check states
+        no rate.
+        """
+        return None
+
     def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
         """(trials, entry, head, tail) of the classes of one law that lockstep entries,
         m[i] trials at count k[i], split into: each class's trials, entry index
@@ -174,6 +242,15 @@ class Deterministic(YLaw):
 
     def lockstep_law(self, N):
         return "deterministic", ()
+
+    def loss_rate(self, N, s):
+        """2s / rho^2 = 2s, where `certify` checks it at every count."""
+        return certify(self, 2.0 * s, N, s)
+
+    def head_tail_mixture(self, k, N):
+        """[(log chance, head mass, tail mass)] of the paintbox at counts k: one case,
+        head k and tail N - k."""
+        return [(0.0, k, N - k)]
 
     def entry_classes(self, k, m, N, rng):
         # every trial at one count has one law and its masses take no draw
@@ -234,6 +311,11 @@ class Gamma(YLaw):
     def lockstep_law(self, N):
         # a head and a tail take the redraw above only when N kappa < 2
         return ("gamma", (self.kappa,)) if N * self.kappa >= 2 else None
+
+    def loss_rate(self, N, s):
+        """-log(1-s) at kappa = 1, where (1-s)^k is a martingale of the Dirichlet(1)
+        chain, so the bound needs no check; None at every other shape."""
+        return -math.log1p(-s) if self.kappa == 1.0 and s > 0 else None
 
     def second_moment(self):
         return (self.kappa + 1.0) / self.kappa
@@ -453,6 +535,21 @@ class SpikedSpec:
         """("spiked", (weight of every other index, the spike's lift above it)), for N >= 2."""
         wo = self.other_weight(N)
         return "spiked", (wo, self.spike_weight(N) - wo)
+
+    def loss_rate(self, N: int, s: float) -> float | None:
+        """`YLaw.loss_rate`: 2s / rho^2, where `certify` checks it at every count.
+
+        Where K < N the check has failed in every case tried (gamma 0.1 to 0.45,
+        N 1e3 to 1e6): a spike among the few wildtype near N lifts their count
+        more than 2s / rho^2 allows, at counts from about 0.8 N up."""
+        return certify(self, 2.0 * s / self.rho_squared(N), N, s)
+
+    def head_tail_mixture(self, k: np.ndarray, N: int) -> list:
+        """`Deterministic.head_tail_mixture`: the spike outside the head, then inside
+        (chance k / N), each mass summed from its side's own weights."""
+        wo, lift = self.lockstep_law(N)[1]
+        return [(np.log1p(-k / N), k * wo, (N - k) * wo + lift),
+                (np.log(k / N), k * wo + lift, (N - k) * wo)]
 
     def entry_classes(self, k: np.ndarray, m: np.ndarray, N: int, rng: np.random.Generator):
         """`YLaw.entry_classes`: each entry's trials with the spike outside its head,

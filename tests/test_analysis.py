@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from haldane.analysis import (
     wilson_interval,
 )
 from haldane.cannings import CanningsConfig, run_ensemble
-from haldane.paintbox import ConfigurationError, Deterministic, Gamma, SpikedSpec
+from haldane.paintbox import ConfigurationError, Deterministic, Gamma, SpikedSpec, certify
 from haldane.streams import TrialStreams
 
 
@@ -91,12 +91,43 @@ def test_estimate_deterministic_across_parallelism():
 def test_estimate_matches_gamma1_closed_form(N, x0):
     # (1-s)^K is a martingale of the Dirichlet(1) chain, so the fixation
     # probability from x0 is exactly (1-(1-s)^x0) / (1-(1-s)^N)
+    # (at N = 1e4 and 1e6 the trials stop at K = 380 and 1,245)
     cfg = CanningsConfig.from_exponent(N, 0.25, Gamma(1.0), x0)
     s = cfg.s
     exact = (1 - (1 - s) ** x0) / (1 - (1 - s) ** N)
     est = estimate_fixation(cfg, 40000, seed=31)
+    assert est.stop_level == {10**2: 100, 10**4: 380, 10**6: 1245}[N]
     sigma = math.sqrt(exact * (1 - exact) / est.trials)
     assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
+
+
+@pytest.mark.parametrize("N, x0, stop", [(100, 1, 64), (100, 5, 64), (300, 1, 84)])
+def test_stopped_estimate_matches_the_wright_fisher_chain(N, x0, stop):
+    # trials stopped at the certified K against the dense solve run to N
+    cfg = CanningsConfig.from_exponent(N, 0.25, Deterministic(), x0)
+    exact = _wright_fisher_fixation(N, cfg.s)[x0 - 1]
+    est = estimate_fixation(cfg, 40000, seed=35)
+    assert est.stop_level == stop
+    assert 0.0 < est.stop_bound <= math.exp(-40)
+    sigma = math.sqrt(exact * (1 - exact) / est.trials)
+    assert abs(est.p_hat - exact) <= 4 * sigma, (est.p_hat, exact, sigma)
+
+
+@dataclass(frozen=True)
+class _Overclaimed(Deterministic):
+    """Wright-Fisher with a loss rate 1.5 times the one that certifies."""
+
+    def loss_rate(self, N, s):
+        return certify(self, 3.0 * s, N, s)
+
+
+def test_a_failed_certificate_runs_to_absorption():
+    # the counts of the run to N that version 0.3.0 made at this seed
+    cfg = CanningsConfig.from_exponent(10**4, 0.25, _Overclaimed(), 1)
+    est = estimate_fixation(cfg, 3000, seed=5)
+    assert (est.stop_level, est.stop_bound) == (10**4, 0.0)
+    assert (est.fixations, est.trial_generations, est.max_tau,
+            est.lockstep_generations) == (576, 97741, 218, 218)
 
 
 @given(st.integers(1, 20 * BLOCK_TRIALS))
@@ -191,12 +222,17 @@ def test_fixation_estimate_invariants_raise():
     fields = dict(config=CanningsConfig(100, 0.1, Gamma(1.0), 1), trials=10, fixations=3, p_hat=0.3, p_hat_stderr=0.145, ci_low=0.1,
                   ci_high=0.6, level=0.99, ref_variance=2.0, haldane=0.1,
                   ratio=3.0, mean_tau=2.0, max_tau=5, trial_generations=20,
-                  lockstep_generations=5)
+                  lockstep_generations=5, stop_level=100, stop_bound=0.0, engine="numpy")
     FixationEstimate(**fields)
+    FixationEstimate(**{**fields, "stop_level": 99, "stop_bound": 4e-18})
     with pytest.raises(RuntimeError):
         FixationEstimate(**{**fields, "ci_low": 0.4})
     with pytest.raises(RuntimeError):
         FixationEstimate(**{**fields, "fixations": 11})
+    # a stop below N states a loss bound of at most e^-40, and none at N
+    for stop_level, stop_bound in ((100, 1e-20), (99, 0.0), (99, 1e-10)):
+        with pytest.raises(RuntimeError):
+            FixationEstimate(**{**fields, "stop_level": stop_level, "stop_bound": stop_bound})
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +275,29 @@ def test_phase_ratios_past_an_empty_phase_are_undefined():
 
 def test_phase_determinism_matches_estimate():
     # same seed => same trajectories: overall p_hat agrees with estimate_fixation
-    cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
+    # under a source without a certified loss rate, where neither run stops early
+    cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(2.0), 1)
     rep = phase_diagnostics(cfg, delta=0.05, eps=0.1, trials=20000, seed=27)
     est = estimate_fixation(cfg, 20000, seed=27)
+    assert est.stop_level == 1000
     assert rep.p_hat == est.p_hat
     assert {f.name: getattr(rep, f.name) for f in fields(FixationEstimate)} == vars(est)
+
+
+def test_phases_run_to_absorption_where_fixation_stops():
+    # gamma:1 certifies K = 205 < threshold_2 = 240 at N = 1000, b = 0.25:
+    # a fixation estimate stops there, a phase run does not, so its p3 is
+    # the climb to N and p1 p2 p3 still telescopes to its own p_hat
+    cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
+    rep = phase_diagnostics(cfg, delta=0.05, eps=0.24, trials=20000, seed=27)
+    est = estimate_fixation(cfg, 20000, seed=27)
+    assert est.stop_level == 205 < rep.threshold_2 < rep.stop_level == 1000
+    assert rep.stop_bound == 0.0 < est.stop_bound <= math.exp(-40)
+    assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.p_hat, rel=1e-12)
+    assert est.max_tau < rep.max_tau and est.trial_generations < rep.trial_generations
+    exact = cfg.s / (1 - (1 - cfg.s) ** 1000)
+    for p in (rep.p_hat, est.p_hat):
+        assert abs(p - exact) <= 4 * math.sqrt(exact * (1 - exact) / 20000)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,41 @@ def test_tally_identities():
             {t: 3000 if k0 >= t else 0 for t in levels}, 0)
 
 
+@pytest.mark.parametrize("source", [Deterministic(), Gamma(1.0), SpikedSpec(0.2)],
+                         ids=["deterministic", "gamma:1", "spiked"])
+def test_one_trial_stopped_tally_is_the_trajectory_cut_at_the_stop(source):
+    # a trial stopped at K is fixed at its first passage to K, or lost
+    # where the whole trajectory is lost without reaching K
+    cfg = CanningsConfig(100, 0.2, source, 3)
+    stop = 20
+    seen = set()
+    for i in range(300):
+        tally = run_ensemble(cfg, 1, trial_rng(9, i), (2, 10, stop), stop)
+        rec = run_to_absorption(cfg, trial_rng(9, i), (2, 10, stop))
+        fixed = stop in rec.first_passage
+        tau = rec.first_passage[stop] if fixed else rec.tau
+        assert (tally.fixations, tally.losses) == (int(fixed), int(not fixed))
+        assert tally.tau_total == tally.tau_max == tally.lockstep_generations == tau
+        assert tally.threshold_hits == {t: int(t in rec.first_passage) for t in (2, 10, stop)}
+        seen.add(fixed)
+    assert seen == {True, False}
+
+
+def test_stop_level_bounds():
+    cfg = CanningsConfig(100, 0.2, Gamma(1.0), 3)
+    for stop in (0, 101):
+        with pytest.raises(ValueError, match="stop level"):
+            run_ensemble(cfg, 10, trial_rng(1, 0), (), stop)
+    with pytest.raises(ValueError, match="above the stop level"):
+        run_ensemble(cfg, 10, trial_rng(1, 0), (5, 21), 20)
+    # a start at or above the stop is fixed in no generation; N is no stop
+    start = CanningsConfig(100, 0.2, Gamma(1.0), 20)
+    assert run_ensemble(start, 10, trial_rng(1, 0), (5, 20), 20) == Tally(
+        10, 0, 0, 0, {5: 10, 20: 10}, 0)
+    assert run_ensemble(cfg, 50, trial_rng(1, 0), (), 100) == run_ensemble(
+        cfg, 50, trial_rng(1, 0))
+
+
 def _on_numpy(monkeypatch, run):
     """`run()` with the native lockstep block unavailable."""
     with monkeypatch.context() as m:
@@ -376,6 +411,24 @@ def test_native_block_draws_what_numpy_draws(monkeypatch, source, N, b):
                 assert run() == _on_numpy(monkeypatch, run), (x0, trials, seed, levels)
 
 
+@pytest.mark.parametrize("source, N, b, stop", [
+    (Deterministic(), 1000, 0.25, 113), (Gamma(1.0), 10**4, 0.25, 380),
+    (SpikedSpec(0.4), 1000, 0.25, 547), (TwoPoint(), 1000, 0.25, 150),
+], ids=["deterministic", "gamma:1", "spiked:0.4", "two-point"])
+def test_native_block_stops_where_numpy_stops(monkeypatch, source, N, b, stop):
+    # with a stop level, at and around it, every closed-form source draws the
+    # numpy path's variates and tallies, thresholds or not
+    for x0 in (1, 3, stop - 1, stop):
+        cfg = CanningsConfig.from_exponent(N, b, source, x0)
+        for trials, seed in ((1, 4), (2000, 6)):
+            for levels in ((), (2, min(x0 + 1, stop), stop)):
+                def run():
+                    return run_ensemble(cfg, trials, trial_rng(seed, 0), levels, stop)
+                tally = run()
+                assert tally == _on_numpy(monkeypatch, run), (x0, trials, seed, levels)
+                assert tally.trials == trials
+
+
 @pytest.mark.parametrize("source, N, b, starts", [
     (Deterministic(), 1000, 0.25, (24, 25, 963, 964)),
     (SpikedSpec(0.1), 1000, 0.45, (57, 58)),
@@ -414,9 +467,9 @@ def test_sources_without_a_native_law_stay_on_numpy(monkeypatch, source, N):
 def test_zero_over_zero_is_a_floating_point_error_on_both_paths(monkeypatch):
     # zero shapes give zero masses and a 0/0 success probability
     run = cannings._lockstep_block()
-    if run is not None:  # two trials from 0 at N = 0
+    if run is not None:  # two trials from 0 at N = 0, stopped at N
         assert run(make_rng(1).bit_generator.ctypes.bit_generator, 1, (ctypes.c_double * 3)(1.0),
-                   0, 0.9, 2, 0, 0, None, None, cannings._address(np.empty(4, np.int64))) == -1
+                   0, 0.9, 2, 0, 0, 0, None, None, cannings._address(np.empty(4, np.int64))) == -1
     # s = 1 with no beneficial mass: the tail's mass is kept at weight 0
     config = SimpleNamespace(N=2, s=1.0, paintbox=Gamma(1.0))
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):

@@ -35,6 +35,10 @@ def strip_clock(records):
     return [{k: v for k, v in rec.items() if k != "wall_clock_seconds"} for rec in records]
 
 
+def strip_engine(rec):
+    return {k: v for k, v in rec.items() if k != "engine"}
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -371,7 +375,7 @@ GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (GOLDEN_ARGV + ["deterministic"], (2407, 56954, 44)),
+    (GOLDEN_ARGV + ["deterministic"], (2408, 32375, 29)),  # stopped at K = 64
     (GOLDEN_ARGV + ["gamma:1"], (1583, 37582, 47)),
     (GOLDEN_ARGV + ["gamma:2.5"], (2037, 48512, 45)),
     (GOLDEN_ARGV + ["two-point:0.5,1.5,0.5"], (2099, 49873, 45)),
@@ -382,12 +386,47 @@ GOLDEN_ARGV = ["fixation", "--N", "100", "--b", "0.25", "--x0", "2",
 ], ids=["deterministic", "gamma:1", "gamma:2.5", "two-point", "lognormal:0.7",
         "spiked:0.2", "counterexample"])
 def test_golden_records(capsys, argv, expected):
-    # (fixations, total generations, longest trial) pinned at fixed seeds
+    # (fixations, total generations, longest trial) pinned at fixed seeds; only
+    # deterministic certifies a safe level below N here (gamma:1 has K = 106)
     code, (rec,) = run_jsonl(capsys, argv)
     assert code == 0
     assert (rec["fixations"], round(rec["mean_tau"] * rec["trials"]),
             rec["max_tau"]) == expected
     assert rec["trial_generations"] == round(rec["mean_tau"] * rec["trials"])
+    assert rec["stop_level"] == (64 if argv[-1] == "deterministic" else rec["N"])
+
+
+@pytest.mark.parametrize("argv, stop_level", [
+    (["fixation", "--N", "10000", "--b", "0.25", "--paintbox", "gamma:1"], 380),
+    (["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "deterministic"], 113),
+    (["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "spiked:0.4"], 1000),
+    (["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "two-point"], 1000),
+    (["sweep", "--N", "100", "10000", "--b", "0.25", "--paintbox", "gamma:1"], (100, 380)),
+], ids=["gamma:1", "deterministic", "spiked:0.4", "two-point", "sweep"])
+def test_records_state_their_stop_level_bound_and_engine(capsys, argv, stop_level):
+    code, records = run_jsonl(capsys, argv + ["--trials", "500", "--seed", "2"])
+    assert code == 0
+    assert tuple(rec["stop_level"] for rec in records) == (
+        stop_level if isinstance(stop_level, tuple) else (stop_level,))
+    for rec in records:
+        if rec["stop_level"] < rec["N"]:
+            assert 0.0 < rec["stop_bound"] <= 4.3e-18
+        else:
+            assert rec["stop_bound"] == 0.0
+        assert rec["engine"] == "numpy" or (
+            rec["engine"].startswith("native:") and len(rec["engine"]) == 7 + 16)
+
+
+def test_phases_record_runs_to_absorption(capsys):
+    # version 0.3.0's record at this seed, at two workers: no stop, though gamma:1
+    # certifies K = 380 here
+    code, (rec,) = run_jsonl(capsys, [
+        "phases", "--N", "10000", "--b", "0.25", "--paintbox", "gamma:1", "--delta", "0.05",
+        "--eps", "0.1", "--trials", "20000", "--seed", "7", "--parallelism", "2"])
+    assert code == 0
+    assert (rec["stop_level"], rec["stop_bound"]) == (10000, 0.0)
+    assert (rec["fixations"], rec["trial_generations"], rec["max_tau"], rec["reached_1"],
+            rec["reached_2"]) == (2024, 343692, 234, 2342, 2024)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +592,11 @@ def test_gw_survival_zero_variance_has_no_haldane_reference(capsys, flags, phi):
      {"phi": 1.0, "offspring_variance": None}),
     (["gw-survival", "--model", "mixed-binomial", "--y", "gamma:1", "--M", "10",
       "--N", "1", "--m", "1e200"], {"phi": 1.0, "offspring_variance": None}),
-], ids=["two-point-huge-atom", "gamma-tiny-shape", "poisson-huge-mean", "binomial-huge-mean"])
+    # M**2 = 1e320 has no float; the variance, about m + m^2 (E[Y^2] - 1) = 3.75, does
+    (["gw-survival", "--model", "mixed-binomial", "--y", "gamma:1", "--M", str(10**160),
+      "--N", str(10**160), "--m", "1.5"], {"phi": 1 / 3, "offspring_variance": 3.75}),
+], ids=["two-point-huge-atom", "gamma-tiny-shape", "poisson-huge-mean", "binomial-huge-mean",
+        "binomial-huge-count"])
 def test_huge_second_moments_give_a_record(capsys, argv, cells):
     # a square taken with ** raises OverflowError where a product is a float or inf
     code, (rec,) = run_jsonl(capsys, argv)
@@ -1038,11 +1081,22 @@ def _numpy_path_records(capsys, monkeypatch, argv):
      "--trials", str(BLOCK_TRIALS + 7232), "--seed", "7"],
     ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "deterministic", "--x0", "2",
      "--trials", "5000", "--seed", "3"],
-], ids=["two-blocks", "phases-two-workers", "counterexample-two-blocks", "deterministic"])
+    ["fixation", "--N", "10000", "--b", "0.25", "--paintbox", "gamma:1",
+     "--trials", "5000", "--seed", "3"],
+    ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "spiked:0.4",
+     "--trials", "5000", "--seed", "3"],
+], ids=["two-blocks", "phases-two-workers", "counterexample-two-blocks", "deterministic",
+        "gamma:1-stopped", "spiked:0.4"])
 def test_native_generation_records_are_the_numpy_records(capsys, monkeypatch, argv):
+    # equal apart from the engine each names
     code, records = run_jsonl(capsys, argv)
     assert code == 0
-    assert strip_clock(records) == _numpy_path_records(capsys, monkeypatch, argv)
+    native, numpy_path = strip_clock(records), _numpy_path_records(capsys, monkeypatch, argv)
+    if cannings._lockstep_block() is not None:
+        digest = cannings._lockstep_digest(cannings._LOCKSTEP_SOURCE)
+        assert native[0]["engine"] == f"native:{digest}"
+    assert numpy_path[0]["engine"] == "numpy"
+    assert [strip_engine(r) for r in native] == [strip_engine(r) for r in numpy_path]
 
 
 @pytest.fixture

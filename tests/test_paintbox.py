@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gammaln, roots_genlaguerre
-from scipy.stats import ks_2samp
+from scipy.stats import beta, binom, ks_2samp
 
 from haldane import paintbox
 from haldane.paintbox import (
@@ -16,8 +17,10 @@ from haldane.paintbox import (
     TwoPoint,
     UnsupportedLawError,
     block_weight_sums,
+    certify,
     estimate_weight_moment,
     parse_source,
+    safe_level,
     sample_y,
     spiked_weights,
     weights_from_y,
@@ -626,3 +629,96 @@ def test_parse_source_rejects_unknown():
         parse_source("weird:1")
     with pytest.raises(ValueError):
         parse_source("gamma:1,2,3")
+
+
+# ---------------------------------------------------------------------------
+# certified loss rates
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-9, 50.0))
+def test_safe_level_bounds_the_loss_chance_by_e_to_the_minus_40(rate):
+    level = safe_level(rate)
+    assert math.exp(-rate * level) <= math.exp(-paintbox.SAFE_EXPONENT)
+    assert rate * (level - 1) < paintbox.SAFE_EXPONENT
+
+
+@pytest.mark.parametrize("N", [10**2, 10**3, 10**4, 10**6])
+@pytest.mark.parametrize("b", [0.1, 0.25, 0.45])
+def test_deterministic_certifies_two_s(N, b):
+    # the check passes at every count wherever stopping saves anything;
+    # at N = 100, b = 0.45, K = 159 >= N and no check runs
+    s = N**-b
+    rate = Deterministic().loss_rate(N, s)
+    assert rate == (2 * s if safe_level(2 * s) < N else None)
+    assert (rate is None) == ((N, b) == (100, 0.45))
+
+
+def test_deterministic_certificate_clears_rounding_near_n():
+    # at N = 1e7, b = 0.45 the margin at k = N - 1 is 1.7e-14 of lambda k,
+    # below the rounding allowance; from the nearer end it is 1.7e-7 of
+    # lambda (N - k), so the check passes
+    N = 10**7
+    s = N**-0.45
+    assert Deterministic().loss_rate(N, s) == 2 * s
+
+
+def test_an_overclaimed_rate_fails_the_check():
+    # 1.5 * 2s: at k = 1, N = 1e4 the mgf exceeds its bound by 4% of lambda
+    N = 10**4
+    s = N**-0.25
+    assert certify(Deterministic(), 3 * s, N, s) is None
+    c = -math.expm1(-3 * s)
+    margin = N * math.log1p(-c / (1 + (1 - s) * (N - 1))) / (3 * s) + 1
+    assert margin == pytest.approx(0.04, abs=0.005)
+
+
+def test_no_certificate_without_selection_or_past_the_checked_range():
+    assert Deterministic().loss_rate(1000, 0.0) is None
+    assert Gamma(1.0).loss_rate(1000, 0.0) is None
+    assert Deterministic().loss_rate(paintbox.CERTIFY_MAX_N + 1, 0.1) is None
+
+
+@pytest.mark.parametrize("source", [Gamma(0.5), Gamma(2.0), TwoPoint(), LogNormal(0.7)])
+def test_sources_without_a_kernel_state_no_rate(source):
+    assert source.loss_rate(10**4, 0.1) is None
+
+
+@pytest.mark.parametrize("N", [10, 50])
+@pytest.mark.parametrize("s", [0.1, 0.3])
+def test_gamma1_rate_is_the_dirichlet_martingale(N, s):
+    # E[(1-s)^k' | k] = E[(1 - s p(B))^N] over B ~ Beta(k, N-k), p(B) = B / (B +
+    # (1-s)(1-B)), equals (1-s)^k at every k: e^(-lambda k) is a martingale
+    rate = Gamma(1.0).loss_rate(N, s)
+    assert rate == -math.log1p(-s)
+    for k in range(1, N):
+        def integrand(x):
+            return (1 - s * x / (x + (1 - s) * (1 - x))) ** N * beta.pdf(x, k, N - k)
+
+        value = quad(integrand, 0, 1, epsabs=0, epsrel=1e-13, limit=200)[0]
+        assert value == pytest.approx(math.exp(-rate * k), rel=1e-11, abs=0), k
+
+
+def test_spiked_fails_its_certificate_near_n():
+    # spiked:0.4 at N = 1e3, b = 0.25 would stop at K = 547 < N, but the
+    # two-binomial mixture's mgf exceeds e^(-lambda k) for k in 801..999,
+    # by 0.84% of lambda k at k = 936 (here by explicit pmf sums), so it
+    # states no rate
+    spec, N = SpikedSpec(0.4), 1000
+    s = N**-0.25
+    rate = 2 * s / spec.rho_squared(N)
+    assert safe_level(rate) == 547
+    assert spec.loss_rate(N, s) is None
+    wo, ws = spec.other_weight(N), spec.spike_weight(N)
+    j = np.arange(N + 1)
+
+    def margin(k):
+        mgf = 0.0
+        for chance, head in ((1 - k / N, k * wo), (k / N, (k - 1) * wo + ws)):
+            p = head / (head + (1 - s) * (1 - head))
+            mgf += chance * (binom.pmf(j, N, p) * np.exp(-rate * j)).sum()
+        return (math.log(mgf) + rate * k) / (rate * k)
+
+    assert margin(936) == pytest.approx(0.0084, abs=5e-4)
+    assert margin(800) < 0 < margin(801)
