@@ -4,7 +4,7 @@ Fixation estimation with Wilson intervals and the 2s/rho^2 reference,
 three-phase trajectory diagnostics and the spiked-paintbox violation
 check.  A fixation estimate stops each trial at the safe level
 K = ceil(40 / lambda) where the source certifies a loss rate lambda
-(`paintbox.certify`): from K a trial is lost with chance at most
+(its `loss_rate`): from K a trial is lost with chance at most
 e^-40 = 4.2e-18, so it counts as fixed there.  Phase diagnostics run
 every trial to absorption.
 

@@ -17,8 +17,8 @@ ensemble of independent trials in lockstep (`run_ensemble`), keep only
 the live ones and return integer counts of the outcomes (`Tally`); a
 single trajectory with its first passages is `run_to_absorption`, `step`
 by step.  `run_ensemble` may also stop each trial at a level below N and
-count it as fixed there (`analysis` sets that level where the source
-certifies a loss rate, see `paintbox.certify`).
+count it as fixed there (`analysis` sets that level from the loss rate
+the source certifies, its `loss_rate`).
 
 The live trials of a lockstep block are entries: a count, its running
 maximum and a multiplicity, the number of trials that share them.  A

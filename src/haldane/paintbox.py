@@ -19,8 +19,8 @@ under scaling of Y).
 A source may state a certified loss rate (`loss_rate`): a lambda for which
 e^(-lambda k) is a supermartingale of the selective chain, so that a trial
 at count k is lost with chance at most e^(-lambda k).  Gamma(1) states
--log(1-s) in closed form; Deterministic and the spiked source state 2s/rho^2
-where `certify` checks it at every count.
+-log(1-s) and Deterministic 2s, each by a proof that holds at every N and s;
+the spiked source states 2s/rho^2 where `certify` checks it at every count.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ ROUNDING_ALLOWANCE = 1e-13
 """Relative margin by which a certificate's float check must clear its bound:
 hundreds of times the few ulps that computing either side can err by."""
 CERTIFY_MAX_N = 10**8
-"""Largest N whose certificate is checked count by count (2 s at 1e8 on a 2-core Xeon VM)."""
+"""Largest N at which `certify` checks a spiked source's rate count by count;
+no other source's rate needs the check."""
 _CERTIFY_CHUNK = 1 << 18
 
 
@@ -92,30 +93,19 @@ def certify(source, rate: float, N: int, s: float) -> float | None:
     (the exponential-martingale bound on ruin; Feller, vol. 1, ch. XIV).
     The next count k' is a mixture of Bin(N, p), the source's
     `head_tail_mixture`, so the check is on sums of binomial mgfs, in logs,
-    chunk by chunk from k = N - 1 down.  Each k is checked from its nearer
-    end: at k <= N/2 as log E[e^(-rate k')] <= -rate k, above as
-    log E[e^(rate (N - k'))] <= rate (N - k), N - k' ~ Bin(N, 1 - p).
-    Either way both sides are of size rate min(k, N - k), and the left
-    must clear the right by ROUNDING_ALLOWANCE of that (near k = N - 1 the
-    margin of the first form falls below 1e-13 of its sides at large N).
-    There is no search over rate.  Where safe_level(rate) >= N (stopping
-    would save nothing) or N > CERTIFY_MAX_N, None comes back before any
-    array work.
+    chunk by chunk from k = N - 1 down, and the left side must clear -rate k
+    by ROUNDING_ALLOWANCE of it.  There is no search over rate.  Where
+    safe_level(rate) >= N (stopping would save nothing) or N > CERTIFY_MAX_N,
+    None comes back before any array work.
     """
     if not rate > 0 or safe_level(rate) >= N or N > CERTIFY_MAX_N:
         return None
-    down, up = -math.expm1(-rate), math.expm1(rate)  # 1 - e^-rate, e^rate - 1
+    down = -math.expm1(-rate)  # 1 - e^-rate
     for hi in range(N, 1, -_CERTIFY_CHUNK):  # from the top, where margins are thinnest
         k = np.arange(max(hi - _CERTIFY_CHUNK, 1), hi, dtype=float)
-        low, near = k <= N - k, np.minimum(k, N - k)
-        terms = []
-        for log_w, head, tail in source.head_tail_mixture(k, N):
-            tail = (1.0 - s) * tail
-            # N log(1 - down p) below N/2, N log(1 + up q) above
-            terms.append(log_w + N * np.log1p(np.where(low, -down * head, up * tail)
-                                              / (head + tail)))
-        bound = np.where(low, -rate * k, rate * near) - ROUNDING_ALLOWANCE * rate * near
-        if np.any(reduce(np.logaddexp, terms) > bound):
+        terms = [log_w + N * np.log1p(-down * head / (head + (1.0 - s) * tail))
+                 for log_w, head, tail in source.head_tail_mixture(k, N)]
+        if np.any(reduce(np.logaddexp, terms) > -rate * k * (1 + ROUNDING_ALLOWANCE)):
             return None
     return rate
 
@@ -244,13 +234,15 @@ class Deterministic(YLaw):
         return "deterministic", ()
 
     def loss_rate(self, N, s):
-        """2s / rho^2 = 2s, where `certify` checks it at every count."""
-        return certify(self, 2.0 * s, N, s)
+        """2s / rho^2 = 2s at every N and every s > 0, with no check; None at s = 0.
 
-    def head_tail_mixture(self, k, N):
-        """[(log chance, head mass, tail mass)] of the paintbox at counts k: one case,
-        head k and tail N - k."""
-        return [(0.0, k, N - k)]
+        With x = k/N and a = 1 - e^(-2s), k' ~ Bin(N, p), p = x / (1 - s + s x),
+        so log E[e^(-2s k') | k] + 2s k = N log(1 - a p) + 2s k = N g(x) for
+        g(x) = log(1 - s + (s - a) x) - log(1 - s + s x) + 2s x, free of N.
+        g(0) = g(1) = 0, and g is convex on [0, 1] because a <= 2s / (1 + s),
+        which is s <= artanh(s).  So g <= 0 at every count.
+        """
+        return 2.0 * s if s > 0 else None
 
     def entry_classes(self, k, m, N, rng):
         # every trial at one count has one law and its masses take no draw
@@ -539,14 +531,16 @@ class SpikedSpec:
     def loss_rate(self, N: int, s: float) -> float | None:
         """`YLaw.loss_rate`: 2s / rho^2, where `certify` checks it at every count.
 
-        Where K < N the check has failed in every case tried (gamma 0.1 to 0.45,
-        N 1e3 to 1e6): a spike among the few wildtype near N lifts their count
-        more than 2s / rho^2 allows, at counts from about 0.8 N up."""
+        Where K < N the check mostly fails: a spike among the few wildtype near
+        N lifts their count more than 2s / rho^2 allows, at counts from about
+        0.8 N up.  It passes at strong selection: in a scan of N 50 to 1e6, 86 of
+        899 cases with K < N passed, each with s >= 0.57."""
         return certify(self, 2.0 * s / self.rho_squared(N), N, s)
 
     def head_tail_mixture(self, k: np.ndarray, N: int) -> list:
-        """`Deterministic.head_tail_mixture`: the spike outside the head, then inside
-        (chance k / N), each mass summed from its side's own weights."""
+        """[(log chance, head mass, tail mass)] of the paintbox at counts k: the spike
+        outside the head, then inside (chance k / N), each mass summed from its
+        side's own weights."""
         wo, lift = self.lockstep_law(N)[1]
         return [(np.log1p(-k / N), k * wo, (N - k) * wo + lift),
                 (np.log(k / N), k * wo + lift, (N - k) * wo)]

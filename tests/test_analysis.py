@@ -115,10 +115,14 @@ def test_stopped_estimate_matches_the_wright_fisher_chain(N, x0, stop):
 
 @dataclass(frozen=True)
 class _Overclaimed(Deterministic):
-    """Wright-Fisher with a loss rate 1.5 times the one that certifies."""
+    """Wright-Fisher with a loss rate 1.5 times the one that certifies, checked by
+    `certify` over the one case of its paintbox: head k, tail N - k."""
 
     def loss_rate(self, N, s):
         return certify(self, 3.0 * s, N, s)
+
+    def head_tail_mixture(self, k, N):
+        return [(0.0, k, N - k)]
 
 
 def test_a_failed_certificate_runs_to_absorption():

@@ -1,6 +1,7 @@
 import ctypes
 import math
 import pickle
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chi2, ks_2samp
 
 from haldane import cannings
+from haldane.analysis import estimate_fixation
 from haldane.cannings import (
     CanningsConfig,
     Tally,
@@ -541,6 +543,21 @@ def test_entries_keep_the_chain_s_fixation_and_absorption_time(
     n = blocks * 10**5
     assert abs(fixed / n - h) <= 4 * math.sqrt(h * (1 - h) / n)
     assert abs(tau_total / n - t) <= 4 * math.sqrt(v / n)
+
+
+def test_a_spiked_certificate_sets_the_stop(monkeypatch):
+    # spiked:0.41 at N = 100, b = 0.06 passes its own check, so trials stop at
+    # K = 79 < N; the stopped estimate against the dense solve run to N, and
+    # the numpy path's record against the native one
+    cfg = CanningsConfig.from_exponent(100, 0.06, SpikedSpec(0.41), 1)
+    h = _exact_chain(100, cfg.s, 0.41)[0][0]
+    assert round(h, 6) == 0.966962
+    est = estimate_fixation(cfg, 40000, seed=37)
+    assert est.stop_level == 79
+    assert abs(est.p_hat - h) <= 4 * math.sqrt(h * (1 - h) / est.trials)
+    on_numpy = _on_numpy(monkeypatch, lambda: estimate_fixation(cfg, 40000, seed=37))
+    assert on_numpy.engine == "numpy"
+    assert replace(on_numpy, engine=est.engine) == est
 
 
 @pytest.mark.parametrize("source, N, s, k, entries, size, walks", [

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from scipy.special import gammaln, roots_genlaguerre
 from scipy.stats import beta, binom, ks_2samp
 
 from haldane import paintbox
+from haldane.analysis import _stop
+from haldane.cannings import CanningsConfig
 from haldane.paintbox import (
     Deterministic,
     Gamma,
@@ -647,37 +651,82 @@ def test_safe_level_bounds_the_loss_chance_by_e_to_the_minus_40(rate):
 @pytest.mark.parametrize("N", [10**2, 10**3, 10**4, 10**6])
 @pytest.mark.parametrize("b", [0.1, 0.25, 0.45])
 def test_deterministic_certifies_two_s(N, b):
-    # the check passes at every count wherever stopping saves anything;
-    # at N = 100, b = 0.45, K = 159 >= N and no check runs
-    s = N**-b
+    # the rate holds at every N; at N = 100, b = 0.45, K = 159 >= N, so
+    # stopping would save nothing and trials run to N
+    cfg = CanningsConfig.from_exponent(N, b, Deterministic(), 1)
+    rate = Deterministic().loss_rate(N, cfg.s)
+    assert rate == 2 * cfg.s
+    level = safe_level(rate)
+    assert _stop(cfg) == ((N, 0.0) if level >= N else (level, math.exp(-rate * level)))
+    assert (level >= N) == ((N, b) == (100, 0.45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_wright_fisher_rate_rests_on_s_below_artanh_s(s):
+    # -expm1(-2s) <= 2s / (1 + s), which makes Deterministic.loss_rate's g
+    # convex; the sides differ by about 2s^3 / 3, below a float's resolution
+    # of 2s at small s, so they are compared in decimal from the exact float
+    # s, with digits to resolve s^3 next to e^(-2s) ~ 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30 + 3 * math.ceil(-math.log10(s))
+        d = Decimal(s)
+        assert 1 - (-2 * d).exp() <= 2 * d / (1 + d)
+
+
+@pytest.mark.parametrize("N", [2, 3, 10, 57, 300])
+@pytest.mark.parametrize("s", [1e-3, 0.1, 0.5, 0.95])
+def test_wright_fisher_mgf_meets_two_s_at_every_count(N, s):
+    # at the stated rate 2s, log E[e^(-2s k') | k] = N log(1 - a p(k)),
+    # a = 1 - e^(-2s), is at most -2s k at every k, to a few ulps of 2s k
     rate = Deterministic().loss_rate(N, s)
-    assert rate == (2 * s if safe_level(2 * s) < N else None)
-    assert (rate is None) == ((N, b) == (100, 0.45))
+    assert rate == 2 * s
+    a = -math.expm1(-rate)
+    for k in range(1, N):
+        p = k / (k + (1 - s) * (N - k))
+        assert N * math.log1p(-a * p) <= -rate * k + 4 * math.ulp(rate * k), k
 
 
 def test_deterministic_certificate_clears_rounding_near_n():
     # at N = 1e7, b = 0.45 the margin at k = N - 1 is 1.7e-14 of lambda k,
-    # below the rounding allowance; from the nearer end it is 1.7e-7 of
-    # lambda (N - k), so the check passes
+    # below any allowance a float check could make for rounding; the proof
+    # needs none
     N = 10**7
     s = N**-0.45
     assert Deterministic().loss_rate(N, s) == 2 * s
 
 
+class _WrightFisherMixture(Deterministic):
+    """Wright-Fisher with the one case `certify` reads: head k, tail N - k."""
+
+    def head_tail_mixture(self, k, N):
+        return [(0.0, k, N - k)]
+
+
 def test_an_overclaimed_rate_fails_the_check():
-    # 1.5 * 2s: at k = 1, N = 1e4 the mgf exceeds its bound by 4% of lambda
+    # 1.5 * 2s: at k = 1, N = 1e4 the mgf exceeds its bound by 4% of lambda;
+    # the check passes 2s itself
     N = 10**4
     s = N**-0.25
-    assert certify(Deterministic(), 3 * s, N, s) is None
+    assert certify(_WrightFisherMixture(), 3 * s, N, s) is None
+    assert certify(_WrightFisherMixture(), 2 * s, N, s) == 2 * s
     c = -math.expm1(-3 * s)
     margin = N * math.log1p(-c / (1 + (1 - s) * (N - 1))) / (3 * s) + 1
     assert margin == pytest.approx(0.04, abs=0.005)
 
 
-def test_no_certificate_without_selection_or_past_the_checked_range():
+def test_no_certificate_without_selection_or_past_the_checked_range(monkeypatch):
     assert Deterministic().loss_rate(1000, 0.0) is None
     assert Gamma(1.0).loss_rate(1000, 0.0) is None
-    assert Deterministic().loss_rate(paintbox.CERTIFY_MAX_N + 1, 0.1) is None
+    # the spiked check stops at CERTIFY_MAX_N (here a case that passes at
+    # N = 100, under a cap of 99); Wright-Fisher's proof has no cap
+    spec, s = SpikedSpec(0.41), 100**-0.06
+    assert spec.loss_rate(100, s) is not None
+    with monkeypatch.context() as m:
+        m.setattr(paintbox, "CERTIFY_MAX_N", 99)
+        assert spec.loss_rate(100, s) is None
+    assert SpikedSpec(0.45).loss_rate(paintbox.CERTIFY_MAX_N + 1, 0.9) is None
+    assert Deterministic().loss_rate(paintbox.CERTIFY_MAX_N + 1, 0.1) == 0.2
 
 
 @pytest.mark.parametrize("source", [Gamma(0.5), Gamma(2.0), TwoPoint(), LogNormal(0.7)])
