@@ -8,4 +8,4 @@ Import each name from the module that defines it (`haldane.paintbox`,
 `haldane.cannings`, ...); importing the package loads none of them.
 """
 
-__version__ = "0.4.1"
+__version__ = "0.5.0"

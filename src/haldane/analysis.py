@@ -5,8 +5,9 @@ three-phase trajectory diagnostics and the spiked-paintbox violation
 check.  A fixation estimate stops each trial at the safe level
 K = ceil(40 / lambda) where the source certifies a loss rate lambda
 (its `loss_rate`): from K a trial is lost with chance at most
-e^-40 = 4.2e-18, so it counts as fixed there.  Phase diagnostics run
-every trial to absorption.
+e^-40 = 4.2e-18, so it counts as fixed there.  Phase diagnostics stop
+at max(K, floor(eps N)), the higher of K and their second level, under
+K's bound.
 
 A run of T trials is ceil(T / BLOCK_TRIALS) lockstep blocks of equal
 size, give or take one trial (`block_sizes`); block b draws from the
@@ -248,8 +249,13 @@ def phase_diagnostics(
 
     p1 = reach the first level before 0, p2 = then reach the second,
     p3 = then fix; on one trial set p1*p2*p3 telescopes to the overall
-    fixation frequency exactly.  Every trial runs to absorption: p3
-    measures the climb that a stop level would skip.
+    fixation frequency exactly.  Where the source certifies a safe level
+    K < N (`_stop`), each trial stops at max(K, floor(eps*N)) and counts
+    as fixed there, with K's loss bound e^(-lambda K).  A stop at the
+    second level makes p3 1 by construction, the true p3 lying in
+    [1 - stop_bound, 1]; a second level below K leaves p3 the frequency of
+    reaching K from it.  Either way the product still telescopes to
+    p_hat.  Without a certificate every trial runs to absorption.
     """
     b = config.exponent
     if b is None:
@@ -265,7 +271,11 @@ def phase_diagnostics(
             f"thresholds {lvl1}, {lvl2} do not separate "
             f"{config.initial_count} from N={config.N}"
         )
-    tally = _farm(config, (lvl1, lvl2), trials, seed, parallelism)
+    # no certificate gives (N, 0.0): no stop.  K's bound holds from any count
+    # >= K, where e^(-lambda lvl2) would underflow to 0 once lambda lvl2 > ~745
+    safe, bound = _stop(config)
+    stop = (max(safe, lvl2), bound)
+    tally = _farm(config, (lvl1, lvl2), trials, seed, parallelism, stop[0])
     counts = (tally.trials, tally.threshold_hits[lvl1], tally.threshold_hits[lvl2],
               tally.fixations)
     phases = {}
@@ -274,7 +284,7 @@ def phase_diagnostics(
         phases.update({f"p{i}": passed / entered if entered else float("nan"),
                        f"p{i}_ci_low": lo, f"p{i}_ci_high": hi})
     return PhaseReport(
-        **vars(_estimate_from_tally(tally, config, level)), threshold_1=lvl1,
+        **vars(_estimate_from_tally(tally, config, level, stop)), threshold_1=lvl1,
         threshold_2=lvl2, reached_1=counts[1], reached_2=counts[2], **phases)
 
 

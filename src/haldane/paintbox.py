@@ -60,6 +60,9 @@ hundreds of times the few ulps that computing either side can err by."""
 CERTIFY_MAX_N = 10**8
 """Largest N at which `certify` checks a spiked source's rate count by count;
 no other source's rate needs the check."""
+_CERTIFY_FIRST_CHUNK = 1 << 10
+"""Counts in `certify`'s first chunk; each next chunk doubles, up to _CERTIFY_CHUNK.
+A failing check mostly fails near N, so it pays for a small array only."""
 _CERTIFY_CHUNK = 1 << 18
 
 
@@ -93,20 +96,23 @@ def certify(source, rate: float, N: int, s: float) -> float | None:
     (the exponential-martingale bound on ruin; Feller, vol. 1, ch. XIV).
     The next count k' is a mixture of Bin(N, p), the source's
     `head_tail_mixture`, so the check is on sums of binomial mgfs, in logs,
-    chunk by chunk from k = N - 1 down, and the left side must clear -rate k
-    by ROUNDING_ALLOWANCE of it.  There is no search over rate.  Where
+    in chunks from k = N - 1 down that double from _CERTIFY_FIRST_CHUNK
+    counts up to _CERTIFY_CHUNK, and the left side must clear -rate k by
+    ROUNDING_ALLOWANCE of it.  There is no search over rate.  Where
     safe_level(rate) >= N (stopping would save nothing) or N > CERTIFY_MAX_N,
     None comes back before any array work.
     """
     if not rate > 0 or safe_level(rate) >= N or N > CERTIFY_MAX_N:
         return None
     down = -math.expm1(-rate)  # 1 - e^-rate
-    for hi in range(N, 1, -_CERTIFY_CHUNK):  # from the top, where margins are thinnest
-        k = np.arange(max(hi - _CERTIFY_CHUNK, 1), hi, dtype=float)
+    hi, chunk = N, _CERTIFY_FIRST_CHUNK
+    while hi > 1:  # from the top, where margins are thinnest
+        k = np.arange(max(hi - chunk, 1), hi, dtype=float)
         terms = [log_w + N * np.log1p(-down * head / (head + (1.0 - s) * tail))
                  for log_w, head, tail in source.head_tail_mixture(k, N)]
         if np.any(reduce(np.logaddexp, terms) > -rate * k * (1 + ROUNDING_ALLOWANCE)):
             return None
+        hi, chunk = hi - chunk, min(2 * chunk, _CERTIFY_CHUNK)
     return rate
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haldane import analysis
 from haldane.analysis import (
     BLOCK_TRIALS,
     FixationEstimate,
@@ -288,20 +289,27 @@ def test_phase_determinism_matches_estimate():
     assert {f.name: getattr(rep, f.name) for f in fields(FixationEstimate)} == vars(est)
 
 
-def test_phases_run_to_absorption_where_fixation_stops():
-    # gamma:1 certifies K = 205 < threshold_2 = 240 at N = 1000, b = 0.25:
-    # a fixation estimate stops there, a phase run does not, so its p3 is
-    # the climb to N and p1 p2 p3 still telescopes to its own p_hat
+@pytest.mark.parametrize("eps, threshold_2, stop", [(0.1, 100, 205), (0.24, 240, 240)])
+def test_phases_stop_at_the_safe_level_or_the_second_threshold(monkeypatch, eps, threshold_2,
+                                                               stop):
+    # gamma:1 certifies K = 205 at N = 1000, b = 0.25; a phase run stops at
+    # max(K, threshold_2), still with K's loss bound, so p1 p2 p3 telescopes
+    # to its own p_hat: p3 is P(reach K | reached threshold_2) below K, and 1
+    # by construction at threshold_2
     cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
-    rep = phase_diagnostics(cfg, delta=0.05, eps=0.24, trials=20000, seed=27)
+    rep = phase_diagnostics(cfg, delta=0.05, eps=eps, trials=20000, seed=27)
     est = estimate_fixation(cfg, 20000, seed=27)
-    assert est.stop_level == 205 < rep.threshold_2 < rep.stop_level == 1000
-    assert rep.stop_bound == 0.0 < est.stop_bound <= math.exp(-40)
+    assert est.stop_level == 205 and rep.threshold_2 == threshold_2
+    assert rep.stop_level == stop and rep.stop_bound == est.stop_bound <= math.exp(-40)
     assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.p_hat, rel=1e-12)
-    assert est.max_tau < rep.max_tau and est.trial_generations < rep.trial_generations
+    if stop == threshold_2:
+        assert rep.fixations == rep.reached_2 and rep.p3 == 1.0
     exact = cfg.s / (1 - (1 - cfg.s) ** 1000)
-    for p in (rep.p_hat, est.p_hat):
-        assert abs(p - exact) <= 4 * math.sqrt(exact * (1 - exact) / 20000)
+    assert abs(rep.p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / 20000)
+    monkeypatch.setattr(analysis, "_stop", lambda config: (config.N, 0.0))
+    to_n = phase_diagnostics(cfg, delta=0.05, eps=eps, trials=20000, seed=27)
+    assert (to_n.stop_level, to_n.stop_bound) == (1000, 0.0)
+    assert rep.trial_generations < to_n.trial_generations
 
 
 # ---------------------------------------------------------------------------

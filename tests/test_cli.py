@@ -417,16 +417,45 @@ def test_records_state_their_stop_level_bound_and_engine(capsys, argv, stop_leve
             rec["engine"].startswith("native:") and len(rec["engine"]) == 7 + 16)
 
 
-def test_phases_record_runs_to_absorption(capsys):
-    # version 0.3.0's record at this seed, at two workers: no stop, though gamma:1
-    # certifies K = 380 here
+def test_phases_record_stops_at_the_second_threshold(capsys):
+    # gamma:1 certifies K = 380 <= threshold_2 = 1000 here, so every trial stops
+    # at 1000 with K's loss bound; version 0.4.1 ran them to N and read
+    # (2024, 343692, 234, 2342, 2024) at this seed
     code, (rec,) = run_jsonl(capsys, [
         "phases", "--N", "10000", "--b", "0.25", "--paintbox", "gamma:1", "--delta", "0.05",
         "--eps", "0.1", "--trials", "20000", "--seed", "7", "--parallelism", "2"])
     assert code == 0
-    assert (rec["stop_level"], rec["stop_bound"]) == (10000, 0.0)
+    assert rec["stop_level"] == rec["threshold_2"] == 1000
+    assert 0.0 < rec["stop_bound"] <= 4.3e-18
     assert (rec["fixations"], rec["trial_generations"], rec["max_tau"], rec["reached_1"],
-            rec["reached_2"]) == (2024, 343692, 234, 2342, 2024)
+            rec["reached_2"]) == (2010, 157504, 114, 2341, 2010)
+    assert rec["p3"] == 1.0
+
+
+def test_phases_stopped_far_above_the_safe_level_state_its_bound(capsys):
+    # K = 1,245 below threshold_2 = 1e5: the record states e^(-lambda K), since
+    # e^(-lambda 1e5) = e^-3213 has no float above 0
+    code, (rec,) = run_jsonl(capsys, [
+        "phases", "--N", "1000000", "--b", "0.25", "--delta", "0.05", "--eps", "0.1",
+        "--trials", "300", "--seed", "1"])
+    assert code == 0
+    assert rec["stop_level"] == rec["threshold_2"] == 100000
+    assert 0.0 < rec["stop_bound"] <= math.exp(-40)
+
+
+@pytest.mark.parametrize("paintbox, counts", [
+    ("gamma:2", (1163, 82040, 112, 1265, 1163)),
+    ("two-point", (1404, 98624, 99, 1484, 1404)),
+])
+def test_phases_record_without_a_certificate_runs_to_absorption(capsys, paintbox, counts):
+    # no loss rate, so no stop: version 0.4.1's counts at this seed
+    code, (rec,) = run_jsonl(capsys, [
+        "phases", "--N", "1000", "--b", "0.25", "--paintbox", paintbox, "--delta", "0.05",
+        "--eps", "0.1", "--trials", "5000", "--seed", "7"])
+    assert code == 0
+    assert (rec["stop_level"], rec["stop_bound"]) == (1000, 0.0)
+    assert (rec["fixations"], rec["trial_generations"], rec["max_tau"], rec["reached_1"],
+            rec["reached_2"]) == counts
 
 
 # ---------------------------------------------------------------------------

@@ -771,3 +771,36 @@ def test_spiked_fails_its_certificate_near_n():
 
     assert margin(936) == pytest.approx(0.0084, abs=5e-4)
     assert margin(800) < 0 < margin(801)
+
+
+def _counted_mixture(monkeypatch):
+    """The counts each `SpikedSpec.head_tail_mixture` call is asked for, in order."""
+    chunks, mixture = [], SpikedSpec.head_tail_mixture
+
+    def counting(self, k, N):
+        chunks.append(k)
+        return mixture(self, k, N)
+
+    monkeypatch.setattr(SpikedSpec, "head_tail_mixture", counting)
+    return chunks
+
+
+@pytest.mark.parametrize("gamma, b, N", [
+    (0.4, 0.25, 10**6), (0.3, 0.2, 10**8), (0.2, 0.1, 10**6)])
+def test_a_failing_spiked_check_reads_only_its_top_counts(monkeypatch, gamma, b, N):
+    # each fails among its top 1,024 counts, so the check evaluates no more
+    # of its N - 1, however large N is
+    chunks = _counted_mixture(monkeypatch)
+    assert SpikedSpec(gamma).loss_rate(N, N**-b) is None
+    assert sum(k.size for k in chunks) <= 1024
+    assert chunks[0][-1] == N - 1
+
+
+@pytest.mark.parametrize("gamma, b, N", [(0.41, 0.06, 100), (0.2, 0.02, 10**5)])
+def test_a_passing_spiked_check_reads_every_count_once_from_the_top(monkeypatch, gamma, b, N):
+    # chunks of 1,024, 2,048, ... counts, each below the last, cover 1..N-1
+    chunks = _counted_mixture(monkeypatch)
+    rate = SpikedSpec(gamma).loss_rate(N, N**-b)
+    assert rate == 2 * N**-b / SpikedSpec(gamma).rho_squared(N)
+    assert [k.size for k in chunks[:-1]] == [1024 << i for i in range(len(chunks) - 1)]
+    assert np.array_equal(np.concatenate(chunks[::-1]), np.arange(1, N))
