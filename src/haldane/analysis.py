@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from statistics import NormalDist
 
 from .branching import haldane_ref
@@ -85,20 +85,17 @@ def block_sizes(trials: int) -> list[int]:
     return [size + (b < extra) for b in range(blocks)]
 
 
-def _run_block(config, thresholds, seed, sizes, b, stop=None):
-    """Tally of block b, of sizes[b] trials, drawn from stream (seed, b), stopped at `stop`.
-
-    The generator is made here, in the block's own task: the native block
-    bypasses `Generator.lock`, so no two threads may share it.
-    """
-    return run_ensemble(config, sizes[b], trial_rng(seed, b), thresholds, stop)
-
-
-def _farm(config, thresholds, trials, seed, parallelism, stop=None) -> Tally:
+def _farm(config, thresholds, trials, seed, parallelism, stop) -> Tally:
+    """Tally of `block_sizes(trials)` blocks stopped at `stop`, block b on stream (seed, b)."""
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     sizes = block_sizes(trials)
-    run = partial(_run_block, config, tuple(thresholds), seed, sizes, stop=stop)
+
+    def run(b):
+        # the generator is made in the block's own task: the native block
+        # bypasses `Generator.lock`, so no two threads may share it
+        return run_ensemble(config, sizes[b], trial_rng(seed, b), thresholds, stop)
+
     blocks = range(len(sizes))
     workers = min(parallelism, len(blocks))
     if workers <= 1:
@@ -165,10 +162,10 @@ def _stop(config: CanningsConfig) -> tuple[int, float]:
     return level, math.exp(-rate * level)
 
 
-def _estimate_from_tally(tally: Tally, config, level, stop=None) -> FixationEstimate:
+def _estimate_from_tally(tally: Tally, config, level, stop) -> FixationEstimate:
     """The estimate of a tally of trials stopped at `stop` = (K, loss bound from K),
-    None for (N, 0.0): run to absorption."""
-    stop_level, stop_bound = (config.N, 0.0) if stop is None else stop
+    (N, 0.0) for trials run to absorption."""
+    stop_level, stop_bound = stop
     p_hat = tally.fixations / tally.trials
     lo, hi = wilson_interval(tally.fixations, tally.trials, level)
     rv = config.paintbox.rho_squared(config.N)
@@ -252,10 +249,12 @@ def phase_diagnostics(
     fixation frequency exactly.  Where the source certifies a safe level
     K < N (`_stop`), each trial stops at max(K, floor(eps*N)) and counts
     as fixed there, with K's loss bound e^(-lambda K).  A stop at the
-    second level makes p3 1 by construction, the true p3 lying in
-    [1 - stop_bound, 1]; a second level below K leaves p3 the frequency of
-    reaching K from it.  Either way the product still telescopes to
-    p_hat.  Without a certificate every trial runs to absorption.
+    second level makes p3 1 by construction, and its interval the
+    certified [1 - stop_bound, 1] that holds the true p3 (both ends 1.0
+    in floats); a second level below K leaves p3 the frequency of
+    reaching K from it, with its Wilson interval.  Either way the product still
+    telescopes to p_hat.  Without a certificate every trial runs to
+    absorption.
     """
     b = config.exponent
     if b is None:
@@ -283,6 +282,8 @@ def phase_diagnostics(
         lo, hi = wilson_interval(passed, entered, level) if entered else (0.0, 1.0)
         phases.update({f"p{i}": passed / entered if entered else float("nan"),
                        f"p{i}_ci_low": lo, f"p{i}_ci_high": hi})
+    if stop[0] == lvl2:  # no trial measured p3: its certified interval
+        phases.update(p3_ci_low=1.0 - bound, p3_ci_high=1.0)
     return PhaseReport(
         **vars(_estimate_from_tally(tally, config, level, stop)), threshold_1=lvl1,
         threshold_2=lvl2, reached_1=counts[1], reached_2=counts[2], **phases)

@@ -55,6 +55,15 @@ def _check_mean_factor(m: float) -> None:
         raise ConfigurationError(f"mean factor must be finite and >= 0, got {m}")
 
 
+def _scaled_atoms(law: YLaw, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m * values, weights) of the law's mixing atoms; ConfigurationError where a
+    product leaves the float range (a huge m, or a tiny Gamma shape's atoms)."""
+    vals, wts = law.mixing_atoms()
+    if math.isinf(m * float(vals.max())):  # a Python float overflows without a warning
+        raise ConfigurationError(f"mean factor {m} times an atom of {law.tag()} overflows")
+    return m * vals, wts
+
+
 @dataclass(frozen=True)
 class MixedPoisson(GWModel):
     """Offspring Pois(Y * m): the per-line upper bound on the early phase."""
@@ -75,8 +84,7 @@ class MixedPoisson(GWModel):
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # (Poisson rates m*v, weights), fixed for the model's life
-        vals, wts = self.law.mixing_atoms()
-        return self.m * vals, wts
+        return _scaled_atoms(self.law, self.m)
 
     def pgf(self, q):
         rate, wts = self._atoms
@@ -126,8 +134,8 @@ class MixedBinomial(GWModel):
     @cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (success probabilities p, weights w, w*p), fixed for the model's life
-        vals, wts = self.law.mixing_atoms()
-        p = np.minimum(vals * self.m / self.N, 1.0)
+        scaled, wts = _scaled_atoms(self.law, self.m)
+        p = np.minimum(scaled / self.N, 1.0)
         return p, wts, wts * p
 
     def pgf(self, q):

@@ -227,16 +227,13 @@ def _multinomial_walk(N: int, p: float, n: int, rng: np.random.Generator):
 def _next_entries(k, m, config: CanningsConfig, rng: np.random.Generator):
     """One generation of lockstep entries through numpy: successors, multiplicities, parents.
 
-    Draws what `_lockstep.c` draws.  While every entry is one trial this is
-    `_next_counts`, and the parents are None (entry i became entry i).
-    Otherwise each entry splits into the classes of the source's
-    `entry_classes`, and each class draws one binomial per trial or, where
-    `_walks` says so, one multinomial; runs of per-trial classes draw in
-    one call.
+    Draws what `_lockstep.c` draws.  Each entry splits into the classes of
+    the source's `entry_classes`, and each class draws one binomial per
+    trial or, where `_walks` says so, one multinomial; runs of per-trial
+    classes draw in one call.  Where every entry is one trial, so is every
+    class, none walks, and the draws are `_next_counts`'.
     """
     N = config.N
-    if m.max() == 1:
-        return _next_counts(k, config, rng), m, None
     n, parent, head, tail = config.paintbox.entry_classes(k, m, N, rng)
     p = _success_probability(head, tail, config.s)
     nxt, mult, src, start = [], [], [], 0
@@ -379,17 +376,17 @@ def run_ensemble(
     one binomial per trial or, for a large class of one success
     probability, one multinomial), then tallies the entries that hit 0 or
     the stop level, each with its multiplicity, and drops them: a trial at
-    `stop` or above counts as fixed there.  Once every entry holds one
-    trial, so do all its successors: from then on a generation is one
-    `_next_counts` call and no multiplicity is kept.  A trial reached level
-    t (count >= t) if its maximum did.  Absorption is a.s. finite, so the
+    `stop` or above counts as fixed there.  Once every live entry holds one
+    trial, so do all its successors: from the next generation on, which
+    draws what `_next_entries` would, a generation is one `_next_counts`
+    call and no multiplicity is kept.  A trial reached level t
+    (count >= t) if its maximum did.  Absorption is a.s. finite, so the
     run ends when every trial has fixed or been lost.  `stop` None is N,
     so every trial runs to absorption; a threshold above a stop below N
     raises ValueError, since a stopped trial cannot tell whether it would
-    have reached it.  For
-    a source with a `lockstep_law` the native block draws the same variates
-    without `Generator.lock`: `rng` must be this run's own, shared with no
-    thread.
+    have reached it.  For a source with a `lockstep_law` the native block
+    draws the same variates without `Generator.lock`: `rng` must be this
+    run's own, shared with no thread.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -427,8 +424,6 @@ def run_ensemble(
             k, parent = _next_counts(k, config, rng), None
         else:
             k, m, parent = _next_entries(k, m, config, rng)
-            if parent is None:  # every entry one trial, and so every successor
-                m = None
         g += 1
         if above:
             peak = np.maximum(peak if parent is None else peak[parent], k)
@@ -446,6 +441,8 @@ def run_ensemble(
             k = k[live]
             if m is not None:
                 m = m[live]
+        if m is not None and m.max(initial=1) == 1:  # so is every successor
+            m = None
     return Tally(fixations, losses, tau_total, g, hits, g)
 
 

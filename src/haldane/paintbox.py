@@ -333,16 +333,21 @@ def _gamma_atoms(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     are the eigenvalues of the Jacobi matrix of its three-term
     recurrence (Golub-Welsch).  The weight of node x is the weight
     function's total mass over sum_{k<n} p_k(x)^2, the p_k orthonormal
-    and run up by that recurrence, rescaled as the sum grows; this skips
+    and run up by that recurrence, rescaled as the sum grows and, at a
+    tiny shape, before p_1 ~ 1/sqrt(kappa) is squared; this skips
     the dense eigenvector solve, which costs more than the eigenvalues
     and, on two OpenBLAS threads with the other core busy, up to 100
     times more.  Normalizing the weights to sum 1 stands in for the
-    mass, Gamma(kappa), which overflows past kappa ~ 171.
+    mass, Gamma(kappa), which overflows past kappa ~ 171.  Below kappa
+    ~ 3.4e-306 the atoms x / kappa leave the float range: a
+    ConfigurationError.
     """
     i = np.arange(_QUAD_NODES)
     diag = 2.0 * i + kappa
     off = np.sqrt(i[1:] * ((i[1:] - 1.0) + kappa))  # i + kappa - 1 loses a tiny kappa
     nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    if math.isinf(float(nodes[-1]) / kappa):  # the largest node, about 608
+        raise ConfigurationError(f"Gamma shape {kappa} puts quadrature atoms past the float range")
     # p_{k+1} = (x - diag_k) / off_k * p_k - off_{k-1} / off_k * p_{k-1}
     ahead = (nodes - diag[:-1, None]) / off[:, None]
     back = np.concatenate(([0.0], off[:-1] / off[1:]))
@@ -350,6 +355,13 @@ def _gamma_atoms(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     total, log_scale = np.ones_like(nodes), np.zeros_like(nodes)
     for k in range(_QUAD_NODES - 1):
         prev, cur = cur, ahead[k] * cur - back[k] * prev
+        if np.abs(cur).max() > 1e150:
+            norm = np.maximum(np.abs(cur), 1.0)  # so that cur * cur stays finite
+            prev /= norm
+            cur /= norm
+            total /= norm
+            total /= norm
+            log_scale += 2.0 * np.log(norm)
         total += cur * cur
         if total.max() > 1e200:  # rescale long before cur * cur can overflow
             scale = np.sqrt(total)

@@ -12,7 +12,6 @@ from haldane.analysis import (
     BLOCK_TRIALS,
     FixationEstimate,
     _farm,
-    _run_block,
     block_sizes,
     counterexample_check,
     estimate_fixation,
@@ -154,7 +153,7 @@ def test_blocks_are_equal_to_one_trial(trials):
 ])
 def test_tally_identical_across_worker_counts(trials):
     cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
-    tallies = [_farm(cfg, (5, 15), trials, 32, parallelism) for parallelism in (1, 2, 3)]
+    tallies = [_farm(cfg, (5, 15), trials, 32, parallelism, None) for parallelism in (1, 2, 3)]
     assert tallies[0] == tallies[1] == tallies[2]
     assert tallies[0].trials == trials
 
@@ -164,11 +163,11 @@ def test_tally_identical_on_more_threads_than_cores():
     # lost, run twice or merged twice would change the tally
     cfg = CanningsConfig(30, 0.1, Gamma(1.0), 2)
     trials = 12 * BLOCK_TRIALS - 5
-    serial = _farm(cfg, (5, 15), trials, 34, 1)
+    serial = _farm(cfg, (5, 15), trials, 34, 1, None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _farm(cfg, (5, 15), trials, 34, 4)
+        threaded = _farm(cfg, (5, 15), trials, 34, 4, None)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -196,10 +195,9 @@ def test_block_replays_alone():
     trials = 2 * BLOCK_TRIALS + 3
     sizes = block_sizes(trials)
     assert sizes == [5463, 5462, 5462]
-    alone = [_run_block(cfg, (5,), 33, sizes, b) for b in range(3)]
-    for b, size in enumerate(sizes):
-        assert alone[b] == run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
-    assert _farm(cfg, (5,), trials, 33, 2) == alone[0].merge(alone[1]).merge(alone[2])
+    alone = [run_ensemble(cfg, size, TrialStreams(33).stream(b), (5,))
+             for b, size in enumerate(sizes)]
+    assert _farm(cfg, (5,), trials, 33, 2, None) == alone[0].merge(alone[1]).merge(alone[2])
 
 
 def test_estimate_monotone_in_selection():
@@ -294,8 +292,9 @@ def test_phases_stop_at_the_safe_level_or_the_second_threshold(monkeypatch, eps,
                                                                stop):
     # gamma:1 certifies K = 205 at N = 1000, b = 0.25; a phase run stops at
     # max(K, threshold_2), still with K's loss bound, so p1 p2 p3 telescopes
-    # to its own p_hat: p3 is P(reach K | reached threshold_2) below K, and 1
-    # by construction at threshold_2
+    # to its own p_hat: p3 is P(reach K | reached threshold_2) below K, with
+    # its Wilson interval, and 1 by construction at threshold_2, with the
+    # certified interval [1 - stop_bound, 1]
     cfg = CanningsConfig.from_exponent(1000, 0.25, Gamma(1.0), 1)
     rep = phase_diagnostics(cfg, delta=0.05, eps=eps, trials=20000, seed=27)
     est = estimate_fixation(cfg, 20000, seed=27)
@@ -304,6 +303,10 @@ def test_phases_stop_at_the_safe_level_or_the_second_threshold(monkeypatch, eps,
     assert rep.p1 * rep.p2 * rep.p3 == pytest.approx(rep.p_hat, rel=1e-12)
     if stop == threshold_2:
         assert rep.fixations == rep.reached_2 and rep.p3 == 1.0
+        assert (rep.p3_ci_low, rep.p3_ci_high) == (1.0 - rep.stop_bound, 1.0) == (1.0, 1.0)
+    else:
+        assert (rep.p3_ci_low, rep.p3_ci_high) == wilson_interval(rep.fixations, rep.reached_2)
+        assert rep.p3_ci_low < 1.0
     exact = cfg.s / (1 - (1 - cfg.s) ** 1000)
     assert abs(rep.p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / 20000)
     monkeypatch.setattr(analysis, "_stop", lambda config: (config.N, 0.0))

@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -19,7 +22,14 @@ from haldane.branching import (
     extinction_q,
     haldane_ref,
 )
-from haldane.paintbox import Deterministic, Gamma, LogNormal, TwoPoint, UnsupportedLawError
+from haldane.paintbox import (
+    ConfigurationError,
+    Deterministic,
+    Gamma,
+    LogNormal,
+    TwoPoint,
+    UnsupportedLawError,
+)
 from haldane.streams import make_rng
 
 SUPERCRITICAL = [
@@ -248,6 +258,61 @@ def test_extinction_bracket_holds_closed_form(model, exact):
     res = extinction_q(model)
     assert res.phi - res.bound <= exact <= res.phi
     assert res.bound <= 1e-12
+
+
+class _CancellingPoisson(PlainPoisson):
+    """Pois(m) whose survival map is written 1 - exp(-m phi): near phi = 0 it
+    loses the bits that `PlainPoisson`'s -expm1 keeps, so its signs flip
+    where a step did not expect them."""
+
+    def survival_map(self, phi):
+        return 1.0 - math.exp(-self.m * phi), self.m * math.exp(-self.m * phi)
+
+
+def _runs_line(func, marker, call):
+    """Whether call() executes the line of func's source that holds `marker`."""
+    lines, first = inspect.getsourcelines(func)
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    hit = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            hit.append(target)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return bool(hit)
+
+
+@pytest.mark.parametrize("m", [1.001, 1.002, 1.00001])
+def test_extinction_widens_its_margin_where_rounding_flips_a_sign(m):
+    # the cancelling map contradicts a step's expected sign, so the solver
+    # doubles its rounding margin; both returned ends still hold their signs
+    # under that map
+    model = _CancellingPoisson(m)
+    assert _runs_line(extinction_q, "margin *= 2.0", lambda: extinction_q(model))
+    res = extinction_q(model)
+    lo = res.phi - res.bound
+    assert model.survival_map(res.phi)[0] < res.phi
+    assert lo == 0.0 or model.survival_map(lo)[0] > lo
+    assert res.bound <= 1e-12
+
+
+@pytest.mark.parametrize("model, atom", [
+    (MixedPoisson(Gamma(4e-306), 1.5), "1.5 times an atom of gamma:4e-306"),
+    (MixedPoisson(Gamma(1.0), 1e306), "1e+306 times an atom of gamma:1"),
+    (MixedBinomial(Gamma(4e-306), 10, 1.5, 10), "1.5 times an atom of gamma:4e-306"),
+], ids=["poisson-tiny-shape", "poisson-huge-factor", "binomial-tiny-shape"])
+def test_an_atom_scaled_past_the_float_range_is_bad_input(model, atom):
+    # the atoms themselves are finite (the largest of gamma:4e-306 is ~1.5e308)
+    with pytest.raises(ConfigurationError, match=f"^mean factor {re.escape(atom)} overflows$"):
+        extinction_q(model)
 
 
 def test_extinction_budget_exhausted_is_reported(monkeypatch):

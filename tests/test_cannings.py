@@ -25,6 +25,7 @@ from haldane.paintbox import (
     MAX_DRAW,
     ConfigurationError,
     Deterministic,
+    Estimate,
     Gamma,
     LogNormal,
     SpikedSpec,
@@ -644,6 +645,13 @@ def test_lognormal_ensemble_draws_in_bounded_slices():
 def test_qn_without_selection_is_one():
     est = growth_factor_qn(wf(100, 0.0), 0.1, 10, make_rng(8))
     assert est.value == 1.0 and est.stderr == 0.0 and est.exact
+
+
+def test_qn_with_no_head_is_one_over_one_minus_s():
+    # floor(eps N) = 0: the discounted tail is the whole population, so
+    # q_N = N E[W_1] / (1 - s), exact and without a draw, for any paintbox
+    cfg = CanningsConfig(100, 0.1, Gamma(1.0), 1)
+    assert growth_factor_qn(cfg, 0.005, 10, make_rng(8)) == Estimate(1.0 / 0.9, 0.0, True)
 
 
 def test_qn_deterministic_closed_form():

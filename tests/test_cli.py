@@ -287,6 +287,22 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
     (_FIX_ARGV + ["--paintbox", "gamma:1e-310"], "Gamma shape 1e-310 gives E[Y^2] = inf"),
     (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:1e-310", "--m", "1.5"],
      "Gamma shape 1e-310 gives E[Y^2] = inf"),
+    # an accepted shape whose atoms leave the float range, or whose atoms do
+    # once scaled by m
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:3e-306", "--m", "1.5"],
+     "Gamma shape 3e-306 puts quadrature atoms past the float range"),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "gamma:4e-306", "--m", "1.5"],
+     "mean factor 1.5 times an atom of gamma:4e-306 overflows"),
+    (["phases", "--N", "100", "--b", "0.3", "--delta", "0.15", "--eps", "0.01",
+      "--trials", "10", "--seed", "1"], "thresholds 8, 1 do not separate 1 from N=100"),
+    (["gw-survival", "--model", "mixed-poisson", "--y", "spiked:0.2", "--m", "1.5"],
+     "mixing law must be a Y law, got 'spiked:0.2'"),
+    (["gw-survival", "--model", "binary", "--p", "1.5"],
+     "branching probability must be in [0,1], got 1.5"),
+    (["gw-survival", "--model", "two-point-immortal", "--beta-s", "2"],
+     "branching probability must be in [0,1], got 2.0"),
+    (["gw-survival", "--model", "mixed-binomial", "--M", "-1", "--N", "10", "--m", "1.5"],
+     "binomial trial count must be >= 0, got -1"),
     # an N the native block would wrap to a negative int64, or that overflows numpy
     *[([*command, *_BIG_N], "need N <= 2**63 - 1, got 9223372036854775808") for command in (
         ["fixation", "--s", "0.1", "--paintbox", "spiked:0.2"],
@@ -296,7 +312,9 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
         "mean-negative", "no-atoms", "tol-zero", "moments-N-zero", "moments-trials-zero",
         "moments-spiked-N-one", "N-zero-with-exponent", "paintbox-not-a-number",
         "two-point-infinite", "gamma-infinite", "gamma-subnormal", "gw-gamma-subnormal",
-        "N-beyond-int64-native",
+        "gw-gamma-atoms-past-float-range", "gw-rates-past-float-range",
+        "phases-thresholds-unseparated", "gw-spiked-mixing", "gw-binary-probability",
+        "gw-immortal-probability", "gw-binomial-trials-negative", "N-beyond-int64-native",
         "N-beyond-int64-lognormal", "moments-N-beyond-int64"])
 def test_bad_input_exits_2_with_its_message(capsys, argv, message):
     assert run_command(argv) == 2
@@ -430,6 +448,10 @@ def test_phases_record_stops_at_the_second_threshold(capsys):
     assert (rec["fixations"], rec["trial_generations"], rec["max_tau"], rec["reached_1"],
             rec["reached_2"]) == (2010, 157504, 114, 2341, 2010)
     assert rec["p3"] == 1.0
+    # no trial measured p3 past the stop: the record states its certified
+    # interval [1 - stop_bound, 1], not the Wilson interval of 2010 out of 2010
+    assert rec["p3_ci_low"] == 1.0 - rec["stop_bound"] == 1.0
+    assert rec["p3_ci_high"] == 1.0
 
 
 def test_phases_stopped_far_above_the_safe_level_state_its_bound(capsys):
@@ -492,6 +514,30 @@ def test_gw_survival_gamma_beyond_gamma_function_range(capsys, kappa):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
     assert rec["phi"] == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa", ["5.6e-309", "1e-307", "3.3e-306", "3.4e-306", "4e-306",
+                                   "5e-306", "1e-305", "1e-300"])
+@pytest.mark.parametrize("model", [
+    ["mixed-poisson"],
+    ["mixed-binomial", "--M", "100", "--N", "100"],
+], ids=["poisson", "binomial"])
+def test_gw_survival_at_the_smallest_gamma_shapes_fails_only_as_bad_input(capsys, kappa, model):
+    # atoms or rates past the float range exit 2; no overflow reaches a run
+    code = run_command(["gw-survival", "--model", *model, "--y", f"gamma:{kappa}", "--m", "1.5"])
+    assert code in (0, 2)
+    assert (code == 0) == (float(kappa) >= 1e-305)
+
+
+def test_gw_survival_at_gamma_1e_305_solves_as_at_1e_300(capsys):
+    # the first step of the weights' recurrence is rescaled before it is squared
+    phis = []
+    for kappa in ("1e-305", "1e-300"):
+        code, (rec,) = run_jsonl(capsys, [
+            "gw-survival", "--model", "mixed-poisson", "--y", f"gamma:{kappa}", "--m", "1.5"])
+        assert code == 0 and rec["phi_bound"] <= 1e-12
+        phis.append(rec["phi"])
+    assert phis[0] == pytest.approx(8.62e-14, rel=1e-3) and phis[0] == phis[1]
 
 
 def test_gw_survival_missing_param_exits_2(capsys):

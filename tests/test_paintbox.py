@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -14,6 +15,7 @@ from haldane import paintbox
 from haldane.analysis import _stop
 from haldane.cannings import CanningsConfig
 from haldane.paintbox import (
+    ConfigurationError,
     Deterministic,
     Gamma,
     LogNormal,
@@ -286,14 +288,25 @@ def test_gamma_mixing_atoms_match_golub_welsch_moments(kappa):
         assert moment == pytest.approx(exact, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kappa", [1e-305, 1e-300, 1e-16, 1e-3, 1.0, 1e3])
 def test_gamma_mixing_atoms_finite_at_extreme_shapes(kappa):
     # the smallest weights are near 1e-270, so the sums of squares they come
-    # from pass the rescaling threshold of 1e200
+    # from pass the rescaling threshold of 1e200; at kappa = 1e-305,
+    # p_1 ~ 608 / sqrt(kappa) ~ 2e155 would overflow when squared unless
+    # rescaled first
     vals, wts = Gamma(kappa).mixing_atoms()
+    assert np.all(np.isfinite(vals))
     assert np.all(np.isfinite(wts)) and np.all(wts >= 0)
     assert math.fsum(wts) == pytest.approx(1.0, rel=1e-15)
     assert np.dot(wts, vals) == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kappa", [3.3e-306, 1e-307, 5.6e-309])
+def test_gamma_mixing_atoms_past_the_float_range_are_bad_input(kappa):
+    # accepted shapes (E[Y^2] is finite) whose largest atom, ~608 / kappa, is not
+    message = f"Gamma shape {kappa} puts quadrature atoms past the float range"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        Gamma(kappa).mixing_atoms()
 
 
 # ---------------------------------------------------------------------------
