@@ -13,10 +13,9 @@
  * floating-point contraction, -ffp-contract=off), for the closed-form
  * sources of `law`:
  *   DETERMINISTIC  head k, tail N - k; no draw
- *   GAMMA          {kappa}: one head Gamma(k kappa) / kappa per trial, entry
- *                  by entry, then one tail Gamma((N - k) kappa) / kappa each
- *   TWO_POINT      {a, b, p}: one head j a + (k - j) b with j ~ Bin(k, p)
- *                  per trial, then one tail likewise over N - k each
+ *   GAMMA {kappa}, TWO_POINT {a, b, p}: one case; per trial, entry by entry,
+ *                  one head `mass` over k, then one tail mass over N - k each:
+ *                  Gamma(n kappa) / kappa, or j a + (n - j) b with j ~ Bin(n, p)
  *   SPIKED         {wo, lift}: entry by entry, how many of its trials have
  *                  the spike inside the head: for an entry of one trial its
  *                  spike index, uniform on [0, N) as `rng.integers(N)`
@@ -42,6 +41,7 @@
  * buffers cannot be allocated.
  */
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 #include "numpy/random/distributions.h"
@@ -62,16 +62,12 @@ typedef struct {
     int64_t n_out;
 } block_t;
 
-/* The mass of a block of n potentials under GAMMA {kappa}: Gamma(n kappa) / kappa */
-static inline double gamma_mass(block_t *b, const double *law, int64_t n)
+/* The mass of a block of n potentials: under GAMMA {kappa} Gamma(n kappa) / kappa,
+ * under TWO_POINT {a, b, p} j a + (n - j) b with j ~ Bin(n, p) */
+static inline double mass(block_t *b, int source, const double *law, int64_t n)
 {
-    return random_standard_gamma(b->bitgen, (double)n * law[0]) / law[0];
-}
-
-/* The mass of a block of n potentials under TWO_POINT {a, b, p}: j a + (n - j) b
- * with j ~ Bin(n, p) */
-static inline double two_point_mass(block_t *b, const double *law, int64_t n)
-{
+    if (source == GAMMA)
+        return random_standard_gamma(b->bitgen, (double)n * law[0]) / law[0];
     int64_t j = random_binomial(b->bitgen, law[2], n, &b->binomial);
     return (double)j * law[0] + (double)(n - j) * law[1];
 }
@@ -133,8 +129,10 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
                       int64_t trials, int64_t x0, int64_t stop, int64_t n_above,
                       const int64_t *above, int64_t *hits, int64_t *tally)
 {
-    /* two generations of entries, then p (one per trial) and inside (one per entry) */
-    int64_t *buf = malloc(8 * (size_t)trials * sizeof(int64_t));
+    /* two generations of entries, then p (one per trial) and inside (one per entry);
+     * none where their size would wrap size_t */
+    int64_t *buf = (size_t)trials <= SIZE_MAX / (8 * sizeof(int64_t))
+                 ? malloc(8 * (size_t)trials * sizeof(int64_t)) : NULL;
     if (!buf)
         return -2;
     entries_t in = {buf, buf + trials, buf + 2 * trials};
@@ -148,20 +146,13 @@ int haldane_run_block(bitgen_t *bitgen, int source, const double *law, int64_t N
     int rc = 0;
     while (n > 0 && !rc) {
         /* every head mass, trial by trial, then every tail mass */
-        if (source == GAMMA) {
+        if (source == GAMMA || source == TWO_POINT) {
             for (int64_t i = 0, t = 0; i < n; i++)
                 for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] = gamma_mass(&b, law, in.k[i]);
+                    p[t] = mass(&b, source, law, in.k[i]);
             for (int64_t i = 0, t = 0; i < n; i++)
                 for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] /= gamma_mass(&b, law, N - in.k[i]) * keep + p[t];
-        } else if (source == TWO_POINT) {
-            for (int64_t i = 0, t = 0; i < n; i++)
-                for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] = two_point_mass(&b, law, in.k[i]);
-            for (int64_t i = 0, t = 0; i < n; i++)
-                for (int64_t end = t + in.m[i]; t < end; t++)
-                    p[t] /= two_point_mass(&b, law, N - in.k[i]) * keep + p[t];
+                    p[t] /= mass(&b, source, law, N - in.k[i]) * keep + p[t];
         } else if (source == SPIKED) {
             for (int64_t i = 0; i < n; i++) {
                 if (in.m[i] == 1) {

@@ -121,6 +121,9 @@ class MixedBinomial(GWModel):
             raise ConfigurationError(f"binomial trial count must be >= 0, got {self.M}")
         if not self.N >= 1:
             raise ConfigurationError(f"binomial scale must be >= 1, got {self.N}")
+        for flag, value in (("--M", self.M), ("--N", self.N)):
+            if value > sys.float_info.max:
+                raise ConfigurationError(f"{flag} must be at most {sys.float_info.max:.6g}")
 
     def mean(self):
         return self.M * self.m / self.N

@@ -1,7 +1,11 @@
 import ctypes
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chi2, ks_2samp
 
+import haldane
 from haldane import cannings
 from haldane.analysis import estimate_fixation
 from haldane.cannings import (
@@ -374,6 +379,38 @@ def test_stop_level_bounds():
         cfg, 50, trial_rng(1, 0))
 
 
+def test_run_ensemble_needs_a_trial():
+    with pytest.raises(ValueError, match="trials >= 1"):
+        run_ensemble(wf(100, 0.1), 0, trial_rng(1, 0))
+
+
+def test_a_block_too_large_for_its_buffers_is_a_memory_error():
+    # eight int64 words per trial: 2**57 trials ask malloc for 2**63 bytes,
+    # and from 2**58 on the size wraps size_t, so the block refuses them
+    # before it calls malloc.  A fresh interpreter, so that a crash fails
+    # this test alone
+    if cannings._lockstep_block() is None:
+        pytest.skip("the native lockstep block did not load")
+    script = (
+        "from haldane import cannings\n"
+        "from haldane.paintbox import Deterministic\n"
+        "from haldane.streams import trial_rng\n"
+        "config = cannings.CanningsConfig(100, 0.1, Deterministic(), 1)\n"
+        "print(cannings.engine(config))\n"
+        "for trials in (2**57, 2**58, 2**63 - 1):\n"
+        "    try:\n"
+        "        cannings.run_ensemble(config, trials, trial_rng(1, 0))\n"
+        "    except MemoryError as e:\n"
+        "        print(e)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(haldane.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = cannings._lockstep_digest(cannings._LOCKSTEP_SOURCE)
+    assert proc.stdout.splitlines() == [f"native:{digest}"] + [
+        f"no room for a lockstep block of {t} trials" for t in (2**57, 2**58, 2**63 - 1)]
+
+
 def _on_numpy(monkeypatch, run):
     """`run()` with the native lockstep block unavailable."""
     with monkeypatch.context() as m:
@@ -731,6 +768,20 @@ def test_step_tilde_branching_regime_above_eps():
     draws = np.array([step_tilde(30, cfg, 0.1, rng, q_n=qn) for _ in range(20000)])
     # mixed Poisson mean 30*q_n
     assert abs(draws.mean() - 30 * qn) <= 4 * draws.std() / math.sqrt(draws.size)
+
+
+def test_growth_factor_qn_input_bounds():
+    cfg = CanningsConfig(100, 0.1, Gamma(1.0), 1)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eps must be in"):
+            growth_factor_qn(cfg, eps, 10, make_rng(1))
+    with pytest.raises(ValueError, match="trials >= 1"):
+        growth_factor_qn(cfg, 0.1, 0, make_rng(1))
+
+
+def test_step_tilde_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        step_tilde(-1, CanningsConfig(100, 0.1, Gamma(1.0), 1), 0.1, make_rng(1))
 
 
 def test_step_tilde_past_eps_needs_qn():

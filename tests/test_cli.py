@@ -303,6 +303,11 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
      "branching probability must be in [0,1], got 2.0"),
     (["gw-survival", "--model", "mixed-binomial", "--M", "-1", "--N", "10", "--m", "1.5"],
      "binomial trial count must be >= 0, got -1"),
+    # a binomial law whose M or N has no float
+    (["gw-survival", "--model", "mixed-binomial", "--y", "gamma:1", "--M", "10",
+      "--N", str(10**400), "--m", "1.5"], "--N must be at most 1.79769e+308"),
+    (["gw-survival", "--model", "mixed-binomial", "--y", "gamma:1", "--M", str(10**400),
+      "--N", "10", "--m", "1.5"], "--M must be at most 1.79769e+308"),
     # an N the native block would wrap to a negative int64, or that overflows numpy
     *[([*command, *_BIG_N], "need N <= 2**63 - 1, got 9223372036854775808") for command in (
         ["fixation", "--s", "0.1", "--paintbox", "spiked:0.2"],
@@ -314,8 +319,9 @@ _BIG_N = ["--N", str(2**63), "--trials", "10", "--seed", "1"]
         "two-point-infinite", "gamma-infinite", "gamma-subnormal", "gw-gamma-subnormal",
         "gw-gamma-atoms-past-float-range", "gw-rates-past-float-range",
         "phases-thresholds-unseparated", "gw-spiked-mixing", "gw-binary-probability",
-        "gw-immortal-probability", "gw-binomial-trials-negative", "N-beyond-int64-native",
-        "N-beyond-int64-lognormal", "moments-N-beyond-int64"])
+        "gw-immortal-probability", "gw-binomial-trials-negative",
+        "gw-binomial-scale-past-float-range", "gw-binomial-trials-past-float-range",
+        "N-beyond-int64-native", "N-beyond-int64-lognormal", "moments-N-beyond-int64"])
 def test_bad_input_exits_2_with_its_message(capsys, argv, message):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
@@ -1183,12 +1189,20 @@ def fresh_loader(monkeypatch, tmp_path):
     cannings._lockstep_block.cache_clear()
 
 
-def _no_compiler(monkeypatch, tmp_path):
+def _configure_cc(monkeypatch, cc):
     import sysconfig
 
     config_var = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var",
-                        lambda name: str(tmp_path / "no-cc") if name == "CC" else config_var(name))
+                        lambda name: cc if name == "CC" else config_var(name))
+
+
+def _no_compiler(monkeypatch, tmp_path):
+    _configure_cc(monkeypatch, str(tmp_path / "no-cc"))
+
+
+def _no_compiler_configured(monkeypatch, tmp_path):
+    _configure_cc(monkeypatch, None)
 
 
 def _compile_error(monkeypatch, tmp_path):
@@ -1202,7 +1216,8 @@ def _unwritable_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
 
 
-@pytest.mark.parametrize("fault", [_no_compiler, _compile_error, _unwritable_cache])
+@pytest.mark.parametrize("fault", [_no_compiler, _no_compiler_configured, _compile_error,
+                                   _unwritable_cache])
 def test_native_generation_falls_back_once_per_process(capsys, monkeypatch, fresh_loader, fault):
     commands = (
         ["fixation", "--N", "1000", "--b", "0.25", "--paintbox", "gamma:1",
